@@ -8,10 +8,11 @@ distribution library directly.
 
 Continuous CDFs delegate to scipy.special (double-precision incomplete
 beta/gamma); the binomial CDF is an exact log-space probability-mass summation.
-Quantiles invert the CDF: vectorized bisection for continuous families, the
-minimal ``k`` with ``F(k) >= p`` for the binomial.  Samplers are inverse-CDF
-transforms of Philox uniforms (see :mod:`confbel.mc`), which makes the binomial
-sampler identical to the inversion used by the binomial association.
+Quantiles are the exact inverses scipy.special ships for the continuous
+families (``ndtri``, ``stdtrit``, ``gammaincinv``), and the minimal ``k`` with
+``F(k) >= p`` for the binomial.  Samplers are inverse-CDF transforms of Philox
+uniforms (see :mod:`confbel.mc`), which makes the binomial sampler identical to
+the inversion used by the binomial association.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from scipy import special
 from .mc import MCConfig
 
 FAMILIES = ("normal", "student_t", "chi_square", "binomial", "uniform01")
-
-_QUANTILE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,43 +133,14 @@ def cdf(spec: DistSpec, x):
     return out if np.ndim(x) else float(out)
 
 
-def _bisect_quantile(spec: DistSpec, ps: np.ndarray) -> np.ndarray:
-    # Expand a bracket by doubling, then bisect to _QUANTILE_TOL.  All
-    # supported continuous families have support inside [0, inf) or the line,
-    # so the loop terminates quickly.
-    lo = np.full_like(ps, -1.0)
-    hi = np.ones_like(ps)
-    if spec.family in ("chi_square",):
-        lo = np.zeros_like(ps)
-    for _ in range(200):
-        bad = cdf(spec, lo) >= ps
-        if not np.any(bad):
-            break
-        lo[bad] = np.where(lo[bad] < 0.0, lo[bad] * 2.0, -1.0)
-    for _ in range(200):
-        bad = cdf(spec, hi) < ps
-        if not np.any(bad):
-            break
-        hi[bad] *= 2.0
-    eps = np.finfo(float).eps
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = cdf(spec, mid) < ps
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        # Stop at the requested tolerance or at float spacing, whichever is
-        # coarser for very large quantiles.
-        if np.all(hi - lo <= _QUANTILE_TOL + 4.0 * eps * np.abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
 def quantile(spec: DistSpec, p):
     """Inverse CDF.
 
-    Continuous families: bisection on :func:`cdf` to absolute tolerance 1e-10.
-    Binomial: the minimal integer ``k`` with ``F(k) >= p``.  ``p`` must lie
-    strictly inside (0, 1).
+    Continuous families: scipy.special's inverses of the special functions
+    :func:`cdf` evaluates (``ndtri``; ``stdtrit``; ``2 gammaincinv(df/2, p)``
+    for chi-square), so ``cdf(quantile(p))`` returns ``p`` to within about
+    1e-15.  Binomial: the minimal integer ``k`` with ``F(k) >= p``.  ``p`` must
+    lie strictly inside (0, 1).
     """
     ps = np.asarray(p, dtype=float)
     if np.any((ps <= 0.0) | (ps >= 1.0)):
@@ -182,8 +152,12 @@ def quantile(spec: DistSpec, p):
     elif spec.family == "binomial":
         table = binom_cdf_table(spec.n, spec.p)
         out = np.searchsorted(table, ps, side="left").astype(float)
+    elif spec.family == "normal":
+        out = special.ndtri(ps)
+    elif spec.family == "student_t":
+        out = special.stdtrit(spec.df, ps)
     else:
-        out = _bisect_quantile(spec, ps.copy())
+        out = 2.0 * special.gammaincinv(spec.df / 2.0, ps)
     return float(out[0]) if scalar else out
 
 

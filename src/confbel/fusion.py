@@ -102,14 +102,16 @@ class RandomSetFamily:
         return float(np.mean(self.support_member(draws, alpha, theta)))
 
 
-_draw_cache: dict[tuple[int, MCConfig], np.ndarray] = {}
+_draw_cache: dict[tuple[Callable[[MCConfig], np.ndarray], MCConfig], np.ndarray] = {}
 
 
 def _cached_draws(rs: RandomSetFamily, mc: MCConfig) -> np.ndarray:
     # Common random numbers: every alpha (and every theta) inside one contour
     # evaluation sees the same auxiliary draws, so masses are monotone in
-    # alpha by construction and nudges cannot flip signs.
-    key = (id(rs.aux_sampler), mc)
+    # alpha by construction and nudges cannot flip signs.  The key holds the
+    # sampler itself, not its id: the strong reference keeps a collected
+    # sampler's id from being reused by another family while the entry lives.
+    key = (rs.aux_sampler, mc)
     draws = _draw_cache.get(key)
     if draws is None:
         if len(_draw_cache) >= 8:

@@ -24,6 +24,10 @@ endpoint lambda placing all weight on the smaller group, ``T_lambda`` is
 exactly ``|t_dof|`` and the fused contour reproduces the interval family;
 elsewhere it is never larger, which is the conservatism being quantified.
 
+The threshold ``t*_{alpha*(phi)}`` depends on phi and the data but not on
+lambda, so the marginal computes it once per call; each lambda then costs one
+sort of the pivot table.
+
 Monte Carlo uses one shared pivotal draw table per configuration (common
 random numbers across alpha, lambda, and phi).
 """
@@ -178,16 +182,23 @@ def lambda_of(theta, n1: int, n2: int) -> float:
     return a / (a + b)
 
 
-def bf_lambda_plaus(data: BehrensFisherData, phi, lam: float, mc: MCConfig) -> np.ndarray:
-    """Theta-specific fused plausibility along a fixed-lambda fiber slice."""
+def _upper_mass(draws: np.ndarray, lam: float, tstar: np.ndarray) -> np.ndarray:
+    """``1 - P{T_lambda <= t*}`` under the empirical law of the pivot table."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
+    t_sorted = np.sort(t_lambda(draws, lam))
+    return 1.0 - np.searchsorted(t_sorted, tstar, side="right") / len(t_sorted)
+
+
+def _tstar(data: BehrensFisherData, phis: np.ndarray) -> np.ndarray:
+    """Lambda-free threshold ``t*_{alpha*(phi)}`` at each phi."""
+    return np.asarray(_t_quantile(data.dof, 1.0 - hs_contour(data, phis) / 2.0))
+
+
+def bf_lambda_plaus(data: BehrensFisherData, phi, lam: float, mc: MCConfig) -> np.ndarray:
+    """Theta-specific fused plausibility along a fixed-lambda fiber slice."""
     phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    astar = np.atleast_1d(hs_contour(data, phis))
-    tstar = np.asarray(_t_quantile(data.dof, 1.0 - astar / 2.0))
-    t_sorted = np.sort(t_lambda(pivotal_draws(data.n1, data.n2, mc), lam))
-    mass = np.searchsorted(t_sorted, tstar, side="right") / len(t_sorted)
-    out = 1.0 - mass
+    out = _upper_mass(pivotal_draws(data.n1, data.n2, mc), lam, _tstar(data, phis))
     return out if np.ndim(phi) else float(out[0])
 
 
@@ -202,9 +213,11 @@ def bf_marginal_contour(
 ) -> np.ndarray:
     """Marginal plausibility for phi: max over the lambda grid."""
     phis = np.atleast_1d(np.asarray(phi, dtype=float))
+    draws = pivotal_draws(data.n1, data.n2, mc)
+    tstar = _tstar(data, phis)
     best = np.zeros_like(phis)
     for lam in lam_grid:
-        best = np.maximum(best, bf_lambda_plaus(data, phis, float(lam), mc))
+        best = np.maximum(best, _upper_mass(draws, float(lam), tstar))
     return best if np.ndim(phi) else float(best[0])
 
 
@@ -300,8 +313,7 @@ def contour_at_truth(n1: int, n2: int, mc_internal: MCConfig):
         d = xs[:, 0] - xs[:, 1]
         f = np.sqrt(xs[:, 2] / n1 + xs[:, 3] / n2)
         tobs = np.abs(d - phi) / f
-        t_sorted = np.sort(t_lambda(pivotal_draws(n1, n2, mc_internal), lam))
-        return 1.0 - np.searchsorted(t_sorted, tobs, side="right") / len(t_sorted)
+        return _upper_mass(pivotal_draws(n1, n2, mc_internal), lam, tobs)
 
     return fn
 

@@ -70,20 +70,23 @@ def family() -> ConfidenceFamily:
     return ConfidenceFamily(member=member, center=theta_hat, member_batch=member_batch)
 
 
+def _index(num, den):
+    """``2 min(r, 1) / (1 + r)`` at ``r = num / den``, the fiber point's
+    ``u1 / (1 - u2)``, with the degenerate edges handled for every route."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = num / den
+        val = 2.0 * np.minimum(r, 1.0) / (1.0 + r)
+    # num == den == 0 happens only when the range equals 1 and theta is the
+    # single possible location; the fiber point is then in every support.
+    pinned = (np.abs(num) < 1e-14) & (np.abs(den) < 1e-14)
+    return np.where(pinned, 1.0, np.where((num < 0.0) | (den <= 0.0), 0.0, val))
+
+
 def alpha_index_exact(x, theta):
     """``2 min(r, 1) / (1 + r)`` with the degenerate edges handled explicitly."""
     x1, x2 = _split(x)
     thetas = np.asarray(theta, dtype=float)
-    num = x1 - thetas  # u1 of the fiber point
-    den = 1.0 + thetas - x2  # 1 - u2 of the fiber point
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = num / den
-        val = 2.0 * np.minimum(r, 1.0) / (1.0 + r)
-    out = np.where((num < 0.0) | (den < 0.0), 0.0, val)
-    # num == den == 0 happens only when the range equals 1 and theta is the
-    # single possible location; the fiber point is then in every support.
-    out = np.where((np.abs(num) < 1e-14) & (np.abs(den) < 1e-14), 1.0, out)
-    out = np.where(den == 0.0, np.where(np.abs(num) < 1e-14, 1.0, 0.0), out)
+    out = _index(x1 - thetas, 1.0 + thetas - x2)
     return out if out.ndim else float(out)
 
 
@@ -152,12 +155,7 @@ def sampling(n: int) -> SamplingModel:
 def contour_at_truth(xs, theta) -> np.ndarray:
     """Vectorized fused plausibility of the truth over (reps, 2) summaries."""
     xs = np.asarray(xs, dtype=float)
-    num = xs[:, 0] - theta
-    den = 1.0 + theta - xs[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = num / den
-        val = 2.0 * np.minimum(r, 1.0) / (1.0 + r)
-    return np.where((num < 0.0) | (den <= 0.0), 0.0, val)
+    return _index(xs[:, 0] - theta, 1.0 + theta - xs[:, 1])
 
 
 def default_grid(x, n_points: int = 512) -> GridSpec:

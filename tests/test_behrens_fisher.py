@@ -120,6 +120,20 @@ def test_marginal_dominates_slices_and_peaks_at_one():
     assert bf.bf_marginal_contour(d, d.diff, MC) == pytest.approx(1.0, abs=1e-12)
 
 
+def _replicate(seed: int) -> bf.BehrensFisherData:
+    m1, m2, v1, v2 = bf.sampling(5, 11).sample((0.0, 0.0, 4.0, 1.0), MCConfig(reps=1, seed=seed))[0]
+    return bf.BehrensFisherData(5, m1, v1, 11, m2, v2)
+
+
+@pytest.mark.parametrize("data", [bf.DEFAULT_DATA, _replicate(101), _replicate(202)])
+def test_marginal_is_max_of_lambda_slices(data):
+    # the marginal hoists the lambda-free threshold out of its lambda loop;
+    # it must still equal the slice-by-slice maximum exactly
+    phis = bf.default_grid(data).points()
+    slices = [bf.bf_lambda_plaus(data, phis, float(lam), MC) for lam in bf.DEFAULT_LAMBDA_GRID]
+    assert np.array_equal(bf.bf_marginal_contour(data, phis, MC), np.max(slices, axis=0))
+
+
 def test_family_coverage_nominal():
     theta = (0.0, 0.0, 4.0, 1.0)
     est = coverage_probability(

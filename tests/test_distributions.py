@@ -105,6 +105,26 @@ def test_continuous_round_trips(name):
     assert_allclose(dist.quantile(spec, dist.cdf(spec, xs)), xs, atol=1e-7, rtol=1e-7)
 
 
+@given(
+    family=st.sampled_from(["normal", "student_t", "chi_square"]),
+    df=st.integers(min_value=1, max_value=30),
+    ps=st.lists(
+        st.one_of(st.sampled_from([1e-12, 1.0 - 1e-12]), st.floats(min_value=1e-12, max_value=1.0 - 1e-12)),
+        min_size=1,
+        max_size=20,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_continuous_quantile_round_trip_to_clip_edges(family, df, ps):
+    # [1e-12, 1 - 1e-12] is the range the two-sample model clips its
+    # t-quantile requests to
+    spec = dist.normal() if family == "normal" else dist.DistSpec(family, df=df)
+    ps = np.asarray(ps)
+    qs = dist.quantile(spec, ps)
+    assert np.all(np.abs(dist.cdf(spec, qs) - ps) <= 1e-10)
+    assert np.array_equal(qs, [dist.quantile(spec, float(p)) for p in ps])
+
+
 @given(p=st.floats(min_value=1e-6, max_value=1 - 1e-6))
 @settings(max_examples=60, deadline=None)
 def test_binomial_quantile_is_minimal(p):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 from confbel import distributions as dist
+from confbel import fusion
 from confbel.contours import ConsonanceError, GridSpec, Interval
 from confbel.fusion import (
     EMPTY_REGION,
@@ -23,7 +24,7 @@ from confbel.fusion import (
     theta_specific_plaus,
 )
 from confbel.mc import MCConfig
-from confbel.models import normal_mean, uniform_loc
+from confbel.models import binomial, normal_mean, uniform_loc
 
 MC = MCConfig(reps=20_000, seed=31)
 X_PAIR = (0.2, 0.9)  # observed (min, max) of the uniform-location model
@@ -176,3 +177,17 @@ def test_check_compatibility_incompatible():
     report = check_compatibility(assoc, normal_mean.random_set(), 0.4, 0.0, 0.05, MC)
     assert report.status == "incompatible"
     assert not report.compatible
+
+
+def test_draw_cache_never_serves_another_familys_draws():
+    # Every random_set() call builds a fresh sampler closure.  Once one is
+    # freed (reference counting frees it at ``del``), CPython may hand its id
+    # to the next one, so the cache must not key on id(): alternate two
+    # families whose draws differ in shape.
+    mc = MCConfig(reps=50, seed=3)
+    wrong = 0
+    for i in range(400):
+        rs = binomial.random_set(5) if i % 2 == 0 else uniform_loc.random_set(4)
+        wrong += not np.array_equal(fusion._cached_draws(rs, mc), rs.aux_sampler(mc))
+        del rs
+    assert wrong == 0

@@ -76,7 +76,35 @@ def test_contour_at_truth_matches_pointwise():
     xs = uniform_loc.sampling(10).sample(0.0, MCConfig(reps=200, seed=23))
     vec = uniform_loc.contour_at_truth(xs, 0.0)
     pointwise = np.asarray([uniform_loc.alpha_index_exact(x, 0.0) for x in xs])
-    assert_allclose(vec, pointwise, atol=1e-14)
+    assert np.array_equal(vec, pointwise)
+
+
+@given(
+    x1=st.floats(min_value=-1.0, max_value=1.0),
+    width=st.floats(min_value=0.0, max_value=1.0),
+    theta=st.floats(min_value=-2.0, max_value=2.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_batch_and_scalar_routes_agree(x1, width, theta):
+    x = (x1, x1 + width)
+    batch = uniform_loc.contour_at_truth(np.asarray([x]), theta)[0]
+    assert batch == uniform_loc.alpha_index_exact(x, theta)
+
+
+@pytest.mark.parametrize(
+    "x, theta, want",
+    [
+        ((0.0, 1.0), 0.0, 1.0),  # full range: theta pinned, fiber point in every support
+        ((0.2, 1.2), 0.2, 1.0),
+        ((0.2, 1.2), 0.21, 0.0),
+        ((0.2, 0.9), 0.2, 0.0),  # theta = x1: u1 = 0 on the support boundary
+        ((0.2, 0.9), -0.1, 0.0),  # theta = x2 - 1: 1 - u2 = 0
+        ((0.2, 0.9), 0.05, 1.0),  # theta_hat
+    ],
+)
+def test_batch_and_scalar_routes_agree_on_edges(x, theta, want):
+    assert uniform_loc.alpha_index_exact(x, theta) == want
+    assert uniform_loc.contour_at_truth(np.asarray([x]), theta)[0] == want
 
 
 def test_support_mass_closed_form():
