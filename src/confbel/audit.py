@@ -102,6 +102,8 @@ class AuditReport:
 
 
 def _label(theta) -> str:
+    if hasattr(theta, "name"):
+        return theta.name
     if np.ndim(theta) == 0:
         return f"{float(theta):.10g}"
     return "(" + ", ".join(f"{float(t):.10g}" for t in np.ravel(np.asarray(theta, dtype=float))) + ")"

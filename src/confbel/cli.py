@@ -28,7 +28,6 @@ _NUMERICAL_ERRORS = (
     ConsonanceError,
     NestednessError,
     ModelInconsistencyError,
-    fieller.QuadratureError,
     fieller.NonMonotoneError,
     FloatingPointError,
 )
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="contour validity audit for a model bundle")
     common(p, "confbel_audit.csv", 10_000)
-    p.add_argument("--model", choices=sorted(k for k in REGISTRY if k != "dkw"), default="binomial")
+    p.add_argument("--model", choices=sorted(REGISTRY), default="binomial")
     p.add_argument("--alphas", default=",".join(str(a) for a in DEFAULT_ALPHA_GRID))
     p.set_defaults(func=cmd_audit)
 

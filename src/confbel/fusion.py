@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .contours import (
     ALPHA_BISECT_TOL,
@@ -190,6 +189,29 @@ def theta_specific_plaus(
     return float(max(0.0, 1.0 - rs.mass_at(nudged, theta, mc)))
 
 
+def _golden_max(f, xa, xb, xc, fb):
+    """Maximize ``f`` over ``xa < xb < xc``, with ``fb = f(xb)`` above both ends, by the
+    steps and stopping rule of ``scipy.optimize.golden``, reusing ``fb``.  Returns ``(x, f(x))``."""
+    r = 0.61803399  # golden ratio conjugate, as in scipy
+    x0, x3 = xa, xc
+    if np.abs(xc - xb) > np.abs(xb - xa):
+        x1, x2 = xb, xb + (1.0 - r) * (xc - xb)
+        f1, f2 = fb, f(x2)
+    else:
+        x1, x2 = xb - (1.0 - r) * (xb - xa), xb
+        f1, f2 = f(x1), fb
+    for _ in range(5000):
+        if np.abs(x3 - x0) <= 1e-6 * (np.abs(x1) + np.abs(x2)):
+            break
+        if f2 > f1:
+            x0, x1, x2 = x1, x2, r * x2 + (1.0 - r) * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x1, x2, x3 = r * x1 + (1.0 - r) * x0, x1, x2
+            f1, f2 = f(x1), f1
+    return (x1, f1) if f1 > f2 else (x2, f2)
+
+
 def fused_contour(
     assoc: Association,
     rs: RandomSetFamily,
@@ -224,12 +246,8 @@ def fused_contour(
         witness = float(pts[i])
         if 0 < i < len(pts) - 1 and vals[i] > vals[i - 1] and vals[i] > vals[i + 1]:
             try:
-                refined = optimize.golden(
-                    lambda t: -plaus_fn(float(t)),
-                    brack=(pts[i - 1], pts[i], pts[i + 1]),
-                    tol=1e-6,
-                )
-                if plaus_fn(float(refined)) >= vals[i]:
+                refined, top = _golden_max(lambda t: plaus_fn(float(t)), pts[i - 1], pts[i], pts[i + 1], vals[i])
+                if top >= vals[i]:
                     witness = float(refined)
             except (ValueError, RuntimeError):
                 pass

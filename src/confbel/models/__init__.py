@@ -193,6 +193,7 @@ def dkw_bundle(n: int = 799, mc_internal: MCConfig = MCConfig(reps=100_000, seed
         smooth = dkw.ParametricCDF(
             cdf=lambda t: -np.expm1(-np.maximum(np.asarray(t, dtype=float), 0.0) / scale),
             quantile=lambda u: -scale * np.log1p(-u),
+            name=f"Exp(mean={scale:.6g})",
         )
         return shifted + [smooth]
 
@@ -203,6 +204,7 @@ def dkw_bundle(n: int = 799, mc_internal: MCConfig = MCConfig(reps=100_000, seed
     unit_exp = dkw.ParametricCDF(
         cdf=lambda t: -np.expm1(-np.maximum(np.asarray(t, dtype=float), 0.0)),
         quantile=lambda u: -np.log1p(-u),
+        name="Exp(1)",
     )
     return ModelBundle(
         name="dkw",

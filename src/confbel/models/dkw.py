@@ -106,10 +106,11 @@ class EmpiricalSample:
 
 @dataclass(frozen=True)
 class ParametricCDF:
-    """Continuous candidate truth: a CDF with its quantile transform."""
+    """Continuous candidate truth: a CDF, its quantile transform and a label."""
 
     cdf: Callable
     quantile: Callable
+    name: str
 
     def __call__(self, t):
         return self.cdf(t)

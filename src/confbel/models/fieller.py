@@ -20,70 +20,36 @@ construction as the cautionary fixture for additive confidence assignments; it
 deliberately has no fused counterpart, and the batch runner simply reports its
 Monte Carlo coverage as observed.
 
-Two quadrature routes are kept deliberately separate: an adaptive scalar one
-with an error check, and a fixed-grid vectorized Simpson rule over
-``z in [x2 - 10, x2 + 10]`` (truncation error under 1e-23) for Monte Carlo
-work.  The tests hold them against each other and against a high-precision
-oracle.
+``G_x(phi) = Phi((phi x2 - x1) / sqrt(1 + phi^2))`` in closed form, the pivot of
+Fieller's set (proof in ``docs/decisions.md``).  One vectorized evaluator,
+:func:`fieller_cdf_batch`, computes it; membership, the curve and the quantiles
+derive from it.  The tests keep the integral as a quadrature oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
-from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, Interval
 from ..mc import MCConfig
-
-_HALF_WIDTH = 10.0
-_SIMPSON_POINTS = 1601
-_QUAD_TOL = 1e-8
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not reach the requested accuracy."""
 
 
 class NonMonotoneError(RuntimeError):
     """G_x is not monotone where an inverse was requested."""
 
 
-def _phi_pdf(z):
-    return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+def fieller_cdf_batch(xs, phi) -> np.ndarray:
+    """``G_x(phi)`` for the (m, 2) data rows ``xs``; ``phi`` is a scalar or an (m,) array."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    phis = np.broadcast_to(np.asarray(phi, dtype=float), (len(xs),))
+    return special.ndtr((phis * xs[:, 1] - xs[:, 0]) / np.hypot(1.0, phis))
 
 
 def fieller_cdf(x, phi: float) -> float:
-    """Scalar ``G_x(phi)`` by adaptive quadrature (absolute tolerance 1e-10)."""
-    x1, x2 = float(x[0]), float(x[1])
-    val, err = integrate.quad(
-        lambda z: special.ndtr(phi * z - x1) * _phi_pdf(z - x2),
-        x2 - _HALF_WIDTH,
-        x2 + _HALF_WIDTH,
-        epsabs=1e-10,
-        epsrel=1e-10,
-        limit=200,
-    )
-    if err > _QUAD_TOL:
-        raise QuadratureError(f"G quadrature achieved only {err:.3g} absolute error at phi={phi!r}")
-    return float(val)
-
-
-_S_GRID = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, _SIMPSON_POINTS)
-_S_PDF = _phi_pdf(_S_GRID)
-
-
-def fieller_cdf_batch(xs, phi) -> np.ndarray:
-    """``G_x(phi)`` for many data rows at once (fixed-grid Simpson rule).
-
-    ``xs`` is (m, 2); ``phi`` is a scalar or an (m,) array.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    phis = np.broadcast_to(np.asarray(phi, dtype=float), (len(xs),))
-    z = xs[:, 1:2] + _S_GRID[None, :]
-    integrand = special.ndtr(phis[:, None] * z - xs[:, 0:1]) * _S_PDF[None, :]
-    return integrate.simpson(integrand, x=_S_GRID, axis=1)
+    """Scalar ``G_x(phi)``: one row of :func:`fieller_cdf_batch`."""
+    return float(fieller_cdf_batch([x], phi)[0])
 
 
 def mass_at_infinity(x) -> float:
@@ -114,7 +80,16 @@ def _g_inverse(x, p: float) -> float:
     probe = fieller_cdf_batch(np.asarray([x] * 41), np.linspace(lo, hi, 41))
     if np.any(np.diff(probe) < -1e-7):
         raise NonMonotoneError(f"G_x is not monotone on [{lo}, {hi}] for x={tuple(x)!r}")
-    return float(optimize.brentq(lambda t: fieller_cdf(x, t) - p, lo, hi, xtol=1e-9))
+    # There the pivot equals z = ndtri(p).  Squared: a phi^2 - 2 b phi + c = 0
+    # with b^2 - a c = z^2 (x1^2 + x2^2 - z^2).  Its roots q / a and c / q put
+    # the pivot at +z and at -z (where G_x = 1 - p); keep ours.
+    x1, x2 = float(x[0]), float(x[1])
+    z = float(special.ndtri(p))
+    a, b, c = x2 * x2 - z * z, x1 * x2, x1 * x1 - z * z
+    q = b + np.copysign(abs(z) * np.sqrt(max(x1 * x1 + x2 * x2 - z * z, 0.0)), b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.clip([q / a, c / q], lo, hi)  # the bracket holds the root up to rounding
+    return float(roots[np.nanargmin(np.abs(fieller_cdf_batch(np.tile(x, (2, 1)), roots) - p))])
 
 
 def fieller_interval(x, alpha) -> Interval:
@@ -130,13 +105,12 @@ def fieller_interval(x, alpha) -> Interval:
 
 
 def family() -> ConfidenceFamily:
-    def member(x, alpha, phi):
-        g = fieller_cdf(x, float(phi))
-        return alpha / 2.0 <= g <= 1.0 - alpha / 2.0
-
     def member_batch(xs, alpha, phi):
         g = fieller_cdf_batch(xs, phi)
         return (g >= alpha / 2.0) & (g <= 1.0 - alpha / 2.0)
+
+    def member(x, alpha, phi):
+        return bool(member_batch([x], alpha, phi)[0])
 
     def center(x):
         return _g_inverse(x, 0.5)

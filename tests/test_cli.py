@@ -3,12 +3,17 @@ resolution, config files, and exit codes."""
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from confbel.cli import SEED_ENV_VAR, main
+import confbel
+from confbel.cli import SEED_ENV_VAR, build_parser, main
 from confbel.models import dkw
 from confbel.reportio import read_csv
 
@@ -204,11 +209,21 @@ def test_audit_artifact(tmp_path):
     assert len(rows) == 2 * 7  # two truth points, seven alpha levels
 
 
-def test_audit_rejects_band_model():
-    # The band model's truth is a whole distribution, so it is excluded here.
-    with pytest.raises(SystemExit) as exc:
-        main(["audit", "--model", "dkw"])
-    assert exc.value.code == 2
+def _model_choices(command: str) -> list[str]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return list(next(a.choices for a in sub.choices[command]._actions if a.dest == "model"))
+
+
+def test_every_audit_model_choice_exits_0(tmp_path):
+    models = _model_choices("audit")
+    assert "dkw" in models  # its CDF truth is labelled by name
+    for model in models:
+        out = tmp_path / f"audit_{model}.csv"
+        assert main(["audit", "--model", model, "--reps", "200", "--seed", "3", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows
+    _, rows = read_csv(tmp_path / "audit_dkw.csv")
+    assert {r["label"] for r in rows} == {"Exp(1)"}
 
 
 def test_coverage_subcommand(tmp_path):
@@ -237,3 +252,11 @@ def test_json_format(tmp_path):
     assert set(doc) == {"metadata", "rows"}
     assert doc["metadata"]["command"] == "fig1"
     assert len(doc["rows"]) == 80
+
+
+def test_cli_import_loads_no_optimize_or_integrate():
+    code = "import sys, confbel.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confbel.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

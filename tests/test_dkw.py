@@ -19,6 +19,7 @@ def unit_exp() -> dkw.ParametricCDF:
     return dkw.ParametricCDF(
         cdf=lambda t: -np.expm1(-np.maximum(np.asarray(t, dtype=float), 0.0)),
         quantile=lambda u: -np.log1p(-u),
+        name="Exp(1)",
     )
 
 

@@ -1,5 +1,6 @@
-"""Normal-ratio model: quadrature routes, stranded mass, equal-tailed sets,
-and the failure modes of treating the assignment as a CDF."""
+"""Normal-ratio model: the closed form against the integral that defines it,
+stranded mass, equal-tailed sets, and the failure modes of treating the
+assignment as a CDF."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import integrate, special
 
 from confbel.audit import coverage_probability
 from confbel.mc import MCConfig
@@ -35,6 +37,23 @@ def g_closed_form(x, phi: float) -> float:
     return _phi((phi * x2 - x1) / math.hypot(1.0, phi))
 
 
+def g_quadrature(x, phi: float) -> float:
+    # The definition itself, integral of Phi(phi z - x1) f(z - x2) dz with f
+    # the standard normal density, by adaptive quadrature over z in
+    # [x2 - 10, x2 + 10]; the truncated mass is under 2e-23.
+    x1, x2 = float(x[0]), float(x[1])
+    val, err = integrate.quad(
+        lambda z: special.ndtr(phi * z - x1) * math.exp(-0.5 * (z - x2) ** 2) / math.sqrt(2.0 * math.pi),
+        x2 - 10.0,
+        x2 + 10.0,
+        epsabs=1e-12,
+        epsrel=1e-12,
+        limit=200,
+    )
+    assert err < 1e-10
+    return val
+
+
 XS = [(1.0, 20.0), (1.0, 0.5), (-0.7, 2.3), (1.0, -1.5)]
 PHIS = [-2.0, -0.02, 0.0, 0.05, 0.1, 0.8, 3.0]
 
@@ -42,14 +61,26 @@ PHIS = [-2.0, -0.02, 0.0, 0.05, 0.1, 0.8, 3.0]
 def test_cdf_matches_single_normal_reduction():
     for x in XS:
         for phi in PHIS:
-            assert fieller.fieller_cdf(x, phi) == pytest.approx(g_closed_form(x, phi), abs=1e-9)
+            assert fieller.fieller_cdf(x, phi) == pytest.approx(g_closed_form(x, phi), abs=1e-14)
+
+
+def test_cdf_matches_quadrature_of_the_definition():
+    for x in XS:
+        for phi in PHIS:
+            assert fieller.fieller_cdf(x, phi) == pytest.approx(g_quadrature(x, phi), abs=1e-9)
+
+
+def test_cdf_scalar_is_one_row_of_batch():
+    for x in XS:
+        for phi in PHIS:
+            assert fieller.fieller_cdf(x, phi) == fieller.fieller_cdf_batch([x], phi)[0]
 
 
 def test_cdf_batch_matches_closed_form():
     xs = np.asarray(XS)
     for phi in PHIS:
         want = [g_closed_form(x, phi) for x in XS]
-        assert_allclose(fieller.fieller_cdf_batch(xs, phi), want, atol=1e-8)
+        assert_allclose(fieller.fieller_cdf_batch(xs, phi), want, rtol=0.0, atol=1e-14)
 
 
 def test_cdf_batch_per_row_phi_and_shapes():
@@ -57,7 +88,7 @@ def test_cdf_batch_per_row_phi_and_shapes():
     phis = np.asarray([0.3, -1.0, 0.0, 2.0])
     got = fieller.fieller_cdf_batch(xs, phis)
     assert got.shape == (4,)
-    assert_allclose(got, [g_closed_form(x, p) for x, p in zip(XS, phis)], atol=1e-8)
+    assert_allclose(got, [g_closed_form(x, p) for x, p in zip(XS, phis)], rtol=0.0, atol=1e-14)
     assert fieller.fieller_cdf_batch(np.asarray([1.0, 20.0]), 0.1).shape == (1,)
 
 
@@ -65,7 +96,7 @@ def test_cdf_batch_per_row_phi_and_shapes():
 @given(st.floats(-3.0, 3.0), st.floats(-5.0, 5.0), st.floats(-4.0, 4.0))
 def test_cdf_reduction_property(x1, x2, phi):
     assert fieller.fieller_cdf((x1, x2), phi) == pytest.approx(
-        g_closed_form((x1, x2), phi), abs=1e-9
+        g_closed_form((x1, x2), phi), abs=1e-14
     )
 
 
@@ -163,6 +194,15 @@ def test_family_member_batch_matches_scalar():
     for phi in (-0.1, 0.05, 0.4):
         got = fam.member_batch(xs, 0.1, phi)
         assert got.tolist() == [fam.member(x, 0.1, phi) for x in xs]
+
+
+def test_member_batch_agrees_with_quadrature_membership():
+    # At the criterion-1 truth, no membership flips between the closed form
+    # and the quadrature of the definition.
+    xs = fieller.sampling().sample((1.0, 20.0), MCConfig(reps=2000, seed=13))
+    g = np.asarray([g_quadrature(x, 0.05) for x in xs])
+    want = (g >= 0.025) & (g <= 0.975)
+    assert np.array_equal(fieller.family().member_batch(xs, 0.05, 0.05), want)
 
 
 def test_center_is_the_median():

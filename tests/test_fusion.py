@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import special
+from scipy import optimize, special
 
 from confbel import distributions as dist
 from confbel import fusion
@@ -118,6 +118,39 @@ def test_fused_contour_searches_for_witness():
     assert contour(0.4) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
         fused_contour(assoc, rs, 0.4, MC)  # neither witness nor search grid
+
+
+@pytest.mark.parametrize(
+    "assoc, rs, x, search",
+    [
+        (normal_mean.association(), normal_mean.random_set(), 0.4, GridSpec(-3.0, 3.0, 41)),
+        (binomial.association(25), binomial.random_set(25), 17, GridSpec(0.43, 0.93, 11)),
+        (uniform_loc.association(), uniform_loc.random_set(10), X_PAIR, GridSpec(-0.09, 0.2, 21)),
+    ],
+    ids=["normal_mean", "binomial", "uniform_loc"],
+)
+def test_fused_contour_refinement_matches_scipy_golden(assoc, rs, x, search):
+    calls = []
+
+    def plaus(theta):
+        calls.append(theta)
+        return theta_specific_plaus(assoc, rs, x, theta, MC)
+
+    witness = float(fused_contour(assoc, rs, x, MC, search, plaus=plaus).sup_witness)
+    ours = len(calls)
+
+    # Reference: the same grid search refined by scipy.optimize.golden.
+    calls.clear()
+    pts = search.points()
+    vals = np.array([plaus(p) for p in pts])
+    i = int(np.argmax(vals))
+    assert 0 < i < len(pts) - 1 and vals[i] > vals[i - 1] and vals[i] > vals[i + 1]
+    refined = optimize.golden(lambda t: -plaus(float(t)), brack=(pts[i - 1], pts[i], pts[i + 1]), tol=1e-6)
+    want = float(refined) if plaus(float(refined)) >= vals[i] else float(pts[i])
+    assert want != float(pts[i])  # the refinement ran and moved the witness
+    assert witness == want
+    # Both routes end with the same two consonance checks at the witness.
+    assert ours <= len(calls) + 2
 
 
 def test_fused_contour_detects_normalization_failure():
