@@ -121,10 +121,7 @@ def coverage_probability(
     a = as_alpha(alpha)
     phi = interest(theta) if interest is not None else theta
     xs = sampling.sample(theta, mc)
-    if family.member_batch is not None:
-        hits = np.asarray(family.member_batch(xs, a, phi), dtype=bool)
-    else:
-        hits = np.fromiter((bool(family.member(x, a, phi)) for x in xs), dtype=bool, count=len(xs))
+    hits = np.asarray(family.member_batch(xs, a, phi), dtype=bool)
     est = float(np.mean(hits))
     se = float(np.sqrt(est * (1.0 - est) / len(hits)))
     return CoverageEstimate(theta, a, est, se, len(hits))
@@ -146,6 +143,37 @@ def _exceedance_rows(
     return rows
 
 
+def _validity_audit(
+    kind: str,
+    sampling: SamplingModel,
+    plaus_at_truth: Callable[..., np.ndarray],
+    theta_grid: Sequence,
+    alpha_grid: Sequence[float],
+    mc: MCConfig,
+    flag_sigma: float,
+) -> AuditReport:
+    """Exceedance rows of ``plaus_at_truth(xs, theta)`` at every truth, each
+    truth on its own substream, with the provenance metadata of ``kind``."""
+    rows: list[AuditRow] = []
+    for i, theta in enumerate(theta_grid):
+        sub = mc.substream(i)
+        xs = sampling.sample(theta, sub)
+        pls = np.asarray(plaus_at_truth(xs, theta), dtype=float)
+        if pls.shape != (len(xs),):
+            raise ValueError(f"{kind} audit: the plausibility callable must return one value per draw")
+        rows.extend(_exceedance_rows(_label(theta), pls, alpha_grid, flag_sigma))
+    meta = {
+        "report": kind,
+        "model": sampling.name,
+        "reps": mc.reps,
+        "seed": mc.seed,
+        "stream_id": mc.stream_id,
+        "flag_sigma": flag_sigma,
+        "alpha_grid": ",".join(f"{as_alpha(a):g}" for a in alpha_grid),
+    }
+    return AuditReport(kind, tuple(rows), meta)
+
+
 def contour_validity_audit(
     sampling: SamplingModel,
     contour_at_truth: Callable[..., np.ndarray],
@@ -159,24 +187,7 @@ def contour_validity_audit(
     ``contour_at_truth(xs, theta)`` must evaluate the plausibility of the
     truth for every sampled data value at once (array in, array out).
     """
-    rows: list[AuditRow] = []
-    for i, theta in enumerate(theta_grid):
-        sub = mc.substream(i)
-        xs = sampling.sample(theta, sub)
-        pls = np.asarray(contour_at_truth(xs, theta), dtype=float)
-        if pls.shape != (len(xs),):
-            raise ValueError("contour_at_truth must return one plausibility per draw")
-        rows.extend(_exceedance_rows(_label(theta), pls, alpha_grid, flag_sigma))
-    meta = {
-        "report": "contour-validity",
-        "model": sampling.name,
-        "reps": mc.reps,
-        "seed": mc.seed,
-        "stream_id": mc.stream_id,
-        "flag_sigma": flag_sigma,
-        "alpha_grid": ",".join(f"{as_alpha(a):g}" for a in alpha_grid),
-    }
-    return AuditReport("contour-validity", tuple(rows), meta)
+    return _validity_audit("contour-validity", sampling, contour_at_truth, theta_grid, alpha_grid, mc, flag_sigma)
 
 
 def assertion_validity_audit(
@@ -196,24 +207,7 @@ def assertion_validity_audit(
     for theta in theta_grid:
         if not assertion.contains(theta):
             raise ValueError(f"truth {theta!r} lies outside the audited assertion")
-    rows: list[AuditRow] = []
-    for i, theta in enumerate(theta_grid):
-        sub = mc.substream(i)
-        xs = sampling.sample(theta, sub)
-        pls = np.asarray(assertion_plaus(xs, theta), dtype=float)
-        if pls.shape != (len(xs),):
-            raise ValueError("assertion_plaus must return one plausibility per draw")
-        rows.extend(_exceedance_rows(_label(theta), pls, alpha_grid, flag_sigma))
-    meta = {
-        "report": "assertion-validity",
-        "model": sampling.name,
-        "reps": mc.reps,
-        "seed": mc.seed,
-        "stream_id": mc.stream_id,
-        "flag_sigma": flag_sigma,
-        "alpha_grid": ",".join(f"{as_alpha(a):g}" for a in alpha_grid),
-    }
-    return AuditReport("assertion-validity", tuple(rows), meta)
+    return _validity_audit("assertion-validity", sampling, assertion_plaus, theta_grid, alpha_grid, mc, flag_sigma)
 
 
 def ks_uniform(samples) -> float:

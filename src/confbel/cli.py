@@ -202,7 +202,7 @@ def cmd_fieller(args, seed: int, seed_source: str) -> None:
     )
     if args.curve:
         phis = np.linspace(args.phi_lo, args.phi_hi, args.grid_points)
-        gs = fieller.fieller_cdf_batch(np.asarray([x] * len(phis)), phis)
+        gs = fieller.fieller_cdf_batch(x, phis)
         rows = [{"phi": f"{p:.10g}", "g": f"{g:.10g}"} for p, g in zip(phis, gs)]
     else:
         rows = [est.as_row()]
@@ -228,13 +228,10 @@ def cmd_uniform(args, seed: int, seed_source: str) -> None:
     thetas = grid.points()
     contour = uniform_loc.alpha_index_exact(x, thetas)
     iv = uniform_loc.interval(x, args.alpha)
+    in_region = uniform_loc.member(x, args.alpha, thetas)
     rows = [
-        {
-            "theta": f"{t:.10g}",
-            "contour": f"{c:.10g}",
-            "in_region": bool(iv.lower <= t <= iv.upper),
-        }
-        for t, c in zip(thetas, contour)
+        {"theta": f"{t:.10g}", "contour": f"{c:.10g}", "in_region": bool(m)}
+        for t, c, m in zip(thetas, contour, in_region)
     ]
     compat = check_compatibility(
         uniform_loc.association(), uniform_loc.random_set(args.n), x, uniform_loc.theta_hat(x), args.alpha, mc

@@ -205,14 +205,23 @@ class ConfidenceFamily:
     ``member(x, alpha, theta)`` answers ``theta in C_alpha(x)`` and must be
     monotone: once out at some alpha, out at every larger alpha.  ``center(x)``
     is a point contained in every region (the nesting anchor).
-    ``member_batch``, when given, evaluates many data values at once for the
-    coverage and validity audits.
+
+    The shipped models' ``member`` broadcasts: ``x`` is one dataset or a stack
+    of datasets along a leading axis, ``theta`` a scalar or a 1-d array, and
+    the answer is their numpy broadcast (a scalar boolean for one dataset and
+    one theta).  ``member_batch`` is the name the coverage audit calls; it
+    defaults to ``member`` itself, so a stack of datasets and the scalar route
+    share one evaluator.
     """
 
     member: Callable[..., bool]
     center: Callable[..., Point]
     member_batch: Callable[..., np.ndarray] | None = None
     param_dim: int = 1
+
+    def __post_init__(self) -> None:
+        if self.member_batch is None:
+            object.__setattr__(self, "member_batch", self.member)
 
 
 @dataclass(frozen=True)

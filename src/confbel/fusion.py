@@ -30,6 +30,7 @@ plausibility is exactly 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -101,23 +102,14 @@ class RandomSetFamily:
         return float(np.mean(self.support_member(draws, alpha, theta)))
 
 
-_draw_cache: dict[tuple[Callable[[MCConfig], np.ndarray], MCConfig], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _cached_draws(rs: RandomSetFamily, mc: MCConfig) -> np.ndarray:
     # Common random numbers: every alpha (and every theta) inside one contour
     # evaluation sees the same auxiliary draws, so masses are monotone in
-    # alpha by construction and nudges cannot flip signs.  The key holds the
-    # sampler itself, not its id: the strong reference keeps a collected
+    # alpha by construction and nudges cannot flip signs.  The cache holds the
+    # family itself, not its id: the strong reference keeps a collected
     # sampler's id from being reused by another family while the entry lives.
-    key = (rs.aux_sampler, mc)
-    draws = _draw_cache.get(key)
-    if draws is None:
-        if len(_draw_cache) >= 8:
-            _draw_cache.clear()
-        draws = rs.aux_sampler(mc)
-        _draw_cache[key] = draws
-    return draws
+    return rs.aux_sampler(mc)
 
 
 def focal_set(assoc: Association, x, u) -> Region:

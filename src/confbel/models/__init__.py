@@ -1,14 +1,15 @@
 """Worked models, each packaged as a :class:`ModelBundle`.
 
 A bundle collects everything the audits and the containment checks need about
-one model: the confidence-region family, the association and random-set pair
-behind the fused contour, a data generator under a declared truth, and
-vectorized evaluators for the fused contour and region membership over an
-interest-parameter grid.  ``REGISTRY`` maps bundle names to factories.
+one model: the confidence-region family, the random set behind the fused
+contour, a data generator under a declared truth, and vectorized evaluators
+for the fused contour and region membership over an interest-parameter grid.
+``REGISTRY`` maps bundle names to factories.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridSpec
-from ..fusion import Association, RandomSetFamily
+from ..fusion import RandomSetFamily
 from ..mc import MCConfig
 from . import behrens_fisher, binomial, dkw, fieller, normal_mean, uniform_loc
 
@@ -43,17 +44,22 @@ class ModelBundle:
     """One model's family, fused construction, and audit plumbing.
 
     ``plaus_grid(x, phis)`` and ``member_grid(x, alpha, phis)`` evaluate the
-    fused contour and the confidence-region membership over the same
-    interest-parameter candidates, which is how containment gets checked.
-    ``contour_at_truth(xs, theta)`` feeds the validity audits.
-    ``mc_boundary_se`` is zero for exact contours and three Monte Carlo
-    standard errors for estimated ones; containment checks exempt grid points
-    whose contour sits within that distance of the level.
+    fused contour and the confidence-region membership of one dataset over
+    the same interest-parameter candidates, which is how containment gets
+    checked.  ``member_grid`` is the model's membership evaluator, the one
+    behind ``family.member`` and ``family.member_batch``: it broadcasts over a
+    stack of datasets (leading axis) and over a scalar or 1-d theta, so the
+    scalar, batch and grid routes cannot disagree.  Only dkw, whose
+    candidates are CDFs, loops over them.  ``contour_at_truth(xs, theta)``
+    evaluates the fused contour at one truth for a stack of datasets and
+    feeds the validity audits.  ``mc_boundary_se`` is zero for exact contours
+    and three Monte Carlo standard errors for estimated ones; containment
+    checks exempt grid points whose contour sits within that distance of the
+    level.
     """
 
     name: str
     family: ConfidenceFamily
-    association: Association
     random_set: RandomSetFamily
     sampling: SamplingModel
     contour_at_truth: Callable
@@ -76,12 +82,11 @@ def binomial_bundle(n: int = 25) -> ModelBundle:
     return ModelBundle(
         name="binomial",
         family=binomial.family(n),
-        association=binomial.association(n),
         random_set=binomial.random_set(n),
         sampling=binomial.sampling(n),
         contour_at_truth=binomial.contour_at_truth(n),
         plaus_grid=lambda x, phis: binomial.im_contour(n, int(x), phis),
-        member_grid=lambda x, alpha, phis: binomial.cp_member(n, int(x), alpha, phis),
+        member_grid=functools.partial(binomial.cp_member, n),
         default_grid=lambda x: binomial.default_grid(),
         data_replicates=lambda theta, k, mc: [
             int(v) for v in dist.sample(dist.binomial(n, float(theta)), mc.with_reps(k))
@@ -92,20 +97,14 @@ def binomial_bundle(n: int = 25) -> ModelBundle:
 
 
 def uniform_loc_bundle(n: int = 10) -> ModelBundle:
-    def member_grid(x, alpha, phis):
-        iv = uniform_loc.interval(x, alpha)
-        phis = np.asarray(phis, dtype=float)
-        return (phis >= iv.lower) & (phis <= iv.upper)
-
     return ModelBundle(
         name="uniform_loc",
         family=uniform_loc.family(),
-        association=uniform_loc.association(),
         random_set=uniform_loc.random_set(n),
         sampling=uniform_loc.sampling(n),
         contour_at_truth=uniform_loc.contour_at_truth,
         plaus_grid=lambda x, phis: uniform_loc.alpha_index_exact(x, phis),
-        member_grid=member_grid,
+        member_grid=uniform_loc.member,
         default_grid=uniform_loc.default_grid,
         data_replicates=lambda theta, k, mc: list(theta + dist.sample_uniform_minmax(n, mc.with_reps(k))),
         interest=lambda theta: theta,
@@ -114,19 +113,14 @@ def uniform_loc_bundle(n: int = 10) -> ModelBundle:
 
 
 def normal_mean_bundle() -> ModelBundle:
-    def member_grid(x, alpha, phis):
-        z = dist.quantile(dist.normal(), 1.0 - alpha / 2.0)
-        return np.abs(float(x) - np.asarray(phis, dtype=float)) <= z
-
     return ModelBundle(
         name="normal_mean",
         family=normal_mean.family(),
-        association=normal_mean.association(),
         random_set=normal_mean.random_set(),
         sampling=normal_mean.sampling(),
         contour_at_truth=lambda xs, theta: normal_mean.pivot_contour(xs, theta),
         plaus_grid=lambda x, phis: normal_mean.pivot_contour(float(x), phis),
-        member_grid=member_grid,
+        member_grid=normal_mean.member,
         default_grid=lambda x: GridSpec(float(x) - 8.0, float(x) + 8.0, 512),
         data_replicates=lambda theta, k, mc: list(theta + dist.sample(dist.normal(), mc.with_reps(k))),
         interest=lambda theta: theta,
@@ -139,11 +133,6 @@ def behrens_fisher_bundle(
     n2: int = 11,
     mc_internal: MCConfig = MCConfig(reps=100_000, seed=11),
 ) -> ModelBundle:
-    def member_grid(x, alpha, phis):
-        iv = behrens_fisher.hs_interval(x, alpha)
-        phis = np.asarray(phis, dtype=float)
-        return (phis >= iv.lower) & (phis <= iv.upper)
-
     def data_replicates(theta, k, mc):
         rows = behrens_fisher.sampling(n1, n2).sample(theta, mc.with_reps(k))
         return [
@@ -154,12 +143,11 @@ def behrens_fisher_bundle(
     return ModelBundle(
         name="behrens_fisher",
         family=behrens_fisher.family(n1, n2),
-        association=behrens_fisher.association(n1, n2),
         random_set=behrens_fisher.random_set(n1, n2),
         sampling=behrens_fisher.sampling(n1, n2),
         contour_at_truth=behrens_fisher.contour_at_truth(n1, n2, mc_internal),
         plaus_grid=lambda x, phis: behrens_fisher.bf_marginal_contour(x, phis, mc_internal),
-        member_grid=member_grid,
+        member_grid=functools.partial(behrens_fisher.member, n1, n2),
         default_grid=behrens_fisher.default_grid,
         data_replicates=data_replicates,
         interest=lambda theta: float(theta[0] - theta[1]) if len(theta) == 4 else float(theta[0]),
@@ -169,19 +157,6 @@ def behrens_fisher_bundle(
 
 
 def dkw_bundle(n: int = 799, mc_internal: MCConfig = MCConfig(reps=100_000, seed=23)) -> ModelBundle:
-    def contour_at_truth(xs, truth):
-        u = np.asarray(truth.cdf(np.asarray(xs, dtype=float)))
-        d = dkw.ks_distances(u)
-        table = dkw.ks_null_sample(n, mc_internal)
-        return 1.0 - np.searchsorted(table, d, side="left") / len(table)
-
-    def plaus_grid(x, candidates):
-        return np.asarray([dkw.dkw_contour(x, c, mc_internal)[1] for c in candidates])
-
-    def member_grid(x, alpha, candidates):
-        delta = dkw.dkw_delta(x.n, alpha)
-        return np.asarray([dkw.sup_norm(x, c) <= delta for c in candidates])
-
     def containment_candidates(x):
         ehat = x.ecdf()
         delta = dkw.dkw_delta(x.n, 0.05)
@@ -208,16 +183,12 @@ def dkw_bundle(n: int = 799, mc_internal: MCConfig = MCConfig(reps=100_000, seed
     )
     return ModelBundle(
         name="dkw",
-        family=ConfidenceFamily(
-            member=lambda x, alpha, f: dkw.sup_norm(x, f) <= dkw.dkw_delta(x.n, alpha),
-            center=lambda x: x.ecdf(),
-        ),
-        association=dkw.association(n),
+        family=ConfidenceFamily(member=dkw.member, center=lambda x: x.ecdf()),
         random_set=dkw.random_set(n),
         sampling=dkw.sampling(n),
-        contour_at_truth=contour_at_truth,
-        plaus_grid=plaus_grid,
-        member_grid=member_grid,
+        contour_at_truth=lambda xs, truth: dkw.plaus_of_distance(n, dkw.distance(xs, truth), mc_internal),
+        plaus_grid=lambda x, candidates: np.asarray([dkw.dkw_contour(x, c, mc_internal)[1] for c in candidates]),
+        member_grid=lambda x, alpha, candidates: np.asarray([dkw.member(x, alpha, c) for c in candidates]),
         default_grid=lambda x: GridSpec(0.0, 1.0, 2),  # unused; candidates are CDFs
         data_replicates=data_replicates,
         interest=lambda truth: truth,

@@ -34,6 +34,7 @@ random numbers across alpha, lambda, and phi).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,42 +129,37 @@ def hs_interval(data: BehrensFisherData, alpha: float) -> Interval:
     return Interval(data.diff - tstar * data.se, data.diff + tstar * data.se)
 
 
+def _diff_se(x, n1: int, n2: int):
+    """``(d, f)`` of a :class:`BehrensFisherData` or of (m1, m2, v1, v2) rows."""
+    if isinstance(x, BehrensFisherData):
+        x = (x.m1, x.m2, x.v1, x.v2)
+    x = np.asarray(x, dtype=float)
+    return x[..., 0] - x[..., 1], np.sqrt(x[..., 2] / n1 + x[..., 3] / n2)
+
+
+def member(n1: int, n2: int, x, alpha: float, phi):
+    """``|d - phi| <= t*_{alpha, dof} f``; broadcasts over a stack of summary
+    rows and over phi."""
+    d, f = _diff_se(x, n1, n2)
+    return np.abs(d - phi) <= float(_t_quantile(min(n1, n2) - 1, 1.0 - alpha / 2.0)) * f
+
+
 def family(n1: int, n2: int) -> ConfidenceFamily:
-    dof = min(n1, n2) - 1
-
-    def member(x, alpha, phi):
-        return abs(x.diff - phi) <= float(_t_quantile(dof, 1.0 - alpha / 2.0)) * x.se
-
-    def member_batch(xs, alpha, phi):
-        xs = np.asarray(xs, dtype=float)  # columns m1, m2, v1, v2
-        d = xs[:, 0] - xs[:, 1]
-        f = np.sqrt(xs[:, 2] / n1 + xs[:, 3] / n2)
-        return np.abs(d - phi) <= float(_t_quantile(dof, 1.0 - alpha / 2.0)) * f
-
-    return ConfidenceFamily(member=member, center=lambda x: x.diff, member_batch=member_batch)
+    return ConfidenceFamily(member=functools.partial(member, n1, n2), center=lambda x: x.diff)
 
 
 # --------------------------------------------------------------------------
 # Pivotal machinery
 
 
-_pivot_cache: dict[tuple[int, int, MCConfig], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def pivotal_draws(n1: int, n2: int, mc: MCConfig) -> np.ndarray:
     """(reps, 3) table of (U1, U21, U22) draws, cached per configuration."""
-    key = (n1, n2, mc)
-    out = _pivot_cache.get(key)
-    if out is None:
-        z = special.ndtri(mc.generator().random((mc.reps, 1 + (n1 - 1) + (n2 - 1))))
-        u1 = z[:, 0]
-        u21 = np.mean(z[:, 1:n1] ** 2, axis=1)
-        u22 = np.mean(z[:, n1:] ** 2, axis=1)
-        out = np.column_stack([u1, u21, u22])
-        if len(_pivot_cache) >= 8:
-            _pivot_cache.clear()
-        _pivot_cache[key] = out
-    return out
+    z = special.ndtri(mc.generator().random((mc.reps, 1 + (n1 - 1) + (n2 - 1))))
+    u1 = z[:, 0]
+    u21 = np.mean(z[:, 1:n1] ** 2, axis=1)
+    u22 = np.mean(z[:, n1:] ** 2, axis=1)
+    return np.column_stack([u1, u21, u22])
 
 
 def t_lambda(u: np.ndarray, lam: float) -> np.ndarray:
@@ -303,15 +299,12 @@ def contour_at_truth(n1: int, n2: int, mc_internal: MCConfig):
     plausibility is one minus the empirical T_lambda CDF at the observed
     statistic.
     """
-    dof = min(n1, n2) - 1
 
     def fn(xs, theta):
         theta = np.asarray(theta, dtype=float)
         phi = theta[0] - theta[1] if len(theta) == 4 else theta[0]
         lam = lambda_of(theta, n1, n2)
-        xs = np.asarray(xs, dtype=float)
-        d = xs[:, 0] - xs[:, 1]
-        f = np.sqrt(xs[:, 2] / n1 + xs[:, 3] / n2)
+        d, f = _diff_se(xs, n1, n2)
         tobs = np.abs(d - phi) / f
         return _upper_mass(pivotal_draws(n1, n2, mc_internal), lam, tobs)
 

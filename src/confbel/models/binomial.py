@@ -26,6 +26,8 @@ intervals.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import special
 
@@ -82,16 +84,19 @@ def _tails(n: int, x: int, thetas):
     return f1, f2
 
 
-def cp_member(n: int, x: int, alpha: float, theta):
-    """Exact-tail region membership, vectorized over theta."""
-    thetas = np.asarray(theta, dtype=float)
-    f2 = np.asarray(cdf_given_theta(n, x, thetas))
-    sx = np.asarray(sf_given_theta(n, x, thetas))
-    out = np.asarray((f2 >= alpha / 2.0) & (sx >= alpha / 2.0))
-    return out if out.ndim else bool(out)
+def cp_member(n: int, x, alpha: float, theta):
+    """Exact-tail region membership ``cp_contour >= alpha``.
+
+    Broadcasts over outcomes ``x`` and ``theta``.  A stack of outcomes at one
+    theta evaluates its incomplete-beta tails once per distinct outcome.
+    """
+    if np.ndim(x) and not np.ndim(theta):
+        distinct, where = np.unique(x, return_inverse=True)
+        return (np.asarray(cp_contour(n, distinct, theta)) >= alpha)[where]
+    return np.asarray(cp_contour(n, x, theta)) >= alpha
 
 
-def cp_contour(n: int, x: int, theta):
+def cp_contour(n: int, x, theta):
     """``min(2 F2, 2 S, 1)`` with ``S = P(X >= x)``: the exact-tail contour
     and alpha index, each tail evaluated directly as a small number."""
     thetas = np.asarray(theta, dtype=float)
@@ -126,44 +131,26 @@ def _excluded_tail_mass(f, s, half):
     return lo + hi
 
 
-def im_contour(n: int, x: int, theta):
+def im_contour(n: int, x, theta):
     """Fused contour: 1 at capped index, otherwise the excluded tail mass
-    (equal to ``1 - g`` but evaluated without subtracting from one)."""
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    astar = np.atleast_1d(cp_contour(n, x, thetas))
-    ks = np.arange(n + 1, dtype=float)
-    f = cdf_given_theta(n, ks[:, None], thetas[None, :])
-    s = sf_given_theta(n, ks[:, None], thetas[None, :])
-    out = np.where(astar >= 1.0, 1.0, _excluded_tail_mass(f, s, astar[None, :] / 2.0))
-    return out.reshape(np.shape(theta)) if np.ndim(theta) else float(out[0])
+    (equal to ``1 - g`` but evaluated without subtracting from one).
 
-
-def im_contour_by_x(n: int, theta: float) -> np.ndarray:
-    """Fused contour of ``theta`` for every possible outcome x = 0..n at once."""
-    table = dist.binom_cdf_table(n, theta)  # F(0..n)
-    ks = np.arange(n + 1, dtype=float)
-    sf = np.asarray(sf_given_theta(n, ks, float(theta)))
-    astar = np.minimum(np.minimum(2.0 * table, 2.0 * sf), 1.0)
-    im = _excluded_tail_mass(table[:, None], sf[:, None], astar[None, :] / 2.0)
-    return np.where(astar >= 1.0, 1.0, im)
+    Broadcasts over outcomes ``x`` and ``theta``."""
+    xs, thetas = np.broadcast_arrays(np.asarray(x), np.asarray(theta, dtype=float))
+    astar = np.asarray(cp_contour(n, xs, thetas))
+    ks = np.arange(n + 1, dtype=float).reshape((-1,) + (1,) * thetas.ndim)
+    f = cdf_given_theta(n, ks, thetas[None])
+    s = sf_given_theta(n, ks, thetas[None])
+    out = np.where(astar >= 1.0, 1.0, _excluded_tail_mass(f, s, astar[None] / 2.0))
+    return out if out.ndim else float(out)
 
 
 def family(n: int) -> ConfidenceFamily:
-    def member(x, alpha, theta):
-        return bool(cp_member(n, int(x), alpha, float(theta)))
-
-    def member_batch(xs, alpha, theta):
-        xs = np.asarray(xs)
-        table = dist.binom_cdf_table(n, float(theta))
-        f_of = lambda k: np.where(k < 0, 0.0, table[np.clip(k.astype(int), 0, n)])
-        f1, f2 = f_of(xs - 1), f_of(xs)
-        return (f2 >= alpha / 2.0) & (1.0 - f1 >= alpha / 2.0)
-
     def center(x):
         # The median-unbiased-ish anchor: any theta with both tails above 1/2.
         return float(np.clip(x / n, 1e-9, 1.0 - 1e-9))
 
-    return ConfidenceFamily(member=member, center=center, member_batch=member_batch)
+    return ConfidenceFamily(member=functools.partial(cp_member, n), center=center)
 
 
 def association(n: int) -> Association:
@@ -231,8 +218,7 @@ def sampling(n: int) -> SamplingModel:
 
 def contour_at_truth(n: int):
     def fn(xs, theta):
-        by_x = im_contour_by_x(n, float(theta))
-        return by_x[np.asarray(xs, dtype=int)]
+        return im_contour(n, np.arange(n + 1), float(theta))[np.asarray(xs, dtype=int)]
 
     return fn
 

@@ -28,6 +28,7 @@ continuous.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -155,10 +156,15 @@ def sup_norm(sample: EmpiricalSample, candidate) -> float:
     return float(max(np.max(np.abs(e_right - f_right)), np.max(np.abs(e_left - f_left))))
 
 
+def _index(n: int, d):
+    """Contour index ``min(1, 2 exp(-2 n D^2))``; broadcasts over D."""
+    return np.minimum(1.0, 2.0 * np.exp(-2.0 * n * d * d))
+
+
 def alpha_index(sample: EmpiricalSample, candidate) -> tuple[float, float]:
     """(sup-norm distance D, contour index min(1, 2 exp(-2 n D^2)))."""
     d = sup_norm(sample, candidate)
-    return d, float(min(1.0, 2.0 * np.exp(-2.0 * sample.n * d * d)))
+    return d, float(_index(sample.n, d))
 
 
 def ks_distances(u: np.ndarray) -> np.ndarray:
@@ -171,40 +177,49 @@ def ks_distances(u: np.ndarray) -> np.ndarray:
     return np.maximum(d_plus, d_minus)
 
 
-_ks_cache: dict[tuple[int, MCConfig], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=4)
 def ks_null_sample(n: int, mc: MCConfig) -> np.ndarray:
     """Sorted Monte Carlo sample of the distribution-free K_n law (cached)."""
-    key = (n, mc)
-    out = _ks_cache.get(key)
-    if out is None:
-        gen = mc.generator()
-        chunks = []
-        remaining = mc.reps
-        while remaining > 0:
-            block = min(remaining, max(1, 2_000_000 // max(n, 1)))
-            chunks.append(ks_distances(gen.random((block, n))))
-            remaining -= block
-        out = np.sort(np.concatenate(chunks))
-        if len(_ks_cache) >= 4:
-            _ks_cache.clear()
-        _ks_cache[key] = out
-    return out
+    gen = mc.generator()
+    chunks = []
+    remaining = mc.reps
+    while remaining > 0:
+        block = min(remaining, max(1, 2_000_000 // max(n, 1)))
+        chunks.append(ks_distances(gen.random((block, n))))
+        remaining -= block
+    return np.sort(np.concatenate(chunks))
+
+
+def plaus_of_distance(n: int, d, mc: MCConfig):
+    """Fused plausibility ``P{K_n >= D}`` under the shared null table, or
+    exactly 1 where the index caps (D small enough that every support meets
+    the fiber).  Broadcasts over D."""
+    d = np.asarray(d, dtype=float)
+    table = ks_null_sample(n, mc)
+    pl = np.where(_index(n, d) >= 1.0, 1.0, 1.0 - np.searchsorted(table, d, side="left") / len(table))
+    return pl if pl.ndim else float(pl)
 
 
 def dkw_contour(sample: EmpiricalSample, candidate, mc: MCConfig) -> tuple[float, float]:
-    """(alpha index, fused plausibility) of a candidate CDF.
-
-    Plausibility is ``P{K_n >= D}`` under the shared null table, or exactly 1
-    when the index caps (D small enough that every support meets the fiber).
-    """
+    """(alpha index, fused plausibility) of a candidate CDF."""
     d, idx = alpha_index(sample, candidate)
-    if idx >= 1.0:
-        return idx, 1.0
-    table = ks_null_sample(sample.n, mc)
-    below = int(np.searchsorted(table, d, side="left"))
-    return idx, float(1.0 - below / len(table))
+    return idx, plaus_of_distance(sample.n, d, mc)
+
+
+def distance(x, candidate):
+    """Sup-norm distance of the empirical CDF from ``candidate``: exact for one
+    :class:`EmpiricalSample` (step or continuous candidate), row-wise for a
+    stack of sorted samples (continuous candidate)."""
+    if isinstance(x, EmpiricalSample):
+        return sup_norm(x, candidate)
+    return ks_distances(candidate(np.asarray(x, dtype=float)))
+
+
+def member(x, alpha: float, candidate):
+    """Band membership ``D <= delta(n, alpha)`` for one sample or a stack of
+    sorted samples (leading axis)."""
+    n = x.n if isinstance(x, EmpiricalSample) else np.shape(x)[-1]
+    return distance(x, candidate) <= dkw_delta(n, alpha)
 
 
 def support_member(u, alpha, theta=None):

@@ -41,9 +41,10 @@ class NonMonotoneError(RuntimeError):
 
 
 def fieller_cdf_batch(xs, phi) -> np.ndarray:
-    """``G_x(phi)`` for the (m, 2) data rows ``xs``; ``phi`` is a scalar or an (m,) array."""
+    """``G_x(phi)`` for the (m, 2) data rows ``xs`` (one pair is a stack of
+    one), broadcast against a scalar or 1-d ``phi``."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    phis = np.broadcast_to(np.asarray(phi, dtype=float), (len(xs),))
+    phis = np.asarray(phi, dtype=float)
     return special.ndtr((phis * xs[:, 1] - xs[:, 0]) / np.hypot(1.0, phis))
 
 
@@ -77,7 +78,7 @@ def _g_inverse(x, p: float) -> float:
         hi *= 2.0
     else:
         return np.inf
-    probe = fieller_cdf_batch(np.asarray([x] * 41), np.linspace(lo, hi, 41))
+    probe = fieller_cdf_batch(x, np.linspace(lo, hi, 41))
     if np.any(np.diff(probe) < -1e-7):
         raise NonMonotoneError(f"G_x is not monotone on [{lo}, {hi}] for x={tuple(x)!r}")
     # There the pivot equals z = ndtri(p).  Squared: a phi^2 - 2 b phi + c = 0
@@ -89,7 +90,7 @@ def _g_inverse(x, p: float) -> float:
     q = b + np.copysign(abs(z) * np.sqrt(max(x1 * x1 + x2 * x2 - z * z, 0.0)), b)
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = np.clip([q / a, c / q], lo, hi)  # the bracket holds the root up to rounding
-    return float(roots[np.nanargmin(np.abs(fieller_cdf_batch(np.tile(x, (2, 1)), roots) - p))])
+    return float(roots[np.nanargmin(np.abs(fieller_cdf_batch(x, roots) - p))])
 
 
 def fieller_interval(x, alpha) -> Interval:
@@ -104,18 +105,14 @@ def fieller_interval(x, alpha) -> Interval:
     return Interval(_g_inverse(x, a / 2.0), _g_inverse(x, 1.0 - a / 2.0))
 
 
+def member(x, alpha, phi):
+    """``alpha/2 <= G_x(phi) <= 1 - alpha/2``; broadcasts like :func:`fieller_cdf_batch`."""
+    g = fieller_cdf_batch(x, phi)
+    return (g >= alpha / 2.0) & (g <= 1.0 - alpha / 2.0)
+
+
 def family() -> ConfidenceFamily:
-    def member_batch(xs, alpha, phi):
-        g = fieller_cdf_batch(xs, phi)
-        return (g >= alpha / 2.0) & (g <= 1.0 - alpha / 2.0)
-
-    def member(x, alpha, phi):
-        return bool(member_batch([x], alpha, phi)[0])
-
-    def center(x):
-        return _g_inverse(x, 0.5)
-
-    return ConfidenceFamily(member=member, center=center, member_batch=member_batch)
+    return ConfidenceFamily(member=member, center=lambda x: _g_inverse(x, 0.5))
 
 
 def sampling() -> SamplingModel:

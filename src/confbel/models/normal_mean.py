@@ -36,13 +36,14 @@ def _z(alpha: float) -> float:
     return dist.quantile(_NORMAL, 1.0 - alpha / 2.0)
 
 
+def member(x, alpha: float, theta):
+    """``|x - theta| <= z_{1-alpha/2}``; broadcasts over both args."""
+    return np.abs(np.asarray(x, dtype=float) - theta) <= _z(alpha)
+
+
 def family() -> ConfidenceFamily:
     """The nested interval family ``x -+ z_{1-alpha/2}``."""
-    return ConfidenceFamily(
-        member=lambda x, alpha, theta: abs(x - theta) <= _z(alpha),
-        center=lambda x: float(x),
-        member_batch=lambda xs, alpha, theta: np.abs(np.asarray(xs, dtype=float) - theta) <= _z(alpha),
-    )
+    return ConfidenceFamily(member=member, center=lambda x: float(x))
 
 
 def contour(x: float) -> PlausibilityContour:

@@ -48,26 +48,27 @@ def theta_hat(x) -> float:
     return 0.5 * (x1 + x2 - 1.0)
 
 
+def _bounds(x, alpha: float):
+    """Endpoints of ``C_alpha`` for one (min, max) pair or a stack of them."""
+    x = np.asarray(x, dtype=float)
+    slack = 1.0 - (x[..., 1] - x[..., 0])
+    return x[..., 0] - slack * (1.0 - alpha / 2.0), x[..., 0] - slack * alpha / 2.0
+
+
 def interval(x, alpha: float) -> Interval:
-    x1, x2 = _split(x)
-    slack = 1.0 - (x2 - x1)
-    return Interval(x1 - slack * (1.0 - alpha / 2.0), x1 - slack * alpha / 2.0)
+    _split(x)
+    lo, hi = _bounds(x, alpha)
+    return Interval(float(lo), float(hi))
 
 
-def member(x, alpha: float, theta: float) -> bool:
-    iv = interval(x, alpha)
-    return iv.lower <= theta <= iv.upper
+def member(x, alpha: float, theta):
+    """``theta in C_alpha(x)``; broadcasts over a stack of pairs and over theta."""
+    lo, hi = _bounds(x, alpha)
+    return (lo <= theta) & (theta <= hi)
 
 
 def family() -> ConfidenceFamily:
-    def member_batch(xs, alpha, theta):
-        xs = np.asarray(xs, dtype=float)
-        slack = 1.0 - (xs[:, 1] - xs[:, 0])
-        lo = xs[:, 0] - slack * (1.0 - alpha / 2.0)
-        hi = xs[:, 0] - slack * alpha / 2.0
-        return (lo <= theta) & (theta <= hi)
-
-    return ConfidenceFamily(member=member, center=theta_hat, member_batch=member_batch)
+    return ConfidenceFamily(member=member, center=theta_hat)
 
 
 def _index(num, den):

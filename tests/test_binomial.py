@@ -111,13 +111,6 @@ def test_im_contour_one_on_capped_plateau():
     assert_allclose(binomial.im_contour(N, 17, thetas), 1.0, atol=0)
 
 
-def test_im_contour_by_x_consistent():
-    for theta in (0.1, 0.37, 0.68):
-        by_x = binomial.im_contour_by_x(N, theta)
-        direct = np.asarray([binomial.im_contour(N, x, theta) for x in range(N + 1)])
-        assert_allclose(by_x, direct, atol=1e-10)
-
-
 def test_im_contour_matches_generic_fusion():
     assoc = binomial.association(N)
     rs = binomial.random_set(N)
@@ -134,7 +127,7 @@ def test_exact_validity_by_enumeration():
     # provable here by summing pmf over outcomes, no sampling involved
     for theta in (0.1, 0.37, 0.5, 0.82):
         pmf = np.diff(dist.binom_cdf_table(N, theta), prepend=0.0)
-        pls = binomial.im_contour_by_x(N, theta)
+        pls = binomial.im_contour(N, np.arange(N + 1), theta)
         for alpha in (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9):
             assert float(pmf[pls <= alpha].sum()) <= alpha + 1e-12
 
