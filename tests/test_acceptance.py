@@ -113,7 +113,7 @@ def test_criterion_4_two_sample_marginal_tracks_interval_contour():
     phis = behrens_fisher.default_grid(data, 201).points()
     lam_grid = tuple(np.linspace(0.0, 1.0, 101))
     hs = behrens_fisher.hs_contour(data, phis)
-    marginal = behrens_fisher.bf_marginal_contour(data, phis, mc, lam_grid)
+    marginal = REGISTRY["behrens_fisher"]().plaus_grid(data, phis)
     max_gap = float(np.max(np.abs(marginal - hs)))
 
     worst_fixed = -np.inf

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy import integrate, special
 
 from confbel.audit import coverage_probability
 from confbel.mc import MCConfig
+from confbel.models import REGISTRY
 from confbel.models import behrens_fisher as bf
 from confbel.reportio import write_rows
 
@@ -18,6 +21,31 @@ T4_Q_975 = 2.7764451051977944
 HS_AT_ZERO = 0.098754664550390614
 
 MC = MCConfig(reps=100_000, seed=11)
+
+# Monte Carlo slices are checked at 11 lambdas x 21 phis on each of 3
+# datasets, 693 points in all.  Bonferroni: 2 * 693 * Phi(-4.9) = 6.6e-4, so
+# a correct table trips the bound anywhere with probability below 1e-3.
+SLICE_LAMBDAS = np.linspace(0.0, 1.0, 11)
+K_SE = 4.9
+
+
+def slice_exact(n1: int, n2: int, lam: float, t: float) -> float:
+    """Exact fixed-lambda slice ``S_lambda(t) = P{|Z| > t sqrt(W)}``, where
+    ``W = lam A + (1 - lam) B`` with ``A ~ chi2_{n1-1}/(n1-1)`` and
+    ``B ~ chi2_{n2-1}/(n2-1)``.
+
+    Craig's form ``erfc(x) = (2/pi) int_0^{pi/2} exp(-x^2 / sin^2 th) dth``
+    turns the slice into one smooth integral of the moment generating function
+    of W, which is a product of two scaled chi-square MGFs.
+    """
+    m, k = n1 - 1, n2 - 1
+
+    def mgf(th):
+        q = t * t / np.sin(th) ** 2
+        return (1.0 + lam * q / m) ** (-m / 2.0) * (1.0 + (1.0 - lam) * q / k) ** (-k / 2.0)
+
+    val, _ = integrate.quad(mgf, 0.0, np.pi / 2.0, epsabs=1e-15, epsrel=1e-13, limit=200)
+    return 2.0 / np.pi * val
 
 
 def test_data_summaries():
@@ -111,13 +139,19 @@ def test_lambda_plaus_validation():
 
 
 def test_marginal_dominates_slices_and_peaks_at_one():
+    # the bundle's marginal is the interval contour: every exact slice lies
+    # below it, the lambda = 1 slice (all weight on the smaller group, n1 = 5)
+    # attains it, and it peaks at 1 at the observed difference
     d = bf.DEFAULT_DATA
+    marginal = REGISTRY["behrens_fisher"]().plaus_grid
     phis = np.linspace(d.diff - 3 * d.se, d.diff + 3 * d.se, 41)
-    marginal = bf.bf_marginal_contour(d, phis, MC)
+    pl = marginal(d, phis)
+    ts = np.abs(d.diff - phis) / d.se
     for lam in (0.0, 0.3, 0.7, 1.0):
-        slice_pl = bf.bf_lambda_plaus(d, phis, lam, MC)
-        assert np.all(marginal >= slice_pl - 1e-12)
-    assert bf.bf_marginal_contour(d, d.diff, MC) == pytest.approx(1.0, abs=1e-12)
+        exact = np.asarray([slice_exact(d.n1, d.n2, lam, t) for t in ts])
+        assert np.all(exact <= pl + 1e-12)
+    assert_allclose(exact, pl, rtol=0.0, atol=1e-12)
+    assert marginal(d, d.diff) == pytest.approx(1.0, abs=1e-12)
 
 
 def _replicate(seed: int) -> bf.BehrensFisherData:
@@ -127,11 +161,33 @@ def _replicate(seed: int) -> bf.BehrensFisherData:
 
 @pytest.mark.parametrize("data", [bf.DEFAULT_DATA, _replicate(101), _replicate(202)])
 def test_marginal_is_max_of_lambda_slices(data):
-    # the marginal hoists the lambda-free threshold out of its lambda loop;
-    # it must still equal the slice-by-slice maximum exactly
-    phis = bf.default_grid(data).points()
-    slices = [bf.bf_lambda_plaus(data, phis, float(lam), MC) for lam in bf.DEFAULT_LAMBDA_GRID]
-    assert np.array_equal(bf.bf_marginal_contour(data, phis, MC), np.max(slices, axis=0))
+    # the Monte Carlo slices track the exact ones within K_SE standard
+    # errors, and the max of the exact slices over lambda is hs_contour; a
+    # slice sees the data only through t, so the datasets exercise
+    # bf_lambda_plaus's phi-to-t mapping
+    phis = np.linspace(data.diff - 3 * data.se, data.diff + 3 * data.se, 21)
+    ts = np.abs(data.diff - phis) / data.se
+    exact = np.asarray([[slice_exact(data.n1, data.n2, lam, t) for t in ts] for lam in SLICE_LAMBDAS])
+    mc = np.asarray([bf.bf_lambda_plaus(data, phis, float(lam), MC) for lam in SLICE_LAMBDAS])
+    se = np.sqrt(exact * (1.0 - exact) / MC.reps)
+    assert np.all(np.abs(mc - exact) <= K_SE * se + 1e-12)
+    assert_allclose(exact.max(axis=0), bf.hs_contour(data, phis), rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n1=st.integers(2, 30),
+    n2=st.integers(2, 30),
+    lam=st.floats(0.0, 1.0),
+    t=st.floats(0.05, 12.0),
+)
+def test_slices_never_exceed_interval_contour(n1, n2, lam, t):
+    # Mickey & Brown: S_lambda(t) <= 2(1 - F_dof(t)), dof = min(n1, n2) - 1,
+    # with equality at the lambda that puts all the weight on the smaller group
+    bound = 2.0 * (1.0 - special.stdtr(min(n1, n2) - 1, t))
+    assert slice_exact(n1, n2, lam, t) <= bound + 1e-10
+    endpoint = 1.0 if n1 <= n2 else 0.0
+    assert slice_exact(n1, n2, endpoint, t) == pytest.approx(bound, abs=1e-10)
 
 
 def test_family_coverage_nominal():
