@@ -384,8 +384,11 @@ def main(argv: list[str] | None = None) -> int:
     explicit = _explicit_dests(argv)
     try:
         config = _read_config_file(args.config) if args.config else {}
+        unknown = sorted(set(config) - (set(vars(args)) - {"command", "func"}))
+        if unknown:
+            raise UsageError(f"{args.config}: {args.command} has no option {', '.join(unknown)}")
         for key, value in config.items():
-            if key != "seed" and hasattr(args, key) and key not in explicit:
+            if key != "seed" and key not in explicit:
                 setattr(args, key, value)
         seed, seed_source = _resolve_seed(args, config, explicit)
         args.func(args, seed, seed_source)

@@ -49,8 +49,9 @@ class ModelBundle:
     checked.  ``member_grid`` is the model's membership evaluator, the one
     behind ``family.member`` and ``family.member_batch``: it broadcasts over a
     stack of datasets (leading axis) and over a scalar or 1-d theta, so the
-    scalar, batch and grid routes cannot disagree.  Only dkw, whose
-    candidates are CDFs, loops over them.  ``contour_at_truth(xs, theta)``
+    scalar, batch and grid routes cannot disagree.  dkw's candidates are
+    CDFs, so both its grid routes go through ``dkw.distances``, one sup-norm
+    distance per candidate.  ``contour_at_truth(xs, theta)``
     evaluates the fused contour at one truth for a stack of datasets and
     feeds the validity audits.  ``mc_boundary_se`` is zero for exact contours
     and three Monte Carlo standard errors for estimated ones; containment
@@ -187,8 +188,8 @@ def dkw_bundle(n: int = 799, mc_internal: MCConfig = MCConfig(reps=100_000, seed
         random_set=dkw.random_set(n),
         sampling=dkw.sampling(n),
         contour_at_truth=lambda xs, truth: dkw.plaus_of_distance(n, dkw.distance(xs, truth), mc_internal),
-        plaus_grid=lambda x, candidates: np.asarray([dkw.dkw_contour(x, c, mc_internal)[1] for c in candidates]),
-        member_grid=lambda x, alpha, candidates: np.asarray([dkw.member(x, alpha, c) for c in candidates]),
+        plaus_grid=lambda x, candidates: dkw.plaus_of_distance(x.n, dkw.distances(x, candidates), mc_internal),
+        member_grid=lambda x, alpha, candidates: dkw.distances(x, candidates) <= dkw.dkw_delta(x.n, alpha),
         default_grid=lambda x: GridSpec(0.0, 1.0, 2),  # unused; candidates are CDFs
         data_replicates=data_replicates,
         interest=lambda truth: truth,

@@ -23,7 +23,10 @@ support-mass law holds with slack rather than equality).
 
 Sup-norm distances are evaluated exactly at both one-sided limits of every
 jump point of both step functions; callable candidates are assumed
-continuous.
+continuous.  Each function is evaluated once, on the sorted jump points
+``ts``: both step functions are constant between consecutive points, so the
+left limit at ``ts[k]`` is the value at ``ts[k-1]`` (and ``y_pre`` at
+``k = 0``).  The empirical CDF is computed once per sample.
 """
 
 from __future__ import annotations
@@ -85,15 +88,23 @@ class EmpiricalSample:
             raise ValueError("empirical sample must be non-empty")
         if not np.all(np.isfinite(values)):
             raise ValueError("empirical sample must be finite")
+        values.flags.writeable = False  # the cached ECDF is derived from it
         object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
         return len(self.values)
 
-    def ecdf(self) -> StepFn:
+    @functools.cached_property
+    def _ecdf(self) -> StepFn:
         xs, counts = np.unique(self.values, return_counts=True)
-        return StepFn(xs, np.cumsum(counts) / self.n)
+        ecdf = StepFn(xs, np.cumsum(counts) / self.n)
+        ecdf.xs.flags.writeable = ecdf.ys.flags.writeable = False  # shared by every caller
+        return ecdf
+
+    def ecdf(self) -> StepFn:
+        """The empirical CDF, computed once per sample."""
+        return self._ecdf
 
     @classmethod
     def from_csv(cls, path, column: str = "value") -> "EmpiricalSample":
@@ -141,25 +152,34 @@ def _on(f, ts: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(f(ts), dtype=float), np.shape(ts))
 
 
-def _eval_both_limits(f, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(f, StepFn):
-        return np.asarray(f(ts), dtype=float), np.asarray(f.left_limit(ts), dtype=float)
-    vals = _on(f, ts)
-    return vals, vals  # callable candidates are continuous
+def _left_limits(right: np.ndarray, y_pre: float) -> np.ndarray:
+    """Left limits on the evaluation points of a step function that is
+    constant between consecutive points: the right value one point earlier."""
+    return np.concatenate(([y_pre], right[:-1]))
 
 
 def sup_norm(sample: EmpiricalSample, candidate) -> float:
     """Exact ``sup_t |Fhat(t) - F(t)|`` for step or continuous candidates."""
     ehat = sample.ecdf()
-    ts = ehat.xs
+    ts, e_right = ehat.xs, ehat.ys
     if isinstance(candidate, StepFn):
-        ts = np.union1d(ts, candidate.xs)
-    f_right, f_left = _eval_both_limits(candidate, ts)
+        if np.array_equal(candidate.xs, ts):
+            f_right = candidate.ys
+        else:
+            ts = np.union1d(ts, candidate.xs)
+            f_right, e_right = candidate(ts), ehat(ts)
+        f_left = _left_limits(f_right, candidate.y_pre)
+    else:
+        f_right = f_left = _on(candidate, ts)  # callable candidates are continuous
     if np.any(np.diff(f_right) < -1e-12) or np.any(f_right < -1e-12) or np.any(f_right > 1.0 + 1e-12):
         raise ValueError("candidate is not a CDF on the evaluation points")
-    e_right = np.asarray(ehat(ts), dtype=float)
-    e_left = np.asarray(ehat.left_limit(ts), dtype=float)
+    e_left = _left_limits(e_right, ehat.y_pre)
     return float(max(np.max(np.abs(e_right - f_right)), np.max(np.abs(e_left - f_left))))
+
+
+def distances(sample: EmpiricalSample, candidates) -> np.ndarray:
+    """Sup-norm distance of one sample's empirical CDF from each candidate."""
+    return np.asarray([sup_norm(sample, c) for c in candidates], dtype=float)
 
 
 def _index(n: int, d):

@@ -95,6 +95,18 @@ def test_config_file_errors(tmp_path):
     assert main(["fig1", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
 
 
+@pytest.mark.parametrize("text, key", [("lambdas = 11\n", "lambdas"), ("rep = 5\n", "rep")])
+def test_config_key_naming_no_option_exits_2(tmp_path, capsys, text, key):
+    # `lambdas` was a bf option once; `rep` is a misspelling of `reps`.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o.csv"
+    assert main(["bf", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and str(cfg) in err
+    assert not out.exists()
+
+
 def test_binom_artifact(tmp_path):
     out = tmp_path / "binom.csv"
     assert main(["binom", "--out", str(out)]) == 0

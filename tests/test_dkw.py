@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from confbel.fusion import check_nested_support
 from confbel.mc import MCConfig
-from confbel.models import dkw
+from confbel.models import dkw, dkw_bundle
 from confbel.reportio import write_rows
 
 DELTA_799_005 = 0.048046177817020379
@@ -98,6 +101,79 @@ def test_sup_norm_step_candidate_by_hand():
     candidate = dkw.StepFn([1.5], [1.0], y_pre=0.25)
     # the largest gap opens just after the candidate's jump: |1/3 - 1|
     assert dkw.sup_norm(sample, candidate) == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+def sup_norm_reference(sample, candidate) -> float:
+    """Both one-sided limits of both functions, each found by ``searchsorted``
+    at every point of the union of their jump points."""
+    xs, counts = np.unique(sample.values, return_counts=True)
+    ehat = dkw.StepFn(xs, np.cumsum(counts) / sample.n)
+    ts = xs
+    if isinstance(candidate, dkw.StepFn):
+        ts = np.union1d(ts, candidate.xs)
+        f_right = np.asarray(candidate(ts), dtype=float)
+        f_left = np.asarray(candidate.left_limit(ts), dtype=float)
+    else:
+        f_right = f_left = np.asarray(candidate(ts), dtype=float)
+    e_right = np.asarray(ehat(ts), dtype=float)
+    e_left = np.asarray(ehat.left_limit(ts), dtype=float)
+    return float(max(np.max(np.abs(e_right - f_right)), np.max(np.abs(e_left - f_left))))
+
+
+def _step_candidate(draw, xs):
+    ys = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=len(xs), max_size=len(xs))))
+    y_pre = draw(st.floats(0.0, float(ys[0])))
+    return dkw.StepFn(xs, ys, y_pre=y_pre)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sup_norm_equals_both_limit_reference(data):
+    # Rounding to 0-2 decimals makes ties, so the ECDF has fewer jumps than n.
+    decimals = data.draw(st.integers(0, 2), label="decimals")
+    raw = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=60), label="values")
+    sample = dkw.EmpiricalSample(np.round(raw, decimals))
+    ehat = sample.ecdf()
+    subset = data.draw(st.lists(st.sampled_from(ehat.xs.tolist()), min_size=1, unique=True), label="subset")
+    unrelated = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=20, unique=True), label="unrelated")
+    scale = data.draw(st.floats(0.2, 5.0), label="scale")
+    candidates = [
+        _step_candidate(data.draw, ehat.xs),
+        _step_candidate(data.draw, np.sort(subset)),
+        _step_candidate(data.draw, np.sort(unrelated)),
+        lambda t: -np.expm1(-np.maximum(np.asarray(t, dtype=float) + 3.0, 0.0) / scale),
+        ehat,
+    ]
+    for candidate in candidates:
+        assert dkw.sup_norm(sample, candidate) == sup_norm_reference(sample, candidate)
+    assert np.array_equal(dkw.distances(sample, candidates), [sup_norm_reference(sample, c) for c in candidates])
+
+
+def test_ecdf_is_computed_once_and_sample_stays_frozen():
+    s = dkw.EmpiricalSample([3.0, 1.0, 2.0, 2.0])
+    assert s.ecdf() is s.ecdf()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.values = np.asarray([0.0])
+    with pytest.raises(ValueError):  # the cached ECDF cannot go stale
+        s.values[0] = 5.0
+
+
+def test_plaus_grid_reads_the_null_table_once(monkeypatch):
+    bundle = dkw_bundle(100, MCConfig(reps=2_000, seed=23))
+    truth = bundle.theta_grid_hint[0]
+    x = bundle.data_replicates(truth, 1, MCConfig(reps=1, seed=3))[0]
+    cands = bundle.candidates_for(x)
+    assert len(cands) == 10
+    calls = []
+    table = dkw.ks_null_sample
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(dkw, "ks_null_sample", counting)
+    bundle.plaus_grid(x, cands)
+    assert len(calls) == 1
 
 
 def test_sup_norm_rejects_non_cdf():

@@ -170,6 +170,21 @@ def test_dkw_contour_at_truth_is_dkw_contour_row_by_row():
     assert got.tolist() == want
 
 
+def test_dkw_grid_routes_are_per_candidate_routes():
+    mc = MCConfig(reps=20_000, seed=23)
+    bundle = dkw_bundle(100, mc)
+    truth = bundle.theta_grid_hint[0]
+    for x in bundle.data_replicates(truth, 8, MCConfig(reps=8, seed=5)):
+        _, lower, _ = dkw.dkw_band(x, 0.2)
+        # the band edge and the truth itself reach the union-of-jumps and the
+        # continuous branches of the distance; the shifted candidates share x's jumps
+        cands = [*bundle.candidates_for(x), lower, x.ecdf(), truth]
+        assert bundle.plaus_grid(x, cands).tolist() == [dkw.dkw_contour(x, c, mc)[1] for c in cands]
+        for alpha in (0.01, 0.05, 0.1, 0.2, 0.5):
+            got = bundle.member_grid(x, alpha, cands)
+            assert got.tolist() == [bool(dkw.member(x, alpha, c)) for c in cands], alpha
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_coverage_probability_runs_on_every_bundle(name):
     bundle = REGISTRY[name]()
