@@ -252,6 +252,20 @@ class PlausibilityContour:
         return self.fn(theta)
 
 
+def bisect(pred: Callable[[float], object], lo: float, hi: float, tol: float) -> float:
+    """Midpoint of the bracket from ``lo`` (``pred`` true) to ``hi`` (false),
+    in either order, halved until ``|hi - lo| <= tol`` or 60 halvings."""
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+        if abs(hi - lo) <= tol:
+            break
+    return 0.5 * (lo + hi)
+
+
 def contour_from_family(family: ConfidenceFamily, x, theta, tol: float = ALPHA_BISECT_TOL) -> float:
     """Evaluate ``sup{alpha : theta in C_alpha(x)}`` by bisection on alpha.
 
@@ -272,15 +286,7 @@ def contour_from_family(family: ConfidenceFamily, x, theta, tol: float = ALPHA_B
         return 1.0
     if not in_lo:
         return 0.0
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if family.member(x, mid, theta):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    return bisect(lambda a: family.member(x, a, theta), lo, hi, tol)
 
 
 # --------------------------------------------------------------------------
@@ -411,43 +417,21 @@ def belief(
 # Level sets
 
 
-def _refine_crossing(fn: Callable[[float], float], alpha: float, inside: float, outside: float) -> float:
-    """Bisect between a point with fn > alpha and one with fn <= alpha."""
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (inside + outside)
-        if float(fn(mid)) > alpha:
-            inside = mid
-        else:
-            outside = mid
-    return 0.5 * (inside + outside)
-
-
 def _region_from_values(
     fn: Callable[[float], float], pts: np.ndarray, vals: np.ndarray, alpha: float
 ) -> Interval | IntervalUnion:
-    mask = vals > alpha
-    if not mask.any():
+    # first and last index of each run of grid points above the level
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], vals > alpha, [0]))))
+    if not len(edges):
         return IntervalUnion(())
-    idx = np.flatnonzero(mask)
-    runs: list[tuple[int, int]] = []
-    start = idx[0]
-    prev = idx[0]
-    for i in idx[1:]:
-        if i != prev + 1:
-            runs.append((start, prev))
-            start = i
-        prev = i
-    runs.append((start, prev))
+
+    def above(t: float) -> bool:
+        return float(fn(t)) > alpha
+
     intervals = []
-    for i0, i1 in runs:
-        if i0 == 0:
-            left = float(pts[0])
-        else:
-            left = _refine_crossing(fn, alpha, float(pts[i0]), float(pts[i0 - 1]))
-        if i1 == len(pts) - 1:
-            right = float(pts[-1])
-        else:
-            right = _refine_crossing(fn, alpha, float(pts[i1]), float(pts[i1 + 1]))
+    for i0, i1 in zip(edges[::2], edges[1::2] - 1):
+        left = float(pts[0]) if i0 == 0 else bisect(above, float(pts[i0]), float(pts[i0 - 1]), 0.0)
+        right = float(pts[-1]) if i1 == len(pts) - 1 else bisect(above, float(pts[i1]), float(pts[i1 + 1]), 0.0)
         intervals.append(Interval(left, right))
     if len(intervals) == 1:
         return intervals[0]

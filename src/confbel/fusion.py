@@ -46,6 +46,7 @@ from .contours import (
     Point,
     Region,
     as_alpha,
+    bisect,
 )
 from .mc import MCConfig
 
@@ -145,20 +146,11 @@ def alpha_index(
     def intersects(a: float) -> bool:
         return bool(np.any(rs.support_member(witnesses, a, theta)))
 
-    lo, hi = ALPHA_CLAMP_LO, ALPHA_CLAMP_HI
-    if not intersects(lo):
+    if not intersects(ALPHA_CLAMP_LO):
         return 0.0
-    if intersects(hi):
+    if intersects(ALPHA_CLAMP_HI):
         return 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if intersects(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    return bisect(intersects, ALPHA_CLAMP_LO, ALPHA_CLAMP_HI, tol)
 
 
 def theta_specific_plaus(

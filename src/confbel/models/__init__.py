@@ -51,13 +51,15 @@ class ModelBundle:
     stack of datasets (leading axis) and over a scalar or 1-d theta, so the
     scalar, batch and grid routes cannot disagree.  dkw's candidates are
     CDFs, so both its grid routes go through ``dkw.distances``, one sup-norm
-    distance per candidate.  ``contour_at_truth(xs, theta)``
-    evaluates the fused contour at one truth for a stack of datasets and
-    feeds the validity audits.  ``mc_boundary_se`` is zero for exact contours
-    and three Monte Carlo standard errors for estimated ones; containment
-    checks exempt grid points whose contour sits within that distance of the
-    level.  Only dkw, whose fused contour reads a Monte Carlo table of the
-    K_n law, has a nonzero one.
+    distance per candidate.  ``contour_at_truth(xs, theta)`` evaluates the
+    fused contour at one truth for a stack of datasets and feeds the validity
+    audits.  binomial, uniform_loc and normal_mean give both contour fields
+    one object that broadcasts over data and parameter (behrens_fisher's
+    phi-marginal and its slice at the truth are different functions).
+    ``mc_boundary_se`` is zero for exact contours and three Monte Carlo
+    standard errors for estimated ones; containment checks exempt grid points
+    whose contour sits within that distance of the level.  Only dkw, whose
+    fused contour reads a Monte Carlo table of the K_n law, has a nonzero one.
     """
 
     name: str
@@ -81,13 +83,14 @@ class ModelBundle:
 
 
 def binomial_bundle(n: int = 25) -> ModelBundle:
+    contour = functools.partial(binomial.im_contour, n)
     return ModelBundle(
         name="binomial",
         family=binomial.family(n),
         random_set=binomial.random_set(n),
         sampling=binomial.sampling(n),
-        contour_at_truth=binomial.contour_at_truth(n),
-        plaus_grid=lambda x, phis: binomial.im_contour(n, int(x), phis),
+        contour_at_truth=contour,
+        plaus_grid=contour,
         member_grid=functools.partial(binomial.cp_member, n),
         default_grid=lambda x: binomial.default_grid(),
         data_replicates=lambda theta, k, mc: [
@@ -104,8 +107,8 @@ def uniform_loc_bundle(n: int = 10) -> ModelBundle:
         family=uniform_loc.family(),
         random_set=uniform_loc.random_set(n),
         sampling=uniform_loc.sampling(n),
-        contour_at_truth=uniform_loc.contour_at_truth,
-        plaus_grid=lambda x, phis: uniform_loc.alpha_index_exact(x, phis),
+        contour_at_truth=uniform_loc.alpha_index_exact,
+        plaus_grid=uniform_loc.alpha_index_exact,
         member_grid=uniform_loc.member,
         default_grid=uniform_loc.default_grid,
         data_replicates=lambda theta, k, mc: list(theta + dist.sample_uniform_minmax(n, mc.with_reps(k))),
@@ -120,8 +123,8 @@ def normal_mean_bundle() -> ModelBundle:
         family=normal_mean.family(),
         random_set=normal_mean.random_set(),
         sampling=normal_mean.sampling(),
-        contour_at_truth=lambda xs, theta: normal_mean.pivot_contour(xs, theta),
-        plaus_grid=lambda x, phis: normal_mean.pivot_contour(float(x), phis),
+        contour_at_truth=normal_mean.pivot_contour,
+        plaus_grid=normal_mean.pivot_contour,
         member_grid=normal_mean.member,
         default_grid=lambda x: GridSpec(float(x) - 8.0, float(x) + 8.0, 512),
         data_replicates=lambda theta, k, mc: list(theta + dist.sample(dist.normal(), mc.with_reps(k))),

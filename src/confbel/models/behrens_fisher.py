@@ -25,9 +25,9 @@ weight on the smaller group, where ``T_lambda`` is exactly ``|t_dof|`` (Mickey
 & Brown 1966; the proof is in ``docs/decisions.md``).  The marginal
 plausibility for phi, the sup over lambda, is therefore :func:`hs_contour`
 itself.  The conservatism of the interval family lives only in the slices
-away from that endpoint.  :func:`bf_lambda_plaus` estimates them by Monte
-Carlo from one shared pivotal draw table per configuration (common random
-numbers across alpha, lambda, and phi).
+away from that endpoint.  :func:`slice_plaus` estimates them by Monte Carlo
+from one shared pivotal draw table per configuration (common random numbers
+across alpha, lambda, and phi).
 """
 
 from __future__ import annotations
@@ -185,11 +185,16 @@ def _upper_mass(draws: np.ndarray, lam: float, tstar: np.ndarray) -> np.ndarray:
     return 1.0 - np.searchsorted(t_sorted, tstar, side="right") / len(t_sorted)
 
 
+def slice_plaus(n1: int, n2: int, x, lam: float, phi, mc: MCConfig) -> np.ndarray:
+    """Fixed-lambda slice ``P{T_lambda > |t|}`` at ``t = (d - phi) / f``;
+    broadcasts over a stack of summary rows and over phi."""
+    d, f = _diff_se(x, n1, n2)
+    return _upper_mass(pivotal_draws(n1, n2, mc), lam, np.abs(d - phi) / f)
+
+
 def bf_lambda_plaus(data: BehrensFisherData, phi, lam: float, mc: MCConfig) -> np.ndarray:
     """Theta-specific fused plausibility along a fixed-lambda fiber slice."""
-    phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    tstar = _t_quantile(data.dof, 1.0 - hs_contour(data, phis) / 2.0)
-    out = _upper_mass(pivotal_draws(data.n1, data.n2, mc), lam, tstar)
+    out = slice_plaus(data.n1, data.n2, data, lam, np.atleast_1d(np.asarray(phi, dtype=float)), mc)
     return out if np.ndim(phi) else float(out[0])
 
 
@@ -269,20 +274,13 @@ def sampling(n1: int, n2: int) -> SamplingModel:
 
 
 def contour_at_truth(n1: int, n2: int, mc_internal: MCConfig):
-    """Vectorized pl of the true theta over sampled summaries.
-
-    The alpha index at the truth inverts to ``t* = |t_obs|`` exactly, so the
-    plausibility is one minus the empirical T_lambda CDF at the observed
-    statistic.
-    """
+    """Vectorized pl of the true theta over sampled summaries: the slice at
+    the truth's own lambda."""
 
     def fn(xs, theta):
         theta = np.asarray(theta, dtype=float)
         phi = theta[0] - theta[1] if len(theta) == 4 else theta[0]
-        lam = lambda_of(theta, n1, n2)
-        d, f = _diff_se(xs, n1, n2)
-        tobs = np.abs(d - phi) / f
-        return _upper_mass(pivotal_draws(n1, n2, mc_internal), lam, tobs)
+        return slice_plaus(n1, n2, xs, lambda_of(theta, n1, n2), phi, mc_internal)
 
     return fn
 

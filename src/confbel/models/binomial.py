@@ -22,6 +22,9 @@ at ``alpha* = `` the piecewise contour above (strict inequalities: ``g`` is the
 right limit of the support mass just beyond the index).  The sharpened contour
 never exceeds the exact-tail one, and its level sets sit inside the exact-tail
 intervals.
+
+Both contours broadcast over outcomes and theta; a stack of outcomes at one
+theta, as the audits pass, reads one evaluation at every outcome 0..n.
 """
 
 from __future__ import annotations
@@ -84,18 +87,30 @@ def _tails(n: int, x: int, thetas):
     return f1, f2
 
 
-def cp_member(n: int, x, alpha: float, theta):
-    """Exact-tail region membership ``cp_contour >= alpha``.
+def _tabulated(contour):
+    """``contour(n, x, theta)`` checked to take outcomes in 0..n (else
+    ValueError).  A stack of outcomes at one theta evaluates ``contour`` once
+    at every outcome 0..n and indexes that table."""
 
-    Broadcasts over outcomes ``x`` and ``theta``.  A stack of outcomes at one
-    theta evaluates its incomplete-beta tails once per distinct outcome.
-    """
-    if np.ndim(x) and not np.ndim(theta):
-        distinct, where = np.unique(x, return_inverse=True)
-        return (np.asarray(cp_contour(n, distinct, theta)) >= alpha)[where]
+    @functools.wraps(contour)
+    def fn(n: int, x, theta):
+        xs = np.asarray(x)
+        if np.any((xs < 0) | (xs > n)):
+            raise ValueError(f"binomial outcomes must lie in 0..{n}")
+        if xs.ndim and not np.ndim(theta):
+            return np.asarray(contour(n, np.arange(n + 1), theta))[xs.astype(int, copy=False)]
+        return contour(n, x, theta)
+
+    return fn
+
+
+def cp_member(n: int, x, alpha: float, theta):
+    """Exact-tail region membership ``cp_contour >= alpha``; broadcasts over
+    outcomes ``x`` and ``theta``."""
     return np.asarray(cp_contour(n, x, theta)) >= alpha
 
 
+@_tabulated
 def cp_contour(n: int, x, theta):
     """``min(2 F2, 2 S, 1)`` with ``S = P(X >= x)``: the exact-tail contour
     and alpha index, each tail evaluated directly as a small number."""
@@ -131,6 +146,7 @@ def _excluded_tail_mass(f, s, half):
     return lo + hi
 
 
+@_tabulated
 def im_contour(n: int, x, theta):
     """Fused contour: 1 at capped index, otherwise the excluded tail mass
     (equal to ``1 - g`` but evaluated without subtracting from one).
@@ -214,13 +230,6 @@ def sampling(n: int) -> SamplingModel:
         name=f"binomial(n={n})",
         sample=lambda theta, mc: dist.sample(dist.binomial(n, float(theta)), mc).astype(int),
     )
-
-
-def contour_at_truth(n: int):
-    def fn(xs, theta):
-        return im_contour(n, np.arange(n + 1), float(theta))[np.asarray(xs, dtype=int)]
-
-    return fn
 
 
 def default_grid(n_points: int = 512) -> GridSpec:

@@ -57,8 +57,8 @@ class StepFn:
     def __init__(self, xs, ys, y_pre: float = 0.0):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape:
-            raise ValueError("xs and ys must be matching 1-d arrays")
+        if xs.ndim != 1 or xs.shape != ys.shape or len(xs) == 0:
+            raise ValueError("xs and ys must be matching non-empty 1-d arrays")
         if np.any(np.diff(xs) <= 0.0):
             raise ValueError("jump points must be strictly increasing")
         object.__setattr__(self, "xs", xs)
@@ -187,12 +187,6 @@ def _index(n: int, d):
     return np.minimum(1.0, 2.0 * np.exp(-2.0 * n * d * d))
 
 
-def alpha_index(sample: EmpiricalSample, candidate) -> tuple[float, float]:
-    """(sup-norm distance D, contour index min(1, 2 exp(-2 n D^2)))."""
-    d = sup_norm(sample, candidate)
-    return d, float(_index(sample.n, d))
-
-
 def ks_distances(u: np.ndarray) -> np.ndarray:
     """Row-wise sup-norm distance of the empirical CDF of u from the identity."""
     u = np.sort(u, axis=1)
@@ -227,9 +221,9 @@ def plaus_of_distance(n: int, d, mc: MCConfig):
 
 
 def dkw_contour(sample: EmpiricalSample, candidate, mc: MCConfig) -> tuple[float, float]:
-    """(alpha index, fused plausibility) of a candidate CDF."""
-    d, idx = alpha_index(sample, candidate)
-    return idx, plaus_of_distance(sample.n, d, mc)
+    """(alpha index, fused plausibility) of a candidate CDF, from one distance."""
+    d = sup_norm(sample, candidate)
+    return float(_index(sample.n, d)), plaus_of_distance(sample.n, d, mc)
 
 
 def distance(x, candidate):

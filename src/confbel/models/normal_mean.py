@@ -46,10 +46,6 @@ def family() -> ConfidenceFamily:
     return ConfidenceFamily(member=member, center=lambda x: float(x))
 
 
-def contour(x: float) -> PlausibilityContour:
-    return PlausibilityContour(lambda theta: pivot_contour(x, theta), sup_witness=float(x), unimodal=True)
-
-
 def association() -> Association:
     return Association(
         forward=lambda theta, u: theta + u,

@@ -14,7 +14,8 @@ auxiliary supports are
     S_alpha = {u : alpha/(2 - alpha) <= u1 / (1 - u2) <= (2 - alpha)/alpha},
 
 free of theta, the alpha index is ``2 min(r, 1) / (1 + r)``, the support mass
-is exactly ``1 - alpha``, and the fused plausibility equals the alpha index.
+is exactly ``1 - alpha``, and the fused plausibility equals the alpha index,
+:func:`alpha_index_exact`, which broadcasts over a stack of pairs and theta.
 
 The association is singular: focal sets are non-empty only on the diagonal
 ``u1 - u2 = x1 - x2`` of the auxiliary square, so naive sampled compatibility
@@ -36,10 +37,11 @@ _EMPTY = IntervalUnion(())
 
 
 def _split(x):
-    x1, x2 = float(x[0]), float(x[1])
-    if x2 < x1:
+    """(min, max) of one pair or of a stack of pairs (leading axis)."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x[..., 1] < x[..., 0]):
         raise ValueError(f"(min, max) pair out of order: {x!r}")
-    return x1, x2
+    return x[..., 0], x[..., 1]
 
 
 def theta_hat(x) -> float:
@@ -84,7 +86,8 @@ def _index(num, den):
 
 
 def alpha_index_exact(x, theta):
-    """``2 min(r, 1) / (1 + r)`` with the degenerate edges handled explicitly."""
+    """``2 min(r, 1) / (1 + r)`` with the degenerate edges handled explicitly;
+    broadcasts over a stack of (min, max) pairs and over theta."""
     x1, x2 = _split(x)
     thetas = np.asarray(theta, dtype=float)
     out = _index(x1 - thetas, 1.0 + thetas - x2)
@@ -151,12 +154,6 @@ def sampling(n: int) -> SamplingModel:
         name=f"uniform_loc(n={n})",
         sample=lambda theta, mc: theta + dist.sample_uniform_minmax(n, mc),
     )
-
-
-def contour_at_truth(xs, theta) -> np.ndarray:
-    """Vectorized fused plausibility of the truth over (reps, 2) summaries."""
-    xs = np.asarray(xs, dtype=float)
-    return _index(xs[:, 0] - theta, 1.0 + theta - xs[:, 1])
 
 
 def default_grid(x, n_points: int = 512) -> GridSpec:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,8 +166,19 @@ def test_random_set_nested():
     assert report.passed
 
 
+@pytest.mark.parametrize("outcome", [-1, N + 1])
+def test_outcome_outside_range_raises(outcome):
+    # a stack at one theta indexes a table of the n + 1 outcomes, where a
+    # negative outcome would otherwise wrap round to the top of the table
+    for x in (outcome, [3, outcome]):
+        with pytest.raises(ValueError):
+            binomial.im_contour(N, x, 0.3)
+        with pytest.raises(ValueError):
+            binomial.cp_member(N, x, 0.05, 0.3)
+
+
 def test_contour_at_truth_validity():
-    fn = binomial.contour_at_truth(N)
+    fn = functools.partial(binomial.im_contour, N)
     mc = MCConfig(reps=10_000, seed=12)
     xs = binomial.sampling(N).sample(0.3, mc)
     assert xs.dtype.kind == "i" and xs.min() >= 0 and xs.max() <= N

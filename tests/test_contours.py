@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 
 from confbel.contours import (
@@ -24,6 +24,7 @@ from confbel.contours import (
     UnsupportedAssertionError,
     as_alpha,
     belief,
+    bisect,
     contour_from_family,
     marginal_contour,
     marginal_region,
@@ -121,6 +122,53 @@ def test_bisection_clamps():
     fam = pivot_family()
     assert contour_from_family(fam, 0.0, 0.0) == 1.0
     assert contour_from_family(fam, 0.0, 50.0) == 0.0
+
+
+def test_contour_from_family_probe_count():
+    # two clamp probes, then halvings of (tol, 1 - tol) down to width tol
+    calls = []
+    fam = pivot_family()
+    counted = ConfidenceFamily(member=lambda x, a, t: calls.append(a) or fam.member(x, a, t), center=fam.center)
+    for theta, probes in ((1.7, 22), (-2.1, 22), (0.3, 2), (50.0, 2)):
+        calls.clear()
+        contour_from_family(counted, 0.3, theta)
+        assert len(calls) == probes, theta
+
+
+def _plain_halvings(pred, lo, hi):
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@given(
+    lo=st.floats(-10.0, 10.0, allow_nan=False),
+    width=st.floats(1e-3, 10.0, allow_nan=False),
+    frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    flipped=st.booleans(),
+    tol=st.sampled_from([0.0, 1e-6]),
+)
+@settings(max_examples=200, deadline=None)
+def test_bisect_finds_threshold(lo, width, frac, flipped, tol):
+    hi = lo + width
+    c = lo + frac * width
+    assume(lo < c < hi)
+    # the predicate holds on c's side of the bracket's first argument
+    if flipped:
+        pred, start = (lambda t: t >= c), (hi, lo)
+    else:
+        pred, start = (lambda t: t <= c), (lo, hi)
+    got = bisect(pred, *start, tol)
+    if tol:
+        assert abs(got - c) <= tol
+    else:
+        # 60 halvings of the bracket, or its last float spacing
+        assert abs(got - c) <= max(width * 2.0**-59, 2.0 * np.spacing(abs(c)))
+        assert got == _plain_halvings(pred, *start)
 
 
 def test_non_nested_family_detected():

@@ -39,6 +39,8 @@ def test_step_fn_evaluation():
         dkw.StepFn([2.0, 1.0], [0.1, 0.2])
     with pytest.raises(ValueError):
         dkw.StepFn([1.0], [0.1, 0.2])
+    with pytest.raises(ValueError):
+        dkw.StepFn([], [])
 
 
 def test_empirical_sample():
@@ -188,14 +190,16 @@ def test_alpha_index_at_band_edge_recovers_level():
     sample = dkw.synthetic_sample(799)
     for alpha in (0.05, 0.1, 0.32):
         _, lower, _ = dkw.dkw_band(sample, alpha)
-        d, idx = dkw.alpha_index(sample, lower)
+        d = dkw.sup_norm(sample, lower)
+        idx, _ = dkw.dkw_contour(sample, lower, MC)
         assert d == pytest.approx(dkw.dkw_delta(799, alpha), abs=1e-15)
         assert idx == pytest.approx(alpha, abs=1e-12)
 
 
 def test_alpha_index_caps_at_one():
     sample = dkw.synthetic_sample(50)
-    d, idx = dkw.alpha_index(sample, sample.ecdf())
+    d = dkw.sup_norm(sample, sample.ecdf())
+    idx, _ = dkw.dkw_contour(sample, sample.ecdf(), MC)
     assert d == 0.0
     assert idx == 1.0
     assert dkw.dkw_contour(sample, sample.ecdf(), MC) == (1.0, 1.0)
@@ -217,7 +221,7 @@ def test_ks_null_sample_against_exact_law():
 def test_dkw_contour_matches_exact_tail():
     sample = dkw.synthetic_sample(799)
     truth = unit_exp()
-    d, _ = dkw.alpha_index(sample, truth)
+    d = dkw.sup_norm(sample, truth)
     _, pl = dkw.dkw_contour(sample, truth, MC)
     want = stats.kstwo.sf(d, 799)
     se = np.sqrt(max(want * (1 - want), 1e-8) / MC.reps)

@@ -150,11 +150,16 @@ def test_scalar_batch_and_grid_routes_agree(name, data):
 def test_binomial_contour_at_truth_is_im_contour_at_every_outcome():
     # theta = 0.5 is the symmetric truth, where each lower tail ties exactly
     # with its mirrored upper tail and the tie decides the excluded mass.
-    fn = binomial.contour_at_truth(N_BINOM)
     xs = np.arange(N_BINOM + 1)
     for theta in (0.1, 0.37, 0.5, 0.68):
         direct = [binomial.im_contour(N_BINOM, int(x), theta) for x in xs]
-        assert fn(xs, theta).tolist() == direct
+        assert binomial.im_contour(N_BINOM, xs, theta).tolist() == direct
+
+
+@pytest.mark.parametrize("name", ["binomial", "uniform_loc", "normal_mean"])
+def test_contour_at_truth_is_plaus_grid(name):
+    bundle = REGISTRY[name]()
+    assert bundle.contour_at_truth is bundle.plaus_grid
 
 
 def test_dkw_contour_at_truth_is_dkw_contour_row_by_row():

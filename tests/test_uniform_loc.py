@@ -25,6 +25,9 @@ def test_theta_hat_and_interval():
     assert iv.upper == pytest.approx(0.2 - 0.0075, abs=1e-12)
     with pytest.raises(ValueError):
         uniform_loc.interval((0.9, 0.2), 0.05)
+    for x in ((0.9, 0.2), [X, (0.9, 0.2), X]):  # one pair or any pair of a stack
+        with pytest.raises(ValueError):
+            uniform_loc.alpha_index_exact(x, 0.0)
 
 
 def test_interval_is_level_set_of_contour():
@@ -74,7 +77,7 @@ def test_contour_peaks_at_theta_hat():
 
 def test_contour_at_truth_matches_pointwise():
     xs = uniform_loc.sampling(10).sample(0.0, MCConfig(reps=200, seed=23))
-    vec = uniform_loc.contour_at_truth(xs, 0.0)
+    vec = uniform_loc.alpha_index_exact(xs, 0.0)
     pointwise = np.asarray([uniform_loc.alpha_index_exact(x, 0.0) for x in xs])
     assert np.array_equal(vec, pointwise)
 
@@ -87,7 +90,7 @@ def test_contour_at_truth_matches_pointwise():
 @settings(max_examples=200, deadline=None)
 def test_batch_and_scalar_routes_agree(x1, width, theta):
     x = (x1, x1 + width)
-    batch = uniform_loc.contour_at_truth(np.asarray([x]), theta)[0]
+    batch = uniform_loc.alpha_index_exact(np.asarray([x]), theta)[0]
     assert batch == uniform_loc.alpha_index_exact(x, theta)
 
 
@@ -104,7 +107,7 @@ def test_batch_and_scalar_routes_agree(x1, width, theta):
 )
 def test_batch_and_scalar_routes_agree_on_edges(x, theta, want):
     assert uniform_loc.alpha_index_exact(x, theta) == want
-    assert uniform_loc.contour_at_truth(np.asarray([x]), theta)[0] == want
+    assert uniform_loc.alpha_index_exact(np.asarray([x]), theta)[0] == want
 
 
 def test_support_mass_closed_form():
@@ -131,7 +134,7 @@ def test_coverage_exact_for_every_theta_and_n():
 def test_validity_audit_clean():
     report = contour_validity_audit(
         uniform_loc.sampling(10),
-        uniform_loc.contour_at_truth,
+        uniform_loc.alpha_index_exact,
         theta_grid=(0.0, 0.37),
         mc=MCConfig(reps=10_000, seed=29),
     )
