@@ -274,13 +274,18 @@ def cmd_coverage(args, seed: int, seed_source: str) -> None:
     mc = MCConfig(reps=args.reps, seed=seed)
     theta = _csv_floats(args.theta)
     if args.model == "fieller":
-        est = coverage_probability(
-            fieller.sampling(), fieller.family(), theta, args.alpha, mc, interest=fieller.interest
-        )
+        sampling, family, interest, size = fieller.sampling(), fieller.family(), fieller.interest, 2
     else:
         bundle = REGISTRY[args.model]()
-        t = theta[0] if len(theta) == 1 else theta
-        est = coverage_probability(bundle.sampling, bundle.family, t, args.alpha, mc, interest=bundle.interest)
+        sampling, family, interest = bundle.sampling, bundle.family, bundle.interest
+        size = np.size(bundle.theta_grid_hint[0])
+    # a dkw truth is a CDF, which the comma form cannot name
+    if args.model != "dkw" and len(theta) != size:
+        raise UsageError(
+            f"coverage --model {args.model} takes a truth of {size} comma-separated value(s), got {args.theta!r}"
+        )
+    t = theta[0] if len(theta) == 1 else theta
+    est = coverage_probability(sampling, family, t, args.alpha, mc, interest=interest)
     _emit(args, [est.as_row()], _metadata(args, seed, seed_source))
 
 

@@ -32,6 +32,8 @@ import numpy as np
 
 NORMALIZATION_TOL = 1e-8
 ALPHA_BISECT_TOL = 1e-6
+# halvings resolved per membership call in the alpha bisections (see docs/decisions.md)
+ALPHA_BISECT_LEVELS = 5
 _BISECT_MAX_ITER = 60
 
 Point = float | tuple
@@ -207,11 +209,13 @@ class ConfidenceFamily:
     is a point contained in every region (the nesting anchor).
 
     The shipped models' ``member`` broadcasts: ``x`` is one dataset or a stack
-    of datasets along a leading axis, ``theta`` a scalar or a 1-d array, and
-    the answer is their numpy broadcast (a scalar boolean for one dataset and
-    one theta).  ``member_batch`` is the name the coverage audit calls; it
-    defaults to ``member`` itself, so a stack of datasets and the scalar route
-    share one evaluator.
+    of datasets along a leading axis, ``alpha`` and ``theta`` scalars or
+    arrays, and the answer is their numpy broadcast (a scalar boolean for one
+    dataset, one alpha and one theta).  :func:`contour_from_family` relies on
+    the alpha axis: it passes a 1-d array of levels with one dataset and one
+    theta, and reads one answer per level.  ``member_batch`` is the name the
+    coverage audit calls; it defaults to ``member`` itself, so a stack of
+    datasets and the scalar route share one evaluator.
     """
 
     member: Callable[..., bool]
@@ -252,31 +256,52 @@ class PlausibilityContour:
         return self.fn(theta)
 
 
-def bisect(pred: Callable[[float], object], lo: float, hi: float, tol: float) -> float:
+def bisect(pred: Callable[[np.ndarray], object], lo: float, hi: float, tol: float, levels: int = 1) -> float:
     """Midpoint of the bracket from ``lo`` (``pred`` true) to ``hi`` (false),
-    in either order, halved until ``|hi - lo| <= tol`` or 60 halvings."""
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) <= tol:
-            break
-    return 0.5 * (lo + hi)
+    in either order, halved until ``|hi - lo| <= tol`` or 60 halvings.
+
+    ``pred`` answers elementwise on a 1-d array.  Each call gets the
+    ``2**levels - 1`` midpoints of every path through the next ``levels``
+    halvings, built by the same ``0.5 * (lo + hi)``; the walk down the tree
+    reads only the answers the one-at-a-time search would have asked for, so
+    the result is the same for every ``levels``, monotone ``pred`` or not.
+    """
+    done = 0
+    while True:
+        depth = min(levels, _BISECT_MAX_ITER - done)
+        # breadth-first tree: node k's children are 2k + 1 (false) and 2k + 2 (true)
+        pts, brackets = [], [(lo, hi)]
+        for _ in range(depth):
+            nxt = []
+            for a, b in brackets:
+                mid = 0.5 * (a + b)
+                pts.append(mid)
+                nxt += ((a, mid), (mid, b))
+            brackets = nxt
+        answers = np.asarray(pred(np.array(pts)), dtype=bool).tolist()
+        k = 0
+        for _ in range(depth):
+            if answers[k]:
+                lo = pts[k]
+            else:
+                hi = pts[k]
+            done += 1
+            if abs(hi - lo) <= tol or done == _BISECT_MAX_ITER:
+                return 0.5 * (lo + hi)
+            k = 2 * k + 1 + answers[k]
 
 
 def contour_from_family(family: ConfidenceFamily, x, theta, tol: float = ALPHA_BISECT_TOL) -> float:
     """Evaluate ``sup{alpha : theta in C_alpha(x)}`` by bisection on alpha.
 
-    Membership is probed at the clamp levels ``tol`` and ``1 - tol`` first:
-    outside the widest region means 0, inside the narrowest means 1 (provided
-    membership is consistent; a point inside at ``1 - tol`` but outside at
-    ``tol`` witnesses a nestedness violation and raises).
+    Membership is probed at the clamp levels ``tol`` and ``1 - tol`` first,
+    in one call: outside the widest region means 0, inside the narrowest
+    means 1 (provided membership is consistent; a point inside at ``1 - tol``
+    but outside at ``tol`` witnesses a nestedness violation and raises).  The
+    bisection then resolves ``ALPHA_BISECT_LEVELS`` halvings a call.
     """
     lo, hi = tol, 1.0 - tol
-    in_lo = bool(family.member(x, lo, theta))
-    in_hi = bool(family.member(x, hi, theta))
+    in_lo, in_hi = np.asarray(family.member(x, np.array([lo, hi]), theta), dtype=bool).tolist()
     if in_hi:
         if not in_lo:
             raise NestednessError(
@@ -286,7 +311,7 @@ def contour_from_family(family: ConfidenceFamily, x, theta, tol: float = ALPHA_B
         return 1.0
     if not in_lo:
         return 0.0
-    return bisect(lambda a: family.member(x, a, theta), lo, hi, tol)
+    return bisect(lambda a: family.member(x, a, theta), lo, hi, tol, ALPHA_BISECT_LEVELS)
 
 
 # --------------------------------------------------------------------------
@@ -425,8 +450,8 @@ def _region_from_values(
     if not len(edges):
         return IntervalUnion(())
 
-    def above(t: float) -> bool:
-        return float(fn(t)) > alpha
+    def above(ts: np.ndarray) -> list[bool]:  # fn may take scalars only: one point a call
+        return [float(fn(t)) > alpha for t in ts.tolist()]
 
     intervals = []
     for i0, i1 in zip(edges[::2], edges[1::2] - 1):

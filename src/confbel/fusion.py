@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .contours import (
+    ALPHA_BISECT_LEVELS,
     ALPHA_BISECT_TOL,
     NORMALIZATION_TOL,
     ConsonanceError,
@@ -87,7 +88,9 @@ class RandomSetFamily:
 
     ``support_member(u, alpha, theta)`` evaluates the closed support
     ``S_alpha(theta)`` at each row of ``u`` (non-strict inequalities; the
-    closure convention matters for the containment law).  ``mass`` returns
+    closure convention matters for the containment law).  It broadcasts over
+    alpha: :func:`alpha_index` passes a column of levels, shape ``(k, 1)``,
+    and reads a ``(k, rows)`` answer.  ``mass`` returns
     ``P_U(S_alpha(theta))``; leave it None to estimate by Monte Carlo through
     ``aux_sampler``, which is also what the structural checks draw from.
     """
@@ -132,9 +135,10 @@ def alpha_index(
 ) -> float:
     """Largest alpha whose support still meets the observed fiber.
 
-    Bisection over the clamped range [1e-9, 1 - 1e-9]; intersection at the
-    upper clamp is reported as exactly 1 (the fiber meets every support), and
-    no intersection at the lower clamp as exactly 0.
+    Bisection over the clamped range [1e-9, 1 - 1e-9], both clamps probed in
+    one call; intersection at the upper clamp is reported as exactly 1 (the
+    fiber meets every support), and no intersection at the lower clamp as
+    exactly 0.
     """
     witnesses = np.asarray(assoc.fiber(x, theta))
     if witnesses.size == 0:
@@ -143,14 +147,15 @@ def alpha_index(
             "the observation is impossible under the association"
         )
 
-    def intersects(a: float) -> bool:
-        return bool(np.any(rs.support_member(witnesses, a, theta)))
+    def intersects(alphas: np.ndarray) -> np.ndarray:
+        return np.any(rs.support_member(witnesses, alphas[:, None], theta), axis=-1)
 
-    if not intersects(ALPHA_CLAMP_LO):
+    meets_lo, meets_hi = intersects(np.array([ALPHA_CLAMP_LO, ALPHA_CLAMP_HI])).tolist()
+    if not meets_lo:
         return 0.0
-    if intersects(ALPHA_CLAMP_HI):
+    if meets_hi:
         return 1.0
-    return bisect(intersects, ALPHA_CLAMP_LO, ALPHA_CLAMP_HI, tol)
+    return bisect(intersects, ALPHA_CLAMP_LO, ALPHA_CLAMP_HI, tol, ALPHA_BISECT_LEVELS)
 
 
 def theta_specific_plaus(
@@ -175,8 +180,14 @@ def theta_specific_plaus(
 
 def _golden_max(f, xa, xb, xc, fb):
     """Maximize ``f`` over ``xa < xb < xc``, with ``fb = f(xb)`` above both ends, by the
-    steps and stopping rule of ``scipy.optimize.golden``, reusing ``fb``.  Returns ``(x, f(x))``."""
+    steps of ``scipy.optimize.golden``, reusing ``fb``.  Returns ``(x, f(x))``.
+
+    scipy stops at ``|x3 - x0| <= 1e-6 (|x1| + |x2|)``, which near 0 asks for
+    ever finer absolute precision; here ``|x1| + |x2|`` is floored at the
+    starting bracket's width, so the stop is scipy's wherever the maximum sits
+    more than about half that width from 0."""
     r = 0.61803399  # golden ratio conjugate, as in scipy
+    floor = np.abs(xc - xa)
     x0, x3 = xa, xc
     if np.abs(xc - xb) > np.abs(xb - xa):
         x1, x2 = xb, xb + (1.0 - r) * (xc - xb)
@@ -185,7 +196,7 @@ def _golden_max(f, xa, xb, xc, fb):
         x1, x2 = xb - (1.0 - r) * (xb - xa), xb
         f1, f2 = f(x1), fb
     for _ in range(5000):
-        if np.abs(x3 - x0) <= 1e-6 * (np.abs(x1) + np.abs(x2)):
+        if np.abs(x3 - x0) <= 1e-6 * max(np.abs(x1) + np.abs(x2), floor):
             break
         if f2 > f1:
             x0, x1, x2 = x1, x2, r * x2 + (1.0 - r) * x3

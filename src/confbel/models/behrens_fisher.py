@@ -136,11 +136,11 @@ def _diff_se(x, n1: int, n2: int):
     return x[..., 0] - x[..., 1], np.sqrt(x[..., 2] / n1 + x[..., 3] / n2)
 
 
-def member(n1: int, n2: int, x, alpha: float, phi):
+def member(n1: int, n2: int, x, alpha, phi):
     """``|d - phi| <= t*_{alpha, dof} f``; broadcasts over a stack of summary
-    rows and over phi."""
+    rows, alpha and phi."""
     d, f = _diff_se(x, n1, n2)
-    return np.abs(d - phi) <= float(_t_quantile(min(n1, n2) - 1, 1.0 - alpha / 2.0)) * f
+    return np.abs(d - phi) <= _t_quantile(min(n1, n2) - 1, 1.0 - alpha / 2.0) * f
 
 
 def family(n1: int, n2: int) -> ConfidenceFamily:
@@ -243,7 +243,7 @@ def random_set(n1: int, n2: int) -> RandomSetFamily:
 
     def support_member(u, alpha, theta):
         lam = lambda_of(theta, n1, n2)
-        return t_lambda(u, lam) <= float(_t_quantile(dof, 1.0 - alpha / 2.0))
+        return t_lambda(u, lam) <= _t_quantile(dof, 1.0 - alpha / 2.0)
 
     def mass(alpha, theta, mc):
         lam = lambda_of(theta, n1, n2)

@@ -128,13 +128,15 @@ class ParametricCDF:
         return self.cdf(t)
 
 
-def dkw_delta(n: int, alpha: float) -> float:
-    """Band half-width ``sqrt(log(2/alpha) / (2n))``."""
+def dkw_delta(n: int, alpha):
+    """Band half-width ``sqrt(log(2/alpha) / (2n))``; broadcasts over alpha."""
     if n < 1:
         raise ValueError("sample size must be positive")
-    if not 0.0 < alpha < 2.0:
+    a = np.asarray(alpha, dtype=float)
+    if not np.all((0.0 < a) & (a < 2.0)):
         raise ValueError(f"alpha must lie in (0, 2) for a finite radius, got {alpha!r}")
-    return float(np.sqrt(np.log(2.0 / alpha) / (2.0 * n)))
+    out = np.sqrt(np.log(2.0 / a) / (2.0 * n))
+    return out if out.ndim else float(out)
 
 
 def dkw_band(sample: EmpiricalSample, alpha: float) -> tuple[float, StepFn, StepFn]:
@@ -235,9 +237,9 @@ def distance(x, candidate):
     return ks_distances(candidate(np.asarray(x, dtype=float)))
 
 
-def member(x, alpha: float, candidate):
+def member(x, alpha, candidate):
     """Band membership ``D <= delta(n, alpha)`` for one sample or a stack of
-    sorted samples (leading axis)."""
+    sorted samples (leading axis); broadcasts over alpha."""
     n = x.n if isinstance(x, EmpiricalSample) else np.shape(x)[-1]
     return distance(x, candidate) <= dkw_delta(n, alpha)
 

@@ -32,12 +32,12 @@ def pivot_contour(x, theta):
     return out if out.ndim else float(out)
 
 
-def _z(alpha: float) -> float:
+def _z(alpha):
     return dist.quantile(_NORMAL, 1.0 - alpha / 2.0)
 
 
-def member(x, alpha: float, theta):
-    """``|x - theta| <= z_{1-alpha/2}``; broadcasts over both args."""
+def member(x, alpha, theta):
+    """``|x - theta| <= z_{1-alpha/2}``; broadcasts over x, alpha and theta."""
     return np.abs(np.asarray(x, dtype=float) - theta) <= _z(alpha)
 
 

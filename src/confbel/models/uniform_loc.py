@@ -50,7 +50,7 @@ def theta_hat(x) -> float:
     return 0.5 * (x1 + x2 - 1.0)
 
 
-def _bounds(x, alpha: float):
+def _bounds(x, alpha):
     """Endpoints of ``C_alpha`` for one (min, max) pair or a stack of them."""
     x = np.asarray(x, dtype=float)
     slack = 1.0 - (x[..., 1] - x[..., 0])
@@ -63,8 +63,8 @@ def interval(x, alpha: float) -> Interval:
     return Interval(float(lo), float(hi))
 
 
-def member(x, alpha: float, theta):
-    """``theta in C_alpha(x)``; broadcasts over a stack of pairs and over theta."""
+def member(x, alpha, theta):
+    """``theta in C_alpha(x)``; broadcasts over a stack of pairs, alpha and theta."""
     lo, hi = _bounds(x, alpha)
     return (lo <= theta) & (theta <= hi)
 

@@ -252,6 +252,21 @@ def test_coverage_subcommand(tmp_path):
     assert float(rows[0]["estimate"]) >= 0.9 - 0.03  # exact-tail family is conservative
 
 
+@pytest.mark.parametrize(
+    "model, theta, size",
+    [("binomial", "1,20", 1), ("uniform_loc", "1,20", 1), ("normal_mean", "1,20", 1),
+     ("behrens_fisher", "1,20", 4), ("fieller", "1", 2)],
+)
+def test_coverage_truth_of_wrong_length_exits_2(model, theta, size, tmp_path, capsys):
+    # "1,20", the default, is fieller's truth; no other model takes two values
+    out = tmp_path / "cov.csv"
+    argv = ["coverage", "--model", model, "--reps", "200", "--seed", "1", "--out", str(out)]
+    assert main(argv + (["--theta", theta] if model == "fieller" else [])) == 2
+    err = capsys.readouterr().err
+    assert f"truth of {size} comma-separated value(s), got '{theta}'" in err
+    assert not out.exists()
+
+
 def test_coverage_unknown_model_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["coverage", "--model", "nope", "--out", str(tmp_path / "o.csv")])

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 
 from confbel.contours import (
+    ALPHA_BISECT_LEVELS,
+    ALPHA_BISECT_TOL,
     AlphaLevel,
     ConfidenceFamily,
     ConsonanceError,
@@ -124,15 +128,82 @@ def test_bisection_clamps():
     assert contour_from_family(fam, 0.0, 50.0) == 0.0
 
 
+def _sequential_bisect(pred, lo, hi, tol):
+    # the one-point-at-a-time search, as the package ran it before batching
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+        if abs(hi - lo) <= tol:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _sequential_contour(family, x, theta, tol=ALPHA_BISECT_TOL):
+    if family.member(x, 1.0 - tol, theta):
+        return 1.0
+    if not family.member(x, tol, theta):
+        return 0.0
+    return _sequential_bisect(lambda a: family.member(x, a, theta), tol, 1.0 - tol, tol)
+
+
 def test_contour_from_family_probe_count():
-    # two clamp probes, then halvings of (tol, 1 - tol) down to width tol
+    # one call probes both clamps; (tol, 1 - tol) takes 20 halvings down to
+    # width tol, ALPHA_BISECT_LEVELS of them a call
     calls = []
     fam = pivot_family()
     counted = ConfidenceFamily(member=lambda x, a, t: calls.append(a) or fam.member(x, a, t), center=fam.center)
-    for theta, probes in ((1.7, 22), (-2.1, 22), (0.3, 2), (50.0, 2)):
+    bisected = 1 + math.ceil(20 / ALPHA_BISECT_LEVELS)
+    for theta, probes in ((1.7, bisected), (-2.1, bisected), (0.3, 1), (50.0, 1)):
         calls.clear()
-        contour_from_family(counted, 0.3, theta)
+        got = contour_from_family(counted, 0.3, theta)
         assert len(calls) == probes, theta
+        assert got == _sequential_contour(fam, 0.3, theta), theta
+
+
+@given(
+    lo=st.floats(-10.0, 10.0, allow_nan=False),
+    width=st.floats(1e-3, 10.0, allow_nan=False),
+    frac=st.floats(0.0, 1.0),
+    flipped=st.booleans(),
+    wavy=st.booleans(),
+    tol=st.sampled_from([0.0, 1e-6]),
+    levels=st.sampled_from([1, 2, 5, 8]),
+)
+@settings(max_examples=300, deadline=None)
+def test_batched_bisect_is_the_sequential_search(lo, width, frac, flipped, wavy, tol, levels):
+    hi = lo + width
+    c = lo + frac * width
+    if wavy:  # not monotone: the walk must still follow the sequential path
+        def pred(t):
+            return np.sin(37.0 * t) > 0.0
+    elif flipped:
+        def pred(t):
+            return t >= c
+    else:
+        def pred(t):
+            return t <= c
+    start = (hi, lo) if flipped else (lo, hi)
+    sizes = []
+
+    def batched(ts):
+        sizes.append(len(ts))
+        return pred(ts)
+
+    halvings = []
+
+    def sequential(t):
+        halvings.append(t)
+        return bool(pred(t))
+
+    got = bisect(batched, *start, tol, levels)
+    want = _sequential_bisect(sequential, *start, tol)
+    assert float(got).hex() == float(want).hex()
+    # every call but the last resolves `levels` halvings
+    assert len(sizes) == math.ceil(len(halvings) / levels)
+    assert sizes[:-1] == [2**levels - 1] * (len(sizes) - 1)
 
 
 def _plain_halvings(pred, lo, hi):

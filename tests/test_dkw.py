@@ -72,6 +72,12 @@ def test_dkw_delta():
         dkw.dkw_delta(0, 0.05)
     with pytest.raises(ValueError):
         dkw.dkw_delta(799, 2.5)
+    # broadcasts over alpha, each entry the scalar value, and checks every entry
+    alphas = np.array([[0.01], [0.05], [0.5]])
+    assert dkw.dkw_delta(799, alphas).tolist() == [[dkw.dkw_delta(799, float(a))] for a in alphas[:, 0]]
+    for bad in ([0.05, 2.5], [0.0, 0.05], [0.05, np.nan]):
+        with pytest.raises(ValueError):
+            dkw.dkw_delta(799, np.array(bad))
 
 
 def test_dkw_band_geometry():

@@ -153,6 +153,24 @@ def test_fused_contour_refinement_matches_scipy_golden(assoc, rs, x, search):
     assert ours <= len(calls) + 2
 
 
+def test_golden_refinement_near_zero_costs_no_more_than_away_from_it():
+    # scipy's purely relative stop chases a witness near 0 to ever finer
+    # precision; the floor at the starting bracket's width bounds that work
+    assoc, rs = normal_mean.association(), normal_mean.random_set()
+
+    def count(x):
+        calls = []
+
+        def plaus(theta):
+            calls.append(theta)
+            return theta_specific_plaus(assoc, rs, x, theta, MC)
+
+        fused_contour(assoc, rs, x, MC, GridSpec(x - 8.0, x + 8.0, 11), plaus=plaus)
+        return len(calls)
+
+    assert count(0.0) <= count(3.0) + 2
+
+
 def test_fused_contour_detects_normalization_failure():
     # supports shrunk by half never meet the fiber at high alpha anywhere
     assoc = normal_mean.association()

@@ -5,7 +5,8 @@ truths.  On every containment candidate the grid contour is a plausibility
 (in [0, 1]) that never rises above the contour of the confidence-region family
 it sharpens, as evaluated by the generic bisection; the family's membership is
 nested in alpha on the same candidates; and each bundle's random set has
-nested supports at its hint truths.
+nested supports at its hint truths.  Both contours attain 1 at the family's
+center.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from confbel.contours import ALPHA_BISECT_TOL, contour_from_family
+from confbel.contours import ALPHA_BISECT_TOL, NORMALIZATION_TOL, contour_from_family
 from confbel.fusion import check_nested_support
 from confbel.mc import MCConfig
 from confbel.models import REGISTRY
@@ -68,3 +69,21 @@ def test_random_set_supports_are_nested(name, data, alphas, seed):
     truth = data.draw(st.sampled_from(bundle.theta_grid_hint), label="truth")
     report = check_nested_support(bundle.random_set, truth, alphas, MCConfig(reps=1_000, seed=seed))
     assert report.passed, report.violations
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_contours_attain_one_at_the_family_center(name, data):
+    # the center lies in every region, so both contours are 1 there
+    bundle = BUNDLES[name]
+    x, _ = _dataset(bundle, data)
+    center = bundle.family.center(x)
+    assert contour_from_family(bundle.family, x, center) == 1.0
+    grid = [center] if name == "dkw" else np.asarray([center])
+    (pl,) = np.asarray(bundle.plaus_grid(x, grid), dtype=float).tolist()
+    if name == "uniform_loc":
+        # a cusp at theta_hat, which is rounded: 1 within the consonance tolerance
+        assert 1.0 - NORMALIZATION_TOL <= pl <= 1.0
+    else:
+        assert pl == 1.0
