@@ -162,9 +162,8 @@ def cmd_dkw(args, seed: int, seed_source: str) -> None:
         sample = dkw.EmpiricalSample.from_csv(args.data, column=args.column)
     else:
         sample = dkw.synthetic_sample(args.n, seed=args.sample_seed)
-    mc = MCConfig(reps=args.reps, seed=seed)
     delta, lower, upper = dkw.dkw_band(sample, args.alpha)
-    idx, plaus = dkw.dkw_contour(sample, lower, mc)
+    idx, plaus = dkw.dkw_contour(sample, lower)
     ehat = sample.ecdf()
     rows = [
         {
@@ -183,6 +182,7 @@ def cmd_dkw(args, seed: int, seed_source: str) -> None:
         delta=f"{delta:.8f}",
         lower_band_alpha_index=f"{idx:.6f}",
         lower_band_plaus=f"{plaus:.6f}",
+        lower_band_plaus_law="exact K_n law (Simard-L'Ecuyer)",
     )
     _emit(args, rows, meta)
 

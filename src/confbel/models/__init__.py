@@ -56,10 +56,10 @@ class ModelBundle:
     audits.  binomial, uniform_loc and normal_mean give both contour fields
     one object that broadcasts over data and parameter (behrens_fisher's
     phi-marginal and its slice at the truth are different functions).
-    ``mc_boundary_se`` is zero for exact contours and three Monte Carlo
-    standard errors for estimated ones; containment checks exempt grid points
-    whose contour sits within that distance of the level.  Only dkw, whose
-    fused contour reads a Monte Carlo table of the K_n law, has a nonzero one.
+    ``mc_boundary_se`` is the distance from the level within which a
+    containment check would exempt a grid point whose contour is a Monte
+    Carlo estimate.  Every shipped ``plaus_grid`` is exact, so it is 0 in
+    every bundle; the field stays because ``perfbench/workloads.py`` reads it.
     """
 
     name: str
@@ -160,7 +160,7 @@ def behrens_fisher_bundle(
     )
 
 
-def dkw_bundle(n: int = 799, mc_internal: MCConfig = MCConfig(reps=100_000, seed=23)) -> ModelBundle:
+def dkw_bundle(n: int = 799) -> ModelBundle:
     def containment_candidates(x):
         ehat = x.ecdf()
         delta = dkw.dkw_delta(x.n, 0.05)
@@ -190,14 +190,13 @@ def dkw_bundle(n: int = 799, mc_internal: MCConfig = MCConfig(reps=100_000, seed
         family=ConfidenceFamily(member=dkw.member, center=lambda x: x.ecdf()),
         random_set=dkw.random_set(n),
         sampling=dkw.sampling(n),
-        contour_at_truth=lambda xs, truth: dkw.plaus_of_distance(n, dkw.distance(xs, truth), mc_internal),
-        plaus_grid=lambda x, candidates: dkw.plaus_of_distance(x.n, dkw.distances(x, candidates), mc_internal),
+        contour_at_truth=lambda xs, truth: dkw.plaus_of_distance(n, dkw.distance(xs, truth)),
+        plaus_grid=lambda x, candidates: dkw.plaus_of_distance(x.n, dkw.distances(x, candidates)),
         member_grid=lambda x, alpha, candidates: dkw.distances(x, candidates) <= dkw.dkw_delta(x.n, alpha),
         default_grid=lambda x: GridSpec(0.0, 1.0, 2),  # unused; candidates are CDFs
         data_replicates=data_replicates,
         interest=lambda truth: truth,
         theta_grid_hint=(unit_exp,),
-        mc_boundary_se=3.0 * float(np.sqrt(0.25 / mc_internal.reps)),
         containment_candidates=containment_candidates,
     )
 

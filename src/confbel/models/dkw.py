@@ -16,10 +16,12 @@ supports free of ``F``,
     S_alpha = {u : K_n(u) <= delta(n, alpha)},
 
 with ``K_n(u)`` the sup-norm distance of the empirical CDF of ``u`` from the
-identity.  The fused plausibility is therefore ``P{K_n >= D}``, estimated once
-per sample size from a shared Monte Carlo table of the distribution-free
-``K_n`` law (the DKW bound guarantees ``P{K_n <= delta} >= 1 - alpha``, so the
-support-mass law holds with slack rather than equality).
+identity.  The fused plausibility is therefore ``P{K_n >= D}``, and the
+support mass ``P{K_n <= delta(n, alpha)}``; both read the exact law of the
+distribution-free ``K_n`` (:func:`ks_sf`, Simard & L'Ecuyer's algorithm).
+Massart's DKW bound guarantees ``P{K_n <= delta} >= 1 - alpha``, so the
+support-mass law holds with slack rather than equality: at n = 799 and
+alpha = 0.05 the mass is 0.9516.
 
 Sup-norm distances are evaluated exactly at both one-sided limits of every
 jump point of both step functions; callable candidates are assumed
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
 from ..audit import SamplingModel
 from ..contours import PredicateRegion, IntervalUnion
@@ -201,7 +204,9 @@ def ks_distances(u: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def ks_null_sample(n: int, mc: MCConfig) -> np.ndarray:
-    """Sorted Monte Carlo sample of the distribution-free K_n law (cached)."""
+    """Sorted Monte Carlo sample of the distribution-free K_n law (cached).
+    No package path reads it; it is the tests' independent oracle of
+    :func:`ks_sf`."""
     gen = mc.generator()
     chunks = []
     remaining = mc.reps
@@ -212,20 +217,162 @@ def ks_null_sample(n: int, mc: MCConfig) -> np.ndarray:
     return np.sort(np.concatenate(chunks))
 
 
-def plaus_of_distance(n: int, d, mc: MCConfig):
-    """Fused plausibility ``P{K_n >= D}`` under the shared null table, or
-    exactly 1 where the index caps (D small enough that every support meets
-    the fiber).  Broadcasts over D."""
+# The floats one chunk of the Birnbaum-Tingey sum may hold.
+_CHUNK_FLOATS = 2_000_000
+
+
+def ks_sf(n: int, d):
+    """Exact upper tail ``P{K_n >= d}`` of the two-sided Kolmogorov-Smirnov
+    statistic; broadcasts over d.
+
+    The branches are Simard & L'Ecuyer's (J. Stat. Softw. 39(11), 2011),
+    chosen as ``scipy.stats.kstwo.sf`` chooses them, in this order:
+
+    ====================================  =================================
+    d >= 1                                0
+    n d <= 1                              1 (Ruben-Gambino: 1 minus a mass
+                                          below n!/n^n < 1e-59)
+    n d >= n - 1                          2 (1 - d)^n (Ruben-Gambino)
+    d >= 0.5                              2 S+(n, d) (Birnbaum-Tingey)
+    n d^2 >= 370                          0
+    n d^2 >= 2.2                          2 S+(n, d)
+    n <= 100 000 and n d^(3/2) <= 1.4     kstwo.sf (Durbin's matrix)
+    otherwise                             1 - Pelz-Good
+    ====================================  =================================
+
+    for n > 140, in numpy and ``scipy.special``.  Every n <= 140 and the
+    Durbin corner go to ``scipy.stats.kstwo.sf`` itself, imported only then;
+    for n > 140 that corner lies where the dkw contour index caps at 1.
+    """
     d = np.asarray(d, dtype=float)
-    table = ks_null_sample(n, mc)
-    pl = np.where(_index(n, d) >= 1.0, 1.0, 1.0 - np.searchsorted(table, d, side="left") / len(table))
+    flat = d.ravel()
+    if n <= 140:
+        out = _kstwo_sf(n, flat)
+    else:
+        t = n * flat
+        ndd = t * flat
+        # the first branch whose condition holds, as in the table
+        first = np.array([
+            flat >= 1.0, t <= 1.0, t >= n - 1, flat >= 0.5, ndd >= 370.0, ndd >= 2.2,
+            (n <= 100_000) & (n * np.abs(flat) ** 1.5 <= 1.4), np.ones(flat.shape, dtype=bool),
+        ]).argmax(axis=0)
+        laws = (
+            np.zeros_like,
+            np.ones_like,
+            lambda x: 2.0 * (1.0 - x) ** n,
+            lambda x: 2.0 * _smirnov_sf(n, x),
+            np.zeros_like,
+            lambda x: 2.0 * _smirnov_sf(n, x),
+            lambda x: _kstwo_sf(n, x),
+            lambda x: 1.0 - _pelz_good_cdf(n, x),
+        )
+        out = np.empty(flat.shape)
+        for k in set(first.tolist()):
+            at = first == k
+            out[at] = laws[k](flat[at])
+    out = out.clip(0.0, 1.0).reshape(d.shape)
+    return out if out.ndim else float(out)
+
+
+def _kstwo_sf(n: int, d: np.ndarray) -> np.ndarray:
+    from scipy import stats  # 0.8 s of import, paid only by the branches that need it
+
+    return stats.kstwo.sf(d, n)
+
+
+@functools.lru_cache(maxsize=4)
+def _birnbaum_tingey_terms(n: int) -> tuple[np.ndarray, ...]:
+    """``j/n``, ``n - j``, ``j - 1`` and ``log C(n, j)`` for ``0 <= j < n``."""
+    j = np.arange(float(n))
+    out = (j / n, n - j, j - 1.0, special.gammaln(n + 1.0) - special.gammaln(j + 1.0) - special.gammaln(n - j + 1.0))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _smirnov_sf(n: int, d: np.ndarray) -> np.ndarray:
+    """One-sided ``P{D_n+ >= d}`` for 0 < d < 1, by the Birnbaum-Tingey sum
+    ``d sum_j C(n, j) (1 - d - j/n)^(n-j) (d + j/n)^(j-1)`` over
+    ``0 <= j < n (1 - d)`` (j = n never contributes for d > 0).  The terms
+    are positive, so the sum is taken in log space from its largest term
+    without cancellation."""
+    j_n, n_j, j_1, log_c = _birnbaum_tingey_terms(n)
+    out = np.empty(d.shape)
+    rows = max(1, _CHUNK_FLOATS // n)
+    for s in range(0, d.size, rows):
+        dd = d[s : s + rows, None]
+        head = 1.0 - dd - j_n
+        live = head > 0.0
+        log_t = np.log(head, out=np.full(head.shape, -np.inf), where=live)
+        log_t *= n_j
+        log_t += log_c + j_1 * np.log(dd + j_n)
+        top = log_t.max(axis=1, keepdims=True)
+        log_t -= top
+        out[s : s + rows] = np.exp(np.log(dd[:, 0]) + top[:, 0] + np.log(np.exp(log_t).sum(axis=1)))
+    return out
+
+
+def _pelz_good_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pelz & Good's expansion of ``P{K_n <= d}`` as tables, with ``w = n d^2``.
+
+    Its six theta series are ``s_a = sum_m weight[a, m] exp(-pi^2 exponent[m] / w)``:
+    for a = 0..3 over odd ``m <= 15``, exponent ``m^2 / 8`` and weight
+    ``(pi^2 m^2 / 4)^a``; for a = 4, 5 over ``k <= 8``, exponent ``k^2 / 2``
+    and weight ``k^2``, ``k^4``.  scipy sums ``ceil(16 sqrt(w) / pi)`` terms
+    of each; 8 cover every w below 2.2, and one fixed count keeps scalar and
+    array calls bit for bit equal.  The order-i numerator is
+    ``N_i = sum_ab coef[i, a, b] s_a w^b``, with Pelz & Good's constant
+    ``c_i = (1, 6, 72, 6480)[i]`` divided into it."""
+    m2 = (2.0 * np.arange(1, 9) - 1.0) ** 2
+    k2 = np.arange(1, 9) ** 2.0
+    weight = np.zeros((6, 16))
+    weight[:4, :8] = (np.pi**2 / 4.0 * m2) ** np.arange(4.0)[:, None]
+    weight[4:, 8:] = k2 ** np.arange(1.0, 3.0)[:, None]
+    coef = np.zeros((4, 6, 5))
+    for (i, a, b), c in {
+        (0, 0, 0): 1.0,
+        (1, 0, 1): -1.0, (1, 1, 0): 1.0,
+        (2, 0, 2): 2.0, (2, 0, 3): 6.0, (2, 1, 1): -5.0, (2, 1, 2): 2.0, (2, 2, 0): 1.0, (2, 2, 1): -2.0,
+        (2, 4, 2): -2.0 * np.pi**2,
+        (3, 0, 3): -30.0, (3, 0, 4): -90.0, (3, 1, 2): 135.0, (3, 1, 3): -96.0, (3, 2, 1): -60.0,
+        (3, 2, 2): 212.0, (3, 3, 0): 5.0, (3, 3, 1): -30.0, (3, 4, 3): 90.0 * np.pi**2, (3, 5, 2): -30.0 * np.pi**4,
+    }.items():
+        coef[i, a, b] = c
+    coef /= np.array([1.0, 6.0, 72.0, 6480.0])[:, None, None]
+    return np.concatenate((m2 / 8.0, k2 / 2.0)), weight, coef.reshape(4, 30)
+
+
+_PG_EXPONENT, _PG_WEIGHT, _PG_COEF = _pelz_good_tables()
+
+
+def _pelz_good_cdf(n: int, d: np.ndarray) -> np.ndarray:
+    """Pelz & Good's ``P{K_n <= d}`` to order n^(-3/2) (J. R. Stat. Soc. B
+    38(2), 1976), as scipy's ``_kolmogn_PelzGood``: with ``z = sqrt(n) d``, the
+    order-i term is ``sqrt(2 pi) N_i / (z^(3i + 1) n^(i/2))``."""
+    z = np.sqrt(n) * d
+    w = z * z
+    s = (np.exp(np.multiply.outer(-np.pi**2 / w, _PG_EXPONENT))[:, None, :] * _PG_WEIGHT).sum(axis=-1)
+    terms = s[:, :, None] * w[:, None, None] ** np.arange(5.0)
+    num = (terms.reshape(len(d), 1, 30) * _PG_COEF).sum(axis=-1)
+    u = 1.0 / (w * z * np.sqrt(n))
+    return np.sqrt(2.0 * np.pi) / z * (num * u[:, None] ** np.arange(4.0)).sum(axis=1)
+
+
+def plaus_of_distance(n: int, d):
+    """Fused plausibility ``P{K_n >= D}`` by the exact law, or exactly 1 where
+    the index caps (D small enough that every support meets the fiber).
+    Broadcasts over D."""
+    d = np.asarray(d, dtype=float)
+    pl = np.ones(d.shape)
+    live = _index(n, d) < 1.0
+    pl[live] = ks_sf(n, d[live])
     return pl if pl.ndim else float(pl)
 
 
-def dkw_contour(sample: EmpiricalSample, candidate, mc: MCConfig) -> tuple[float, float]:
+def dkw_contour(sample: EmpiricalSample, candidate) -> tuple[float, float]:
     """(alpha index, fused plausibility) of a candidate CDF, from one distance."""
     d = sup_norm(sample, candidate)
-    return float(_index(sample.n, d)), plaus_of_distance(sample.n, d, mc)
+    return float(_index(sample.n, d)), plaus_of_distance(sample.n, d)
 
 
 def distance(x, candidate):
@@ -252,8 +399,7 @@ def support_member(u, alpha, theta=None):
 
 def random_set(n: int) -> RandomSetFamily:
     def mass(alpha, theta, mc):
-        table = ks_null_sample(n, mc)
-        return float(np.searchsorted(table, dkw_delta(n, alpha), side="right") / len(table))
+        return 1.0 - ks_sf(n, dkw_delta(n, alpha))
 
     return RandomSetFamily(
         support_member=support_member,

@@ -289,3 +289,27 @@ def test_cli_import_loads_no_optimize_or_integrate():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_dkw_exact_law_loads_no_scipy_stats(tmp_path):
+    # the dkw contour reads its own K_n law for n > 140, so neither the
+    # command at its defaults (n = 799) nor the bundle pays the scipy.stats import
+    out = str(tmp_path / "dkw.csv")
+    code = "\n".join([
+        "import sys",
+        "from confbel.cli import main",
+        "from confbel.mc import MCConfig",
+        "from confbel.models import dkw_bundle",
+        f"assert main(['dkw', '--out', {out!r}]) == 0",
+        "b = dkw_bundle()",
+        "truth = b.theta_grid_hint[0]",
+        "x = b.data_replicates(truth, 1, MCConfig(reps=1, seed=3))[0]",
+        "b.plaus_grid(x, b.candidates_for(x))",
+        "b.contour_at_truth(b.sampling.sample(truth, MCConfig(reps=200, seed=4)), truth)",
+        "print('scipy.stats' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confbel.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"
+    assert os.path.exists(out)

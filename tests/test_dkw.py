@@ -166,22 +166,24 @@ def test_ecdf_is_computed_once_and_sample_stays_frozen():
         s.values[0] = 5.0
 
 
-def test_plaus_grid_reads_the_null_table_once(monkeypatch):
-    bundle = dkw_bundle(100, MCConfig(reps=2_000, seed=23))
-    truth = bundle.theta_grid_hint[0]
-    x = bundle.data_replicates(truth, 1, MCConfig(reps=1, seed=3))[0]
-    cands = bundle.candidates_for(x)
-    assert len(cands) == 10
-    calls = []
-    table = dkw.ks_null_sample
+def test_dkw_paths_never_build_the_null_table(monkeypatch):
+    # the contour and the support mass read the exact law; the Monte Carlo
+    # table is only the oracle of test_ks_null_sample_against_exact_law
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dkw path built the Monte Carlo K_n table")
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return table(*args, **kwargs)
-
-    monkeypatch.setattr(dkw, "ks_null_sample", counting)
-    bundle.plaus_grid(x, cands)
-    assert len(calls) == 1
+    monkeypatch.setattr(dkw, "ks_null_sample", refuse)
+    for n in (100, 799):
+        bundle = dkw_bundle(n)
+        truth = bundle.theta_grid_hint[0]
+        x = bundle.data_replicates(truth, 1, MCConfig(reps=1, seed=3))[0]
+        cands = bundle.candidates_for(x)
+        assert len(cands) == 10
+        assert bundle.plaus_grid(x, cands).shape == (10,)
+        assert bundle.contour_at_truth(bundle.sampling.sample(truth, MCConfig(reps=50, seed=4)), truth).shape == (50,)
+        _, lower, _ = dkw.dkw_band(x, 0.05)
+        assert 0.0 <= dkw.dkw_contour(x, lower)[1] <= 1.0
+        assert 0.95 <= bundle.random_set.mass_at(0.05, None, MC) <= 1.0
 
 
 def test_sup_norm_rejects_non_cdf():
@@ -197,7 +199,7 @@ def test_alpha_index_at_band_edge_recovers_level():
     for alpha in (0.05, 0.1, 0.32):
         _, lower, _ = dkw.dkw_band(sample, alpha)
         d = dkw.sup_norm(sample, lower)
-        idx, _ = dkw.dkw_contour(sample, lower, MC)
+        idx, _ = dkw.dkw_contour(sample, lower)
         assert d == pytest.approx(dkw.dkw_delta(799, alpha), abs=1e-15)
         assert idx == pytest.approx(alpha, abs=1e-12)
 
@@ -205,10 +207,10 @@ def test_alpha_index_at_band_edge_recovers_level():
 def test_alpha_index_caps_at_one():
     sample = dkw.synthetic_sample(50)
     d = dkw.sup_norm(sample, sample.ecdf())
-    idx, _ = dkw.dkw_contour(sample, sample.ecdf(), MC)
+    idx, _ = dkw.dkw_contour(sample, sample.ecdf())
     assert d == 0.0
     assert idx == 1.0
-    assert dkw.dkw_contour(sample, sample.ecdf(), MC) == (1.0, 1.0)
+    assert dkw.dkw_contour(sample, sample.ecdf()) == (1.0, 1.0)
 
 
 def test_ks_null_sample_against_exact_law():
@@ -228,18 +230,47 @@ def test_dkw_contour_matches_exact_tail():
     sample = dkw.synthetic_sample(799)
     truth = unit_exp()
     d = dkw.sup_norm(sample, truth)
-    _, pl = dkw.dkw_contour(sample, truth, MC)
-    want = stats.kstwo.sf(d, 799)
-    se = np.sqrt(max(want * (1 - want), 1e-8) / MC.reps)
-    assert pl == pytest.approx(want, abs=4 * se + 1e-4)
+    _, pl = dkw.dkw_contour(sample, truth)
+    assert pl == pytest.approx(stats.kstwo.sf(d, 799), abs=1e-10)
 
 
 def test_support_mass_respects_band_bound():
-    rs = dkw.random_set(799)
-    for alpha in (0.05, 0.1, 0.25, 0.5):
-        mass = rs.mass_at(alpha, None, MC)
-        se = np.sqrt(alpha * (1 - alpha) / MC.reps)
-        assert mass >= 1.0 - alpha - 3 * se  # the inequality leaves slack
+    # Massart's constant: the DKW band covers with probability >= 1 - alpha
+    for n in (60, 799, 5000):
+        rs = dkw.random_set(n)
+        for alpha in (0.001, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.9):
+            delta = dkw.dkw_delta(n, alpha)
+            mass = rs.mass_at(alpha, None, MC)
+            assert mass >= 1.0 - alpha
+            assert mass == pytest.approx(1.0 - stats.kstwo.sf(delta, n), abs=1e-10)
+            # For n > 140 and 2.2 <= n delta^2 < 18 scipy's cdf takes Pelz-Good
+            # and its sf takes twice the one-sided tail; they differ by up to
+            # 1.8e-8 there (n = 5000, alpha = 0.02).  The mass is 1 - sf, the
+            # law the contour reads.
+            assert mass == pytest.approx(stats.kstwo.cdf(delta, n), abs=3e-8)
+
+
+def _ks_sf_grid(n: int) -> np.ndarray:
+    """A grid over (0, 1] with points on, just inside and just outside every
+    branch edge of ks_sf: n d = 1, n d^2 = 2.2 and 370, n d^(3/2) = 1.4,
+    d = 0.5 and d = 1 - 1/n."""
+    edges = np.array([1.0 / n, np.sqrt(2.2 / n), np.sqrt(370.0 / n), (1.4 / n) ** (2.0 / 3.0), 0.5, 1.0 - 1.0 / n])
+    near = edges[:, None] * np.array([1.0 - 1e-3, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-3])
+    d = np.concatenate((np.linspace(0.0, 1.0, 401)[1:], np.geomspace(1e-4, 1.0, 200), near.ravel()))
+    return np.unique(d[(d > 0.0) & (d <= 1.0)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 60, 140, 141, 500, 799, 5000])
+def test_ks_sf_matches_kstwo(n):
+    d = _ks_sf_grid(n)
+    got = dkw.ks_sf(n, d)
+    want = stats.kstwo.sf(d, n)
+    assert np.all(np.abs(got - want) <= 1e-10)
+    tail = want >= 1e-300
+    assert np.all(np.abs(got - want)[tail] <= 1e-9 * want[tail])
+    # one point at a time reads the same bits as the whole array
+    assert [dkw.ks_sf(n, float(x)) for x in d] == got.tolist()
+    assert dkw.ks_sf(n, d.reshape(-1, 1)).tolist() == got.reshape(-1, 1).tolist()
 
 
 def test_random_set_nested():

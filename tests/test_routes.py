@@ -165,26 +165,25 @@ def test_contour_at_truth_is_plaus_grid(name):
 def test_dkw_contour_at_truth_is_dkw_contour_row_by_row():
     # About one row in eight sits close enough to the truth that the index
     # caps at 1; the batch route must apply the same cap.
-    n, mc = 100, MCConfig(reps=20_000, seed=23)
-    bundle = dkw_bundle(n, mc)
+    n = 100
+    bundle = dkw_bundle(n)
     truth = bundle.theta_grid_hint[0]
     rows = bundle.sampling.sample(truth, MCConfig(reps=500, seed=4))
-    want = [dkw.dkw_contour(dkw.EmpiricalSample(r), truth, mc)[1] for r in rows]
+    want = [dkw.dkw_contour(dkw.EmpiricalSample(r), truth)[1] for r in rows]
     got = bundle.contour_at_truth(rows, truth)
     assert np.sum(got == 1.0) > 20
     assert got.tolist() == want
 
 
 def test_dkw_grid_routes_are_per_candidate_routes():
-    mc = MCConfig(reps=20_000, seed=23)
-    bundle = dkw_bundle(100, mc)
+    bundle = dkw_bundle(100)
     truth = bundle.theta_grid_hint[0]
     for x in bundle.data_replicates(truth, 8, MCConfig(reps=8, seed=5)):
         _, lower, _ = dkw.dkw_band(x, 0.2)
         # the band edge and the truth itself reach the union-of-jumps and the
         # continuous branches of the distance; the shifted candidates share x's jumps
         cands = [*bundle.candidates_for(x), lower, x.ecdf(), truth]
-        assert bundle.plaus_grid(x, cands).tolist() == [dkw.dkw_contour(x, c, mc)[1] for c in cands]
+        assert bundle.plaus_grid(x, cands).tolist() == [dkw.dkw_contour(x, c)[1] for c in cands]
         for alpha in (0.01, 0.05, 0.1, 0.2, 0.5):
             got = bundle.member_grid(x, alpha, cands)
             assert got.tolist() == [bool(dkw.member(x, alpha, c)) for c in cands], alpha
