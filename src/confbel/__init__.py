@@ -42,7 +42,6 @@ from .contours import (
 from .fusion import (
     Association,
     CompatibilityReport,
-    ModelInconsistencyError,
     NestednessReport,
     RandomSetFamily,
     alpha_index,
@@ -51,6 +50,7 @@ from .fusion import (
     focal_set,
     fused_contour,
     support_mass,
+    support_of,
     theta_specific_plaus,
 )
 from .mc import MCConfig

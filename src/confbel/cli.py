@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .audit import DEFAULT_ALPHA_GRID, contour_validity_audit, coverage_probability, ks_uniform
 from .contours import ConsonanceError, GridSpec, NestednessError, as_alpha
-from .fusion import ModelInconsistencyError, check_compatibility
+from .fusion import check_compatibility
 from .mc import MCConfig
 from .models import REGISTRY, behrens_fisher, binomial, dkw, fieller, normal_mean, uniform_loc
 from .reportio import write_rows
@@ -27,7 +27,6 @@ SEED_ENV_VAR = "CONFBEL_SEED"
 _NUMERICAL_ERRORS = (
     ConsonanceError,
     NestednessError,
-    ModelInconsistencyError,
     fieller.NonMonotoneError,
     FloatingPointError,
 )
@@ -301,11 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"confbel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_out: str, reps: int):
+    def common(p, default_out: str, reps: int | None):
         p.add_argument("--out", default=default_out, help="output path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0, help=f"RNG seed (falls back to ${SEED_ENV_VAR})")
-        p.add_argument("--reps", type=int, default=reps, help="Monte Carlo replications")
+        if reps is not None:  # None: the subcommand draws nothing
+            p.add_argument("--reps", type=int, default=reps, help="Monte Carlo replications")
         p.add_argument("--config", default=None, help="key=value defaults file (flags win)")
 
     p = sub.add_parser("fig1", help="calibration failure of the |theta| confidence distribution")
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("binom", help="exact-tail vs fused binomial contours on a theta grid")
-    common(p, "confbel_binom.csv", 1)
+    common(p, "confbel_binom.csv", None)
     p.add_argument("--n", type=int, default=25)
     p.add_argument("--x", type=int, default=17)
     p.add_argument("--grid-points", type=int, default=512)
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bf)
 
     p = sub.add_parser("dkw", help="distribution-free CDF band with the fused contour of its lower edge")
-    common(p, "confbel_dkw.csv", 100_000)
+    common(p, "confbel_dkw.csv", None)
     p.add_argument("--n", type=int, default=799, help="size of the synthetic sample")
     p.add_argument("--sample-seed", type=int, default=1404, help="seed of the synthetic sample")
     p.add_argument("--data", default=None, help="CSV of raw values (overrides the synthetic sample)")

@@ -221,7 +221,6 @@ class ConfidenceFamily:
     member: Callable[..., bool]
     center: Callable[..., Point]
     member_batch: Callable[..., np.ndarray] | None = None
-    param_dim: int = 1
 
     def __post_init__(self) -> None:
         if self.member_batch is None:

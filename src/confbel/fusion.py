@@ -1,18 +1,29 @@
 """Valid fused inference built on predictive random sets.
 
 Given a sampling association ``X = a(theta, U)`` with auxiliary ``U ~ P_U``
-and a nested family of confidence regions ``C_alpha`` for an interest
-parameter ``phi(theta)``, fusion converts the regions into subsets of the
-auxiliary space,
+and the nested family of confidence regions ``C_alpha`` that the association
+carries, fusion converts the regions into subsets of the auxiliary space,
 
-    S_alpha(theta) = closure{u : C_alpha(a(theta, u)) contains phi(theta)},
+    S_alpha(theta) = {u : theta in C_alpha(a(theta, u))},
 
 and uses ``{S_alpha}`` as the supports of a predictive random set whose
 containment law is ``P{S inside K} = sup{P_U(S_alpha) : S_alpha inside K}``.
-Writing ``alpha(x, theta) = sup{alpha : S_alpha(theta) meets U_x(theta)}`` for
-the index of the smallest support meeting the observed fiber
-``U_x(theta) = {u : x = a(theta, u)}``, the plausibility of the singleton
-truth is
+Two facts follow from that form, and this module is built on them.
+
+* The support is the family's own membership read through the association
+  (:func:`support_of`); no model writes it in auxiliary coordinates.
+* The index ``alpha(x, theta)`` of the smallest support meeting
+  ``{u : x = a(theta, u)}`` is the confidence contour at theta.  Every such
+  ``u`` has ``a(theta, u) = x``, so ``S_alpha(theta)`` meets the set, when
+  it is non-empty, exactly when ``theta in C_alpha(x)``, and
+
+      alpha(x, theta) = sup{alpha : theta in C_alpha(x)},
+
+  which :func:`contour_from_family` evaluates (:func:`alpha_index`).  Where
+  no ``u`` maps theta to x the supremum is over an empty set, 0, and the
+  shipped families read 0 there too.
+
+The plausibility of the singleton truth is
 
     pl_x({theta}) = 1 - sup{P_U(S_alpha) : alpha > alpha(x, theta)},
 
@@ -23,9 +34,8 @@ regions have their nominal coverage.
 The supremum over ``alpha`` above the index is evaluated as the support mass
 just beyond the index (a nudge of twice the bisection tolerance), which is the
 right limit the construction calls for; continuous models lose at most the
-nudge, and models with atoms override with exact closed forms.  An index that
-reaches the upper clamp means the fiber meets every support, and the
-plausibility is exactly 1.
+nudge, and models with atoms override with exact closed forms.  An index of 1
+means every support meets the observation, and the plausibility is exactly 1.
 """
 
 from __future__ import annotations
@@ -37,9 +47,9 @@ from typing import Callable
 import numpy as np
 
 from .contours import (
-    ALPHA_BISECT_LEVELS,
     ALPHA_BISECT_TOL,
     NORMALIZATION_TOL,
+    ConfidenceFamily,
     ConsonanceError,
     GridSpec,
     IntervalUnion,
@@ -47,37 +57,35 @@ from .contours import (
     Point,
     Region,
     as_alpha,
-    bisect,
+    contour_from_family,
 )
 from .mc import MCConfig
 
-ALPHA_CLAMP_LO = 1e-9
 ALPHA_CLAMP_HI = 1.0 - 1e-9
 
 _COMPAT_STARVATION_RATE = 1e-4
 _COMPAT_SCAN_CAP = 10_000
 
 
-class ModelInconsistencyError(RuntimeError):
-    """The observed data has an empty fiber under the association."""
-
-
 @dataclass(frozen=True)
 class Association:
-    """Sampling association ``x = forward(theta, u)`` with its fiber geometry.
+    """Sampling association ``x = forward(theta, u)`` and the confidence
+    family it carries.
 
-    ``fiber(x, theta)`` returns an array of auxiliary points (one per row)
-    whose support membership decides whether a support meets the full fiber;
-    a single row suffices when the association is invertible in ``u``.
-    ``focal(x, u)`` is the focal set ``{theta : x = forward(theta, u)}`` as a
-    region; return an empty :class:`IntervalUnion` when no parameter fits.
-    ``compat_witness``, when present, maps ``x`` to the auxiliary point most
-    capable of explaining it regardless of ``theta`` (used by the
-    compatibility check before any sampling).
+    ``forward`` maps one auxiliary row to one dataset, and a stack of rows
+    (leading axis) to a stack of datasets, in the form ``family.member``
+    reads.  ``family.member(x, alpha, theta)`` takes the association's full
+    parameter; the supports and the alpha index are derived from it
+    (:func:`support_of`, :func:`alpha_index`).  ``focal(x, u)`` is the focal
+    set ``{theta : x = forward(theta, u)}`` as a region; return an empty
+    :class:`IntervalUnion` when no parameter fits.  ``compat_witness``, when
+    present, maps ``x`` to the auxiliary point most capable of explaining it
+    regardless of ``theta`` (used by the compatibility check before any
+    sampling).
     """
 
     forward: Callable[..., object]
-    fiber: Callable[..., np.ndarray]
+    family: ConfidenceFamily
     focal: Callable[..., Region]
     compat_witness: Callable[..., np.ndarray] | None = None
 
@@ -88,9 +96,8 @@ class RandomSetFamily:
 
     ``support_member(u, alpha, theta)`` evaluates the closed support
     ``S_alpha(theta)`` at each row of ``u`` (non-strict inequalities; the
-    closure convention matters for the containment law).  It broadcasts over
-    alpha: :func:`alpha_index` passes a column of levels, shape ``(k, 1)``,
-    and reads a ``(k, rows)`` answer.  ``mass`` returns
+    closure convention matters for the containment law).  Every shipped model
+    passes :func:`support_of` of its association.  ``mass`` returns
     ``P_U(S_alpha(theta))``; leave it None to estimate by Monte Carlo through
     ``aux_sampler``, which is also what the structural checks draw from.
     """
@@ -116,6 +123,12 @@ def _cached_draws(rs: RandomSetFamily, mc: MCConfig) -> np.ndarray:
     return rs.aux_sampler(mc)
 
 
+def support_of(assoc: Association) -> Callable[..., np.ndarray]:
+    """``S_alpha(theta) = {u : theta in C_alpha(forward(theta, u))}`` as a
+    ``support_member``: the family's membership read through the association."""
+    return lambda u, alpha, theta: assoc.family.member(assoc.forward(theta, u), alpha, theta)
+
+
 def focal_set(assoc: Association, x, u) -> Region:
     """The set of parameters mapping ``u`` to the observed ``x``."""
     return assoc.focal(x, u)
@@ -126,36 +139,11 @@ def support_mass(rs: RandomSetFamily, alpha, theta, mc: MCConfig) -> float:
     return rs.mass_at(as_alpha(alpha), theta, mc)
 
 
-def alpha_index(
-    assoc: Association,
-    rs: RandomSetFamily,
-    x,
-    theta,
-    tol: float = ALPHA_BISECT_TOL,
-) -> float:
-    """Largest alpha whose support still meets the observed fiber.
-
-    Bisection over the clamped range [1e-9, 1 - 1e-9], both clamps probed in
-    one call; intersection at the upper clamp is reported as exactly 1 (the
-    fiber meets every support), and no intersection at the lower clamp as
-    exactly 0.
-    """
-    witnesses = np.asarray(assoc.fiber(x, theta))
-    if witnesses.size == 0:
-        raise ModelInconsistencyError(
-            f"data {x!r} has an empty fiber at theta={theta!r}; "
-            "the observation is impossible under the association"
-        )
-
-    def intersects(alphas: np.ndarray) -> np.ndarray:
-        return np.any(rs.support_member(witnesses, alphas[:, None], theta), axis=-1)
-
-    meets_lo, meets_hi = intersects(np.array([ALPHA_CLAMP_LO, ALPHA_CLAMP_HI])).tolist()
-    if not meets_lo:
-        return 0.0
-    if meets_hi:
-        return 1.0
-    return bisect(intersects, ALPHA_CLAMP_LO, ALPHA_CLAMP_HI, tol, ALPHA_BISECT_LEVELS)
+def alpha_index(assoc: Association, x, theta, tol: float = ALPHA_BISECT_TOL) -> float:
+    """Largest alpha whose support still meets ``{u : x = forward(theta, u)}``:
+    the confidence contour of the association's family at theta (see the
+    module docstring)."""
+    return contour_from_family(assoc.family, x, theta, tol)
 
 
 def theta_specific_plaus(
@@ -171,7 +159,7 @@ def theta_specific_plaus(
     One minus the support mass just above the alpha index; exactly 1 when the
     index is capped at 1.
     """
-    a = alpha_index(assoc, rs, x, theta, tol)
+    a = alpha_index(assoc, x, theta, tol)
     if a >= 1.0:
         return 1.0
     nudged = min(a + 2.0 * tol, ALPHA_CLAMP_HI)
@@ -319,28 +307,17 @@ def check_compatibility(
     """Can the level-``alpha`` support explain the observation at all?
 
     Compatible when some ``u`` in ``S_alpha(theta)`` has a non-empty focal
-    set.  Deterministic witnesses are tried first (the association's
-    ``compat_witness`` and the fiber points at ``theta``); only then does the
-    check fall back to scanning sampled support members, whose focal sets can
-    all be empty for singular associations even when a witness exists.
+    set.  The association's ``compat_witness`` is tried first; only then does
+    the check fall back to scanning sampled support members, whose focal sets
+    can all be empty for singular associations even when a witness exists.
     Starvation (acceptance below 1e-4) yields an inconclusive verdict rather
     than a false negative.
     """
     a = as_alpha(alpha)
-    candidates: list[np.ndarray] = []
     if assoc.compat_witness is not None:
-        candidates.append(np.atleast_2d(np.asarray(assoc.compat_witness(x), dtype=float)))
-    try:
-        fiber_pts = np.asarray(assoc.fiber(x, theta))
-        if fiber_pts.size:
-            candidates.append(np.atleast_2d(fiber_pts))
-    except ModelInconsistencyError:
-        pass
-    for block in candidates:
-        inside = np.asarray(rs.support_member(block, a, theta), dtype=bool)
-        for u, ok in zip(block, inside):
-            if ok and _region_nonempty(assoc.focal(x, u)):
-                return CompatibilityReport("compatible", float("nan"), len(block), u)
+        u = np.asarray(assoc.compat_witness(x), dtype=float)
+        if rs.support_member(u[None], a, theta)[0] and _region_nonempty(assoc.focal(x, u)):
+            return CompatibilityReport("compatible", float("nan"), 1, u)
 
     draws = _cached_draws(rs, mc)
     member = np.asarray(rs.support_member(draws, a, theta), dtype=bool)

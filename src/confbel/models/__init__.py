@@ -187,7 +187,7 @@ def dkw_bundle(n: int = 799) -> ModelBundle:
     )
     return ModelBundle(
         name="dkw",
-        family=ConfidenceFamily(member=dkw.member, center=lambda x: x.ecdf()),
+        family=dkw.family(),
         random_set=dkw.random_set(n),
         sampling=dkw.sampling(n),
         contour_at_truth=lambda xs, truth: dkw.plaus_of_distance(n, dkw.distance(xs, truth)),

@@ -7,15 +7,21 @@ sizes.  The conservative interval family is
     f = sqrt(v1/n1 + v2/n2),            dof = min(n1, n2) - 1,
 
 with contour ``2(1 - F_dof(|t|))`` at ``t = (d - phi)/f``.  Fusing through the
-association ``d = phi + f(sigma) U1``, ``v_k = sigma_k^2 U_{2k}`` (U1 standard
-normal, U_{2k} scaled chi-square means) turns the family into supports
+association on ``theta = (phi, s1, s2)``,
+
+    d = phi + f(sigma) U1,   v_k = s_k U_{2k},   f(sigma) = sqrt(s1/n1 + s2/n2),
+
+(U1 standard normal, U_{2k} scaled chi-square means; the scale is the true
+variances' ``f(sigma)``, not the observed ``f``) turns the family into supports
 
     S_alpha(theta) = {u : T_lambda(u) <= t*_alpha},
     T_lambda = |u1| / sqrt(lambda u21 + (1 - lambda) u22),
 
 where ``lambda = (s1/n1) / (s1/n1 + s2/n2)`` depends only on the variance part
-of ``theta``.  The observed statistic ``T_lambda`` at the fiber point equals
-``|t|`` for every theta in a phi-fiber, so the theta-specific plausibility is
+of ``theta``.  The auxiliary point that maps theta to the data,
+``u = ((d - phi) / f(sigma), v1/s1, v2/s2)``, has ``T_lambda = |d - phi| / f
+= |t|`` for every theta with the same phi, so the theta-specific plausibility
+is
 
     pl = 1 - P{T_lambda <= t*_{alpha*(phi)}} = P{T_lambda > |t|},
 
@@ -41,7 +47,7 @@ from scipy import special
 from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridRegion, GridSpec, Interval
-from ..fusion import Association, RandomSetFamily
+from ..fusion import Association, RandomSetFamily, support_of
 from ..mc import MCConfig
 from ..reportio import read_csv
 
@@ -128,11 +134,16 @@ def hs_interval(data: BehrensFisherData, alpha: float) -> Interval:
     return Interval(data.diff - tstar * data.se, data.diff + tstar * data.se)
 
 
-def _diff_se(x, n1: int, n2: int):
-    """``(d, f)`` of a :class:`BehrensFisherData` or of (m1, m2, v1, v2) rows."""
+def _summary(x) -> np.ndarray:
+    """(m1, m2, v1, v2) of a :class:`BehrensFisherData`, or the rows as given."""
     if isinstance(x, BehrensFisherData):
         x = (x.m1, x.m2, x.v1, x.v2)
-    x = np.asarray(x, dtype=float)
+    return np.asarray(x, dtype=float)
+
+
+def _diff_se(x, n1: int, n2: int):
+    """``(d, f)`` of a :class:`BehrensFisherData` or of (m1, m2, v1, v2) rows."""
+    x = _summary(x)
     return x[..., 0] - x[..., 1], np.sqrt(x[..., 2] / n1 + x[..., 3] / n2)
 
 
@@ -193,46 +204,40 @@ def slice_plaus(n1: int, n2: int, x, lam: float, phi, mc: MCConfig) -> np.ndarra
 
 
 def bf_lambda_plaus(data: BehrensFisherData, phi, lam: float, mc: MCConfig) -> np.ndarray:
-    """Theta-specific fused plausibility along a fixed-lambda fiber slice."""
+    """Theta-specific fused plausibility along a fixed-lambda slice."""
     out = slice_plaus(data.n1, data.n2, data, lam, np.atleast_1d(np.asarray(phi, dtype=float)), mc)
     return out if np.ndim(phi) else float(out[0])
 
 
 # --------------------------------------------------------------------------
-# Association and random set on the reduced summary (d, v1, v2)
-
-
-def _reduce(x) -> tuple[float, float, float]:
-    if isinstance(x, BehrensFisherData):
-        return x.diff, x.v1, x.v2
-    d, v1, v2 = (float(v) for v in x)
-    return d, v1, v2
+# Association and random set on theta = (phi, s1, s2)
 
 
 def association(n1: int, n2: int) -> Association:
+    """``m1 - m2 = phi + f(sigma) u1``, ``v_k = s_k u_{2k}``, with
+    ``f(sigma) = sqrt(s1/n1 + s2/n2)``; the data are (m1, m2, v1, v2) rows
+    with ``m2 = 0``, and the family reads ``phi = theta[0]``."""
+
     def forward(theta, u):
         phi, s1, s2 = float(theta[0]), float(theta[-2]), float(theta[-1])
-        u = np.ravel(np.asarray(u, dtype=float))
-        f = np.sqrt(s1 * u[1] / n1 + s2 * u[2] / n2)
-        return (phi + f * u[0], s1 * u[1], s2 * u[2])
-
-    def fiber(x, theta):
-        d, v1, v2 = _reduce(x)
-        phi, s1, s2 = float(theta[0]), float(theta[-2]), float(theta[-1])
-        f = np.sqrt(v1 / n1 + v2 / n2)
-        return np.asarray([[(d - phi) / f, v1 / s1, v2 / s2]])
+        u = np.asarray(u, dtype=float)
+        d = phi + np.sqrt(s1 / n1 + s2 / n2) * u[..., 0]
+        return np.stack([d, np.zeros_like(d), s1 * u[..., 1], s2 * u[..., 2]], axis=-1)
 
     def focal(x, u):
-        d, v1, v2 = _reduce(x)
+        m1, m2, v1, v2 = _summary(x)
         u = np.ravel(np.asarray(u, dtype=float))
         s1, s2 = v1 / u[1], v2 / u[2]
-        # forward's scale is sqrt(s1 u21/n1 + s2 u22/n2) == the observed se
-        phi = d - np.sqrt(v1 / n1 + v2 / n2) * u[0]
+        phi = m1 - m2 - np.sqrt(s1 / n1 + s2 / n2) * u[0]
         return GridRegion(np.asarray([[phi, s1, s2]]), [True])
 
+    phi_family = family(n1, n2)
     return Association(
         forward=forward,
-        fiber=fiber,
+        family=ConfidenceFamily(
+            member=lambda x, alpha, theta: phi_family.member(x, alpha, theta[0]),
+            center=lambda x: (x.diff, x.v1, x.v2),
+        ),
         focal=focal,
         compat_witness=lambda x: np.asarray([0.0, 1.0, 1.0]),
     )
@@ -241,17 +246,13 @@ def association(n1: int, n2: int) -> Association:
 def random_set(n1: int, n2: int) -> RandomSetFamily:
     dof = min(n1, n2) - 1
 
-    def support_member(u, alpha, theta):
-        lam = lambda_of(theta, n1, n2)
-        return t_lambda(u, lam) <= _t_quantile(dof, 1.0 - alpha / 2.0)
-
     def mass(alpha, theta, mc):
         lam = lambda_of(theta, n1, n2)
         t = t_lambda(pivotal_draws(n1, n2, mc), lam)
         return float(np.mean(t <= float(_t_quantile(dof, 1.0 - alpha / 2.0))))
 
     return RandomSetFamily(
-        support_member=support_member,
+        support_member=support_of(association(n1, n2)),
         aux_sampler=lambda mc: pivotal_draws(n1, n2, mc),
         mass=mass,
     )

@@ -37,7 +37,7 @@ from scipy import special
 from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridRegion, GridSpec
-from ..fusion import Association, RandomSetFamily
+from ..fusion import Association, RandomSetFamily, support_of
 from ..mc import MCConfig
 
 
@@ -171,17 +171,8 @@ def family(n: int) -> ConfidenceFamily:
 
 def association(n: int) -> Association:
     def forward(theta, u):
-        table = dist.binom_cdf_table(n, theta)
-        return int(np.searchsorted(table, u, side="left"))
-
-    def fiber(x, theta):
-        x = int(x)
-        table = dist.binom_cdf_table(n, float(theta))
-        f1 = 0.0 if x == 0 else table[x - 1]
-        f2 = table[x]
-        if f2 - f1 <= 1e-300:
-            return np.empty((0, 1))
-        return np.asarray([[0.5 * (f1 + f2)]])
+        # x = min{k : F_theta(k) >= u} for every entry of u; the table ends at 1
+        return np.searchsorted(dist.binom_cdf_table(n, float(theta)), u, side="left")
 
     def focal(x, u):
         # {theta : F_theta(x-1) < u <= F_theta(x)}, an interval in theta
@@ -192,20 +183,7 @@ def association(n: int) -> Association:
         mask = (f1 < u) & (u <= f2)
         return GridRegion(grid, mask)
 
-    return Association(forward=forward, fiber=fiber, focal=focal)
-
-
-def support_member(n: int):
-    def member(u, alpha, theta):
-        u = np.ravel(np.asarray(u, dtype=float))
-        table = dist.binom_cdf_table(n, float(theta))
-        xs = np.searchsorted(table, u, side="left")
-        xs = np.clip(xs, 0, n)
-        f1 = np.where(xs == 0, 0.0, table[np.maximum(xs - 1, 0)])
-        f2 = table[xs]
-        return (f2 >= alpha / 2.0) & (1.0 - f1 >= alpha / 2.0)
-
-    return member
+    return Association(forward=forward, family=family(n), focal=focal)
 
 
 def exact_mass(n: int, alpha: float, theta: float) -> float:
@@ -219,7 +197,7 @@ def exact_mass(n: int, alpha: float, theta: float) -> float:
 
 def random_set(n: int) -> RandomSetFamily:
     return RandomSetFamily(
-        support_member=support_member(n),
+        support_member=support_of(association(n)),
         aux_sampler=lambda mc: mc.uniforms(),
         mass=lambda alpha, theta, mc: exact_mass(n, alpha, theta),
     )

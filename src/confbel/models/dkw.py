@@ -41,8 +41,8 @@ import numpy as np
 from scipy import special
 
 from ..audit import SamplingModel
-from ..contours import PredicateRegion, IntervalUnion
-from ..fusion import Association, RandomSetFamily
+from ..contours import ConfidenceFamily, IntervalUnion, PredicateRegion
+from ..fusion import Association, RandomSetFamily, support_of
 from ..mc import MCConfig
 from ..reportio import read_csv
 
@@ -194,11 +194,10 @@ def _index(n: int, d):
 
 def ks_distances(u: np.ndarray) -> np.ndarray:
     """Row-wise sup-norm distance of the empirical CDF of u from the identity."""
-    u = np.sort(u, axis=1)
-    n = u.shape[1]
-    i = np.arange(1, n + 1) / n
-    d_plus = np.max(i[None, :] - u, axis=1)
-    d_minus = np.max(u - (np.arange(n) / n)[None, :], axis=1)
+    u = np.sort(u, axis=-1)
+    n = u.shape[-1]
+    d_plus = np.max(np.arange(1, n + 1) / n - u, axis=-1)
+    d_minus = np.max(u - np.arange(n) / n, axis=-1)
     return np.maximum(d_plus, d_minus)
 
 
@@ -360,7 +359,7 @@ def _pelz_good_cdf(n: int, d: np.ndarray) -> np.ndarray:
 
 def plaus_of_distance(n: int, d):
     """Fused plausibility ``P{K_n >= D}`` by the exact law, or exactly 1 where
-    the index caps (D small enough that every support meets the fiber).
+    the index caps (D small enough that the candidate lies in every band).
     Broadcasts over D."""
     d = np.asarray(d, dtype=float)
     pl = np.ones(d.shape)
@@ -377,8 +376,8 @@ def dkw_contour(sample: EmpiricalSample, candidate) -> tuple[float, float]:
 
 def distance(x, candidate):
     """Sup-norm distance of the empirical CDF from ``candidate``: exact for one
-    :class:`EmpiricalSample` (step or continuous candidate), row-wise for a
-    stack of sorted samples (continuous candidate)."""
+    :class:`EmpiricalSample` (step or continuous candidate), row-wise for one
+    sorted sample or a stack of them (continuous candidate)."""
     if isinstance(x, EmpiricalSample):
         return sup_norm(x, candidate)
     return ks_distances(candidate(np.asarray(x, dtype=float)))
@@ -391,10 +390,9 @@ def member(x, alpha, candidate):
     return distance(x, candidate) <= dkw_delta(n, alpha)
 
 
-def support_member(u, alpha, theta=None):
-    """Closed support membership: ``K_n(u) <= delta(n, alpha)`` (F-free)."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    return ks_distances(u) <= dkw_delta(u.shape[1], alpha)
+def family() -> ConfidenceFamily:
+    """The DKW bands; the empirical CDF lies in every one of them."""
+    return ConfidenceFamily(member=member, center=lambda x: x.ecdf())
 
 
 def random_set(n: int) -> RandomSetFamily:
@@ -402,29 +400,36 @@ def random_set(n: int) -> RandomSetFamily:
         return 1.0 - ks_sf(n, dkw_delta(n, alpha))
 
     return RandomSetFamily(
-        support_member=support_member,
+        support_member=support_of(association(n)),
         aux_sampler=lambda mc: mc.generator().random((mc.reps, n)),
         mass=mass,
     )
 
 
 def association(n: int) -> Association:
+    """``X_(i) = F^{-1}(U_(i))``: a candidate's quantile transform of sorted
+    uniforms.  The mid-ranks ``(i + 1/2) / n`` lie in every support
+    (``K_n = 1/(2n)``) and fit every sample, so they witness compatibility."""
+
     def forward(candidate, u):
         if not hasattr(candidate, "quantile"):
             raise TypeError("forward needs a candidate with a quantile transform")
-        return EmpiricalSample(candidate.quantile(np.ravel(np.asarray(u, dtype=float))))
+        return np.sort(candidate.quantile(np.asarray(u, dtype=float)), axis=-1)
 
-    def fiber(sample, candidate):
-        return _on(candidate, sample.values)[None, :]
-
-    def focal(sample, u):
+    def focal(x, u):
+        # both data forms are sorted, so a fitting u is sorted too
+        values = x.values if isinstance(x, EmpiricalSample) else np.asarray(x, dtype=float)
         u = np.ravel(np.asarray(u, dtype=float))
-        order = np.argsort(sample.values, kind="stable")
-        if np.any(np.diff(u[order]) < 0.0):
+        if np.any(np.diff(u) < 0.0):
             return _EMPTY
-        return PredicateRegion(lambda f: np.allclose(_on(f, sample.values), u, atol=1e-9))
+        return PredicateRegion(lambda f: np.allclose(_on(f, values), u, atol=1e-9))
 
-    return Association(forward=forward, fiber=fiber, focal=focal)
+    return Association(
+        forward=forward,
+        family=family(),
+        focal=focal,
+        compat_witness=lambda x: (np.arange(n) + 0.5) / n,
+    )
 
 
 def sampling(n: int) -> SamplingModel:

@@ -20,7 +20,7 @@ from scipy import special
 from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridSpec, Interval, PlausibilityContour
-from ..fusion import Association, RandomSetFamily
+from ..fusion import Association, RandomSetFamily, support_of
 from ..mc import MCConfig
 
 _NORMAL = dist.normal()
@@ -49,16 +49,15 @@ def family() -> ConfidenceFamily:
 def association() -> Association:
     return Association(
         forward=lambda theta, u: theta + u,
-        fiber=lambda x, theta: np.asarray([[x - theta]], dtype=float),
+        family=family(),
         focal=lambda x, u: Interval(float(x - np.ravel(u)[0]), float(x - np.ravel(u)[0])),
-        compat_witness=lambda x: np.asarray([0.0]),
+        compat_witness=lambda x: 0.0,
     )
 
 
 def random_set() -> RandomSetFamily:
     return RandomSetFamily(
-        support_member=lambda u, alpha, theta: np.abs(np.asarray(u, dtype=float)).reshape(len(u), -1)[:, 0]
-        <= _z(alpha),
+        support_member=support_of(association()),
         aux_sampler=lambda mc: dist.sample(_NORMAL, mc),
         mass=lambda alpha, theta, mc: 1.0 - alpha,
     )

@@ -30,7 +30,7 @@ import numpy as np
 from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridSpec, Interval, IntervalUnion, PlausibilityContour
-from ..fusion import Association, RandomSetFamily
+from ..fusion import Association, RandomSetFamily, support_of
 from ..mc import MCConfig
 
 _EMPTY = IntervalUnion(())
@@ -74,13 +74,14 @@ def family() -> ConfidenceFamily:
 
 
 def _index(num, den):
-    """``2 min(r, 1) / (1 + r)`` at ``r = num / den``, the fiber point's
-    ``u1 / (1 - u2)``, with the degenerate edges handled for every route."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """``2 min(r, 1) / (1 + r)`` at ``r = num / den``, the ratio
+    ``u1 / (1 - u2)`` of the auxiliary point ``x - theta``, with the
+    degenerate edges handled for every route."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = num / den
         val = 2.0 * np.minimum(r, 1.0) / (1.0 + r)
     # num == den == 0 happens only when the range equals 1 and theta is the
-    # single possible location; the fiber point is then in every support.
+    # single possible location; x - theta is then in every support.
     pinned = (np.abs(num) < 1e-14) & (np.abs(den) < 1e-14)
     return np.where(pinned, 1.0, np.where((num < 0.0) | (den <= 0.0), 0.0, val))
 
@@ -104,13 +105,6 @@ def contour(x) -> PlausibilityContour:
 
 
 def association() -> Association:
-    def fiber(x, theta):
-        x1, x2 = _split(x)
-        u = np.asarray([x1 - theta, x2 - theta], dtype=float)
-        if u[0] < 0.0 or u[1] > 1.0 or u[0] > u[1]:
-            return np.empty((0, 2))
-        return u[None, :]
-
     def focal(x, u):
         x1, x2 = _split(x)
         u = np.ravel(np.asarray(u, dtype=float))
@@ -123,27 +117,16 @@ def association() -> Association:
         return np.asarray([x[0] - th, x[1] - th], dtype=float)
 
     return Association(
-        forward=lambda theta, u: (theta + u[0], theta + u[1]),
-        fiber=fiber,
+        forward=lambda theta, u: theta + np.asarray(u, dtype=float),
+        family=family(),
         focal=focal,
         compat_witness=compat_witness,
     )
 
 
-def support_member(u, alpha, theta=None):
-    """Closed membership in S_alpha (theta-free)."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    u1, u2 = u[:, 0], u[:, 1]
-    slack = 1.0 - u2
-    valid = (u1 >= 0.0) & (u2 <= 1.0) & (u1 <= u2)
-    lo_ok = u1 * (2.0 - alpha) >= slack * alpha
-    hi_ok = u1 * alpha <= slack * (2.0 - alpha)
-    return valid & lo_ok & hi_ok
-
-
 def random_set(n: int) -> RandomSetFamily:
     return RandomSetFamily(
-        support_member=support_member,
+        support_member=support_of(association()),
         aux_sampler=lambda mc: dist.sample_uniform_minmax(n, mc),
         mass=lambda alpha, theta, mc: 1.0 - alpha,
     )

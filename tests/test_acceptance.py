@@ -221,7 +221,7 @@ def test_criterion_8_independent_route_equivalences():
     mass_ok = True
     for theta, alpha in ((0.3, 0.1), (0.62, 0.05), (0.5, 0.25)):
         exact = binomial.exact_mass(n, alpha, theta)
-        mc_est = float(np.mean(binomial.support_member(n)(u, alpha, theta)))
+        mc_est = float(np.mean(binomial.random_set(n).support_member(u, alpha, theta)))
         if abs(exact - mc_est) > 3.0 * math.sqrt(exact * (1.0 - exact) / reps):
             mass_ok = False
     g_ok = True
@@ -229,7 +229,7 @@ def test_criterion_8_independent_route_equivalences():
         astar = binomial.cp_contour(n, x, theta)
         assert 1e-3 < astar < 1.0
         g = binomial.binom_g(n, x, theta)
-        mc_est = float(np.mean(binomial.support_member(n)(u, astar + 1e-9, theta)))
+        mc_est = float(np.mean(binomial.random_set(n).support_member(u, astar + 1e-9, theta)))
         if abs(g - mc_est) > 3.0 * math.sqrt(g * (1.0 - g) / reps):
             g_ok = False
 

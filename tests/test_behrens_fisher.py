@@ -206,14 +206,13 @@ def test_family_coverage_nominal():
 
 def test_association_round_trip():
     assoc = bf.association(5, 11)
-    theta = (1.2, 4.0, 1.0)  # (phi, s1, s2)
-    x = (2.0, 3.1, 0.8)  # (d, v1, v2)
-    u = assoc.fiber(x, theta)
-    assert u.shape == (1, 3)
-    fwd = assoc.forward(theta, u[0])
-    assert_allclose(fwd, x, atol=1e-12)
-    focal = assoc.focal(x, u[0])
-    assert_allclose(np.ravel(focal.included()), theta, atol=1e-12)
+    u = bf.pivotal_draws(5, 11, MCConfig(reps=50, seed=9))
+    for theta in ((1.2, 4.0, 1.0), (-0.5, 0.3, 7.0)):  # (phi, s1, s2)
+        xs = assoc.forward(theta, u)
+        assert xs.shape == (50, 4)
+        for x, row in zip(xs, u):
+            assert_allclose(assoc.forward(theta, row), x, rtol=0.0, atol=0.0)
+            assert assoc.focal(x, row).contains(theta)
 
 
 def test_contour_at_truth_validity():

@@ -107,6 +107,20 @@ def test_config_key_naming_no_option_exits_2(tmp_path, capsys, text, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["binom", "dkw"])
+def test_reps_is_no_option_of_exact_commands(tmp_path, capsys, command):
+    # binom and dkw draw nothing, so neither takes --reps, on the command line or in a config file
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--reps", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("reps = 5\n")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "reps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_binom_artifact(tmp_path):
     out = tmp_path / "binom.csv"
     assert main(["binom", "--out", str(out)]) == 0
@@ -142,7 +156,7 @@ def test_bf_artifact(tmp_path):
 
 def test_dkw_artifact(tmp_path):
     out = tmp_path / "dkw.csv"
-    assert main(["dkw", "--out", str(out), "--n", "60", "--reps", "2000", "--seed", "3"]) == 0
+    assert main(["dkw", "--out", str(out), "--n", "60", "--seed", "3"]) == 0
     meta, rows = read_csv(out)
     assert len(rows) == 60
     assert set(rows[0]) == {"x", "ecdf", "lower", "upper"}
@@ -154,7 +168,7 @@ def test_dkw_reads_raw_data_file(tmp_path):
     data = tmp_path / "values.csv"
     data.write_text("value\n" + "\n".join(f"{v:.4f}" for v in np.linspace(0.1, 3.0, 12)) + "\n")
     out = tmp_path / "dkw.csv"
-    assert main(["dkw", "--data", str(data), "--out", str(out), "--reps", "500"]) == 0
+    assert main(["dkw", "--data", str(data), "--out", str(out)]) == 0
     meta, rows = read_csv(out)
     assert meta["n"] == "12"
     assert len(rows) == 12

@@ -275,24 +275,23 @@ def test_ks_sf_matches_kstwo(n):
 
 def test_random_set_nested():
     small = MCConfig(reps=4000, seed=61)
-    report = check_nested_support(dkw.random_set(40), None, (0.05, 0.1, 0.25, 0.5), small)
+    report = check_nested_support(dkw.random_set(40), unit_exp(), (0.05, 0.1, 0.25, 0.5), small)
     assert report.passed
 
 
 def test_association_round_trip():
     assoc = dkw.association(5)
     truth = unit_exp()
-    u = np.asarray([0.1, 0.3, 0.35, 0.7, 0.9])
-    sample = assoc.forward(truth, u)
-    assert isinstance(sample, dkw.EmpiricalSample)
-    assert np.allclose(sample.values, truth.quantile(u))
-    fiber = assoc.fiber(sample, truth)
-    assert fiber.shape == (1, 5)
-    assert np.allclose(np.sort(fiber[0]), u)
-    focal = assoc.focal(sample, fiber[0])
-    assert focal.contains(truth)
+    u = np.sort(MCConfig(reps=1, seed=9).generator().random((20, 5)), axis=1)
+    xs = assoc.forward(truth, u)
+    assert xs.shape == (20, 5)
+    assert np.allclose(xs, truth.quantile(u))
+    for x, row in zip(xs, u):
+        assert np.array_equal(assoc.forward(truth, row), x)
+        assert assoc.focal(x, row).contains(truth)
+        assert assoc.focal(dkw.EmpiricalSample(x), row).contains(truth)
     # an auxiliary out of order with the sorted data fits no monotone CDF
-    assert assoc.focal(sample, np.asarray([0.9, 0.1, 0.3, 0.5, 0.7])).is_empty
+    assert assoc.focal(xs[0], np.asarray([0.9, 0.1, 0.3, 0.5, 0.7])).is_empty
     with pytest.raises(TypeError):
         assoc.forward(lambda t: t, u)
 

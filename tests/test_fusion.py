@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,11 +11,9 @@ from scipy import optimize, special
 
 from confbel import distributions as dist
 from confbel import fusion
-from confbel.contours import ConsonanceError, GridSpec, Interval
+from confbel.contours import ConfidenceFamily, ConsonanceError, GridSpec, Interval
 from confbel.fusion import (
     EMPTY_REGION,
-    Association,
-    ModelInconsistencyError,
     RandomSetFamily,
     alpha_index,
     check_compatibility,
@@ -21,6 +21,7 @@ from confbel.fusion import (
     focal_set,
     fused_contour,
     support_mass,
+    support_of,
     theta_specific_plaus,
 )
 from confbel.mc import MCConfig
@@ -32,36 +33,32 @@ X_PAIR = (0.2, 0.9)  # observed (min, max) of the uniform-location model
 
 def test_alpha_index_matches_normal_closed_form():
     assoc = normal_mean.association()
-    rs = normal_mean.random_set()
     x = 0.4
     for theta in (-1.5, 0.0, 0.4, 1.1, 2.7):
-        got = alpha_index(assoc, rs, x, theta)
+        got = alpha_index(assoc, x, theta)
         want = 2.0 * special.ndtr(-abs(x - theta))
         assert got == pytest.approx(want, abs=2e-6)
 
 
 def test_alpha_index_clamps_exact():
     assoc = normal_mean.association()
-    rs = normal_mean.random_set()
-    assert alpha_index(assoc, rs, 0.4, 0.4) == 1.0
-    assert alpha_index(assoc, rs, 0.4, 40.0) == 0.0
+    assert alpha_index(assoc, 0.4, 0.4) == 1.0
+    assert alpha_index(assoc, 0.4, 40.0) == 0.0
 
 
 def test_alpha_index_matches_uniform_closed_form():
     assoc = uniform_loc.association()
-    rs = uniform_loc.random_set(10)
     for theta in (-0.05, 0.0, 0.1, 0.19):
-        got = alpha_index(assoc, rs, X_PAIR, theta)
+        got = alpha_index(assoc, X_PAIR, theta)
         want = uniform_loc.alpha_index_exact(X_PAIR, theta)
         assert got == pytest.approx(want, abs=2e-6)
 
 
-def test_alpha_index_empty_fiber_raises():
-    assoc = uniform_loc.association()
-    rs = uniform_loc.random_set(10)
-    # theta above the observed minimum cannot have produced the data
-    with pytest.raises(ModelInconsistencyError):
-        alpha_index(assoc, rs, X_PAIR, 0.5)
+def test_alpha_index_is_zero_off_the_support():
+    # theta above the observed minimum cannot have produced the data: no
+    # region contains it, and the supremum over an empty set is 0
+    assert uniform_loc.alpha_index_exact(X_PAIR, 0.5) == 0.0
+    assert alpha_index(uniform_loc.association(), X_PAIR, 0.5) == 0.0
 
 
 def test_theta_specific_plaus_uniform_exact():
@@ -172,16 +169,16 @@ def test_golden_refinement_near_zero_costs_no_more_than_away_from_it():
 
 
 def test_fused_contour_detects_normalization_failure():
-    # supports shrunk by half never meet the fiber at high alpha anywhere
-    assoc = normal_mean.association()
-    broken = RandomSetFamily(
-        support_member=lambda u, alpha, theta: np.abs(np.asarray(u, dtype=float)).reshape(len(u), -1)[:, 0]
-        <= 0.5 * dist.quantile(dist.normal(), 1.0 - alpha / 2.0) - 0.2,
-        aux_sampler=lambda mc: dist.sample(dist.normal(), mc),
-        mass=lambda alpha, theta, mc: 1.0 - alpha,
-    )
+    # a family whose intervals shrink below zero width at high alpha: the
+    # index, and with it the fused contour, peaks at about 0.69
+    def member(x, alpha, theta):
+        return np.abs(x - theta) <= 0.5 * dist.quantile(dist.normal(), 1.0 - alpha / 2.0) - 0.2
+
+    assoc = replace(normal_mean.association(), family=ConfidenceFamily(member=member, center=lambda x: x))
+    rs = replace(normal_mean.random_set(), support_member=support_of(assoc))
+    assert alpha_index(assoc, 0.4, 0.4) == pytest.approx(2.0 * special.ndtr(-0.4), abs=2e-6)
     with pytest.raises(ConsonanceError):
-        fused_contour(assoc, broken, 0.4, MC, search=GridSpec(-3.0, 3.0, 41))
+        fused_contour(assoc, rs, 0.4, MC, search=GridSpec(-3.0, 3.0, 41))
 
 
 def test_check_nested_support():
@@ -220,11 +217,7 @@ def test_check_compatibility_sampled_path():
 
 def test_check_compatibility_incompatible():
     # focal sets globally empty: nothing can explain the observation
-    assoc = Association(
-        forward=lambda theta, u: theta + u,
-        fiber=lambda x, theta: np.asarray([[x - theta]], dtype=float),
-        focal=lambda x, u: EMPTY_REGION,
-    )
+    assoc = replace(normal_mean.association(), focal=lambda x, u: EMPTY_REGION, compat_witness=None)
     report = check_compatibility(assoc, normal_mean.random_set(), 0.4, 0.0, 0.05, MC)
     assert report.status == "incompatible"
     assert not report.compatible
