@@ -11,6 +11,13 @@ Estimates are flagged when they exceed the nominal level by more than
 gets its own substream, and every alpha level within a point shares the same
 draws, so exceedance curves are monotone in alpha by construction and audit
 results are reproducible bit for bit from the Monte Carlo configuration.
+
+Replicates are drawn and reduced in row blocks of one stream
+(:meth:`MCConfig.blocks`), keeping one hit or one plausibility per replicate,
+so memory stays bounded by the block size whatever ``reps`` is.  The stream is
+counter-based and every sampler transforms each replicate's own uniforms, so
+the blocks are the whole draw bit for bit and every estimate is the float a
+single draw would give.
 """
 
 from __future__ import annotations
@@ -34,10 +41,17 @@ class SamplingModel:
 
     The return value is whatever the audited callables consume: a 1-d array
     for scalar data, an (reps, k) array for vector summaries.
+
+    ``draws_per_rep`` is the contract that lets the audits draw in blocks:
+    replicate ``i`` is a function of the stream's uniforms
+    ``i * draws_per_rep`` up to ``(i + 1) * draws_per_rep`` alone, read in
+    order from ``mc.generator()``.  Then a block at ``offset = start *
+    draws_per_rep`` reproduces rows ``start, start + 1, ...`` of one draw.
     """
 
     name: str
     sample: Callable[..., np.ndarray]
+    draws_per_rep: int
 
 
 @dataclass(frozen=True)
@@ -120,11 +134,18 @@ def coverage_probability(
     """Estimate ``P{C_alpha(X) contains phi(theta)}`` under truth ``theta``."""
     a = as_alpha(alpha)
     phi = interest(theta) if interest is not None else theta
-    xs = sampling.sample(theta, mc)
-    hits = np.asarray(family.member_batch(xs, a, phi), dtype=bool)
+    hits = _per_replicate(sampling, theta, mc, lambda xs: np.asarray(family.member_batch(xs, a, phi), dtype=bool))
     est = float(np.mean(hits))
     se = float(np.sqrt(est * (1.0 - est) / len(hits)))
     return CoverageEstimate(theta, a, est, se, len(hits))
+
+
+def _per_replicate(sampling: SamplingModel, theta, mc: MCConfig, reduce: Callable) -> np.ndarray:
+    """``reduce(xs)``, one value per replicate, over every replicate of ``mc``
+    under ``theta``, drawn and reduced one row block at a time."""
+    return np.concatenate(
+        [reduce(sampling.sample(theta, block)) for block in mc.blocks(sampling.draws_per_rep)]
+    )
 
 
 def _exceedance_rows(
@@ -154,13 +175,16 @@ def _validity_audit(
 ) -> AuditReport:
     """Exceedance rows of ``plaus_at_truth(xs, theta)`` at every truth, each
     truth on its own substream, with the provenance metadata of ``kind``."""
-    rows: list[AuditRow] = []
-    for i, theta in enumerate(theta_grid):
-        sub = mc.substream(i)
-        xs = sampling.sample(theta, sub)
+
+    def plaus(xs, theta):
         pls = np.asarray(plaus_at_truth(xs, theta), dtype=float)
         if pls.shape != (len(xs),):
             raise ValueError(f"{kind} audit: the plausibility callable must return one value per draw")
+        return pls
+
+    rows: list[AuditRow] = []
+    for i, theta in enumerate(theta_grid):
+        pls = _per_replicate(sampling, theta, mc.substream(i), lambda xs: plaus(xs, theta))
         rows.extend(_exceedance_rows(_label(theta), pls, alpha_grid, flag_sigma))
     meta = {
         "report": kind,

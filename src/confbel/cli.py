@@ -269,21 +269,32 @@ def cmd_audit(args, seed: int, seed_source: str) -> None:
             print(f"  flagged: theta={row.label} alpha={row.alpha} exceedance={row.exceedance:.4f}")
 
 
+def _truth(model: str, text: str, hints: tuple):
+    """The truth ``text`` names: one of the hint CDFs by name (dkw), else
+    comma-separated values of the hint truths' length."""
+    if hasattr(hints[0], "name"):
+        named = {h.name: h for h in hints}
+        if text not in named:
+            raise UsageError(f"coverage --model {model} takes a truth named {', '.join(named)}, got {text!r}")
+        return named[text]
+    size = np.size(hints[0])
+    theta = _csv_floats(text)
+    if len(theta) != size:
+        raise UsageError(f"coverage --model {model} takes a truth of {size} comma-separated value(s), got {text!r}")
+    return theta[0] if size == 1 else theta
+
+
 def cmd_coverage(args, seed: int, seed_source: str) -> None:
     mc = MCConfig(reps=args.reps, seed=seed)
-    theta = _csv_floats(args.theta)
     if args.model == "fieller":
-        sampling, family, interest, size = fieller.sampling(), fieller.family(), fieller.interest, 2
+        sampling, family, interest, hints = fieller.sampling(), fieller.family(), fieller.interest, ((1.0, 20.0),)
     else:
         bundle = REGISTRY[args.model]()
-        sampling, family, interest = bundle.sampling, bundle.family, bundle.interest
-        size = np.size(bundle.theta_grid_hint[0])
-    # a dkw truth is a CDF, which the comma form cannot name
-    if args.model != "dkw" and len(theta) != size:
-        raise UsageError(
-            f"coverage --model {args.model} takes a truth of {size} comma-separated value(s), got {args.theta!r}"
-        )
-    t = theta[0] if len(theta) == 1 else theta
+        sampling, family, interest, hints = bundle.sampling, bundle.family, bundle.interest, bundle.theta_grid_hint
+    if args.theta is None:  # the model's first hint truth, recorded as if given
+        first = hints[0]
+        args.theta = first.name if hasattr(first, "name") else ",".join(f"{float(v):.10g}" for v in np.ravel(first))
+    t = _truth(args.model, str(args.theta), hints)
     est = coverage_probability(sampling, family, t, args.alpha, mc, interest=interest)
     _emit(args, [est.as_row()], _metadata(args, seed, seed_source))
 
@@ -375,7 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="Monte Carlo coverage of a model's region family")
     common(p, "confbel_coverage.csv", 10_000)
     p.add_argument("--model", choices=sorted(list(REGISTRY) + ["fieller"]), default="fieller")
-    p.add_argument("--theta", default="1,20", help="comma-separated truth")
+    p.add_argument(
+        "--theta",
+        default=None,
+        help="comma-separated truth, or a CDF's name for dkw (Exp(1)); default: the model's first hint truth",
+    )
     p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=cmd_coverage)
 

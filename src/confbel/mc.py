@@ -4,24 +4,37 @@ Every stochastic routine in this package draws through an :class:`MCConfig`.
 The generator is counter-based (Philox), keyed by ``seed`` and ``stream_id``,
 so identical configurations give bit-identical draws on every platform and
 distinct stream ids give independent streams without coordination.
+
+Because the generator is counter-based, any stretch of a stream can be drawn
+on its own: ``offset`` skips that many 64-bit outputs (one per double), and
+:meth:`MCConfig.blocks` splits a stream into row blocks whose draws, taken in
+order, are the draws of the whole stream bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 _KEY_STRIDE = 1 << 64
+# Philox turns its 256-bit counter into four 64-bit outputs per step.
+_OUTPUTS_PER_COUNTER = 4
+# Uniforms per row block of :meth:`MCConfig.blocks` (2 MB of doubles); the
+# measurements behind the size are in docs/decisions.md.
+BLOCK_DRAWS = 1 << 18
 
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Replication count plus the key of a dedicated random stream."""
+    """Replication count plus the key of a dedicated random stream, read
+    from ``offset`` 64-bit outputs past its start."""
 
     reps: int = 100_000
     seed: int = 0
     stream_id: int = 0
+    offset: int = 0
 
     def __post_init__(self) -> None:
         if self.reps < 1:
@@ -30,11 +43,29 @@ class MCConfig:
             raise ValueError("seed must be a 64-bit non-negative integer")
         if self.stream_id < 0:
             raise ValueError("stream_id must be non-negative")
+        if self.offset < 0:
+            raise ValueError(f"offset must be non-negative, got {self.offset!r}")
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream."""
+        """Fresh generator positioned ``offset`` outputs into this stream."""
         key = int(self.seed) + _KEY_STRIDE * int(self.stream_id)
-        return np.random.Generator(np.random.Philox(key=key))
+        steps, skip = divmod(int(self.offset), _OUTPUTS_PER_COUNTER)
+        bits = np.random.Philox(key=key, counter=steps)
+        if skip:
+            bits.random_raw(skip)
+        return np.random.Generator(bits)
+
+    def blocks(self, draws_per_rep: int) -> Iterator["MCConfig"]:
+        """Configs that cover this one's reps in order, in row blocks of at
+        most ``BLOCK_DRAWS // draws_per_rep`` reps (at least one) each, every
+        block at the offset where its first rep's draws start; a sampler that
+        uses ``draws_per_rep`` uniforms per rep gives the same rows block by
+        block as at once."""
+        if draws_per_rep < 1:
+            raise ValueError(f"draws_per_rep must be a positive integer, got {draws_per_rep!r}")
+        size = max(1, BLOCK_DRAWS // draws_per_rep)
+        for start in range(0, self.reps, size):
+            yield replace(self, reps=min(size, self.reps - start), offset=self.offset + start * draws_per_rep)
 
     def substream(self, offset: int) -> "MCConfig":
         """Config for an independent stream derived from this one."""

@@ -188,19 +188,24 @@ def lambda_of(theta, n1: int, n2: int) -> float:
     return a / (a + b)
 
 
-def _upper_mass(draws: np.ndarray, lam: float, tstar: np.ndarray) -> np.ndarray:
-    """``1 - P{T_lambda <= t*}`` under the empirical law of the pivot table."""
+@functools.lru_cache(maxsize=8)
+def _sorted_t_lambda(n1: int, n2: int, mc: MCConfig, lam: float) -> np.ndarray:
+    """The pivot table's ``T_lambda`` column, sorted once per configuration
+    and shared read-only, so a slice evaluated block by block sorts it once."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
-    t_sorted = np.sort(t_lambda(draws, lam))
-    return 1.0 - np.searchsorted(t_sorted, tstar, side="right") / len(t_sorted)
+    t_sorted = np.sort(t_lambda(pivotal_draws(n1, n2, mc), lam))
+    t_sorted.flags.writeable = False
+    return t_sorted
 
 
 def slice_plaus(n1: int, n2: int, x, lam: float, phi, mc: MCConfig) -> np.ndarray:
-    """Fixed-lambda slice ``P{T_lambda > |t|}`` at ``t = (d - phi) / f``;
-    broadcasts over a stack of summary rows and over phi."""
+    """Fixed-lambda slice ``P{T_lambda > |t|}`` at ``t = (d - phi) / f``, one
+    minus the pivot table's empirical CDF; broadcasts over a stack of summary
+    rows and over phi."""
     d, f = _diff_se(x, n1, n2)
-    return _upper_mass(pivotal_draws(n1, n2, mc), lam, np.abs(d - phi) / f)
+    t_sorted = _sorted_t_lambda(n1, n2, mc, lam)
+    return 1.0 - np.searchsorted(t_sorted, np.abs(d - phi) / f, side="right") / len(t_sorted)
 
 
 def bf_lambda_plaus(data: BehrensFisherData, phi, lam: float, mc: MCConfig) -> np.ndarray:
@@ -271,7 +276,7 @@ def sampling(n1: int, n2: int) -> SamplingModel:
         v2 = s2 * z2.var(axis=1, ddof=1)
         return np.column_stack([m1, m2, v1, v2])
 
-    return SamplingModel(name=f"behrens_fisher(n1={n1},n2={n2})", sample=sample)
+    return SamplingModel(name=f"behrens_fisher(n1={n1},n2={n2})", sample=sample, draws_per_rep=n1 + n2)
 
 
 def contour_at_truth(n1: int, n2: int, mc_internal: MCConfig):

@@ -207,6 +207,7 @@ def sampling(n: int) -> SamplingModel:
     return SamplingModel(
         name=f"binomial(n={n})",
         sample=lambda theta, mc: dist.sample(dist.binomial(n, float(theta)), mc).astype(int),
+        draws_per_rep=1,
     )
 
 

@@ -439,7 +439,7 @@ def sampling(n: int) -> SamplingModel:
         u = mc.generator().random((mc.reps, n))
         return np.sort(truth.quantile(u), axis=1)
 
-    return SamplingModel(name=f"dkw(n={n})", sample=sample)
+    return SamplingModel(name=f"dkw(n={n})", sample=sample, draws_per_rep=n)
 
 
 def synthetic_sample(n: int = 799, seed: int = 1404, scale: float = 0.22) -> EmpiricalSample:

@@ -121,7 +121,7 @@ def sampling() -> SamplingModel:
         z = special.ndtri(mc.generator().random((mc.reps, 2)))
         return t[None, :] + z
 
-    return SamplingModel(name="fieller", sample=sample)
+    return SamplingModel(name="fieller", sample=sample, draws_per_rep=2)
 
 
 def interest(theta) -> float:

@@ -67,6 +67,7 @@ def sampling() -> SamplingModel:
     return SamplingModel(
         name="normal_mean",
         sample=lambda theta, mc: theta + dist.sample(_NORMAL, mc),
+        draws_per_rep=1,
     )
 
 

@@ -136,6 +136,7 @@ def sampling(n: int) -> SamplingModel:
     return SamplingModel(
         name=f"uniform_loc(n={n})",
         sample=lambda theta, mc: theta + dist.sample_uniform_minmax(n, mc),
+        draws_per_rep=n,
     )
 
 

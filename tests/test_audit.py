@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from confbel import mc as mc_module
 from confbel.audit import (
     DEFAULT_ALPHA_GRID,
     SamplingModel,
@@ -15,7 +19,7 @@ from confbel.audit import (
 )
 from confbel.contours import Interval
 from confbel.mc import MCConfig
-from confbel.models import normal_mean, uniform_loc
+from confbel.models import REGISTRY, fieller, normal_mean, uniform_loc
 from confbel.reportio import read_csv
 
 MC = MCConfig(reps=20_000, seed=17)
@@ -153,6 +157,94 @@ def test_ks_uniform_rejects_bad_input():
 
 
 def test_sampling_model_carries_name():
-    sm = SamplingModel(name="demo", sample=lambda theta, mc: np.zeros(mc.reps))
+    sm = SamplingModel(name="demo", sample=lambda theta, mc: np.zeros(mc.reps), draws_per_rep=1)
     assert sm.name == "demo"
     assert len(sm.sample(0.0, MCConfig(reps=7, seed=0))) == 7
+
+
+# Uniforms per block in the streaming tests: every sampler splits a few
+# thousand reps into several blocks, and dkw (n = 799) into blocks of two.
+SMALL_BLOCK = 2000
+STREAMED = sorted(REGISTRY) + ["fieller"]
+
+
+def _streamed(name):
+    """(sampling, family, interest, truth, contour at the truth or None)."""
+    if name == "fieller":
+        return fieller.sampling(), fieller.family(), fieller.interest, (1.0, 20.0), None
+    b = REGISTRY[name]()
+    return b.sampling, b.family, b.interest, b.theta_grid_hint[0], b.contour_at_truth
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_blocks_reproduce_one_draw(name, monkeypatch):
+    monkeypatch.setattr(mc_module, "BLOCK_DRAWS", SMALL_BLOCK)
+    sampling, _, _, truth, _ = _streamed(name)
+    size = max(1, SMALL_BLOCK // sampling.draws_per_rep)
+
+    def stitched(s, mc):
+        return np.concatenate([s.sample(truth, block) for block in mc.blocks(s.draws_per_rep)])
+
+    for offset in (5, 6, 7, 8):  # every residue mod 4 of the first block's start
+        mc = MCConfig(reps=2 * size + 1, seed=9, stream_id=3, offset=offset)
+        whole = sampling.sample(truth, mc)
+        assert len(list(mc.blocks(sampling.draws_per_rep))) == 3
+        assert np.array_equal(stitched(sampling, mc), whole)
+        # a miscounted draws_per_rep starts the later blocks in the wrong place
+        wrong = dataclasses.replace(sampling, draws_per_rep=sampling.draws_per_rep + 1)
+        assert not np.array_equal(stitched(wrong, mc), whole)
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_estimates_equal_one_block_reference(name, monkeypatch):
+    monkeypatch.setattr(mc_module, "BLOCK_DRAWS", SMALL_BLOCK)
+    sampling, family, interest, truth, contour = _streamed(name)
+    mc = MCConfig(reps=7 * max(1, SMALL_BLOCK // sampling.draws_per_rep) + 3, seed=4, stream_id=1)
+
+    hits = np.asarray(family.member_batch(sampling.sample(truth, mc), 0.1, interest(truth)), dtype=bool)
+    est = coverage_probability(sampling, family, truth, 0.1, mc, interest=interest)
+    p = float(np.mean(hits))
+    assert (est.estimate, est.se, est.reps) == (p, float(np.sqrt(p * (1.0 - p) / mc.reps)), mc.reps)
+
+    if contour is not None:
+        pls = np.asarray(contour(sampling.sample(truth, mc.substream(0)), truth), dtype=float)
+        report = contour_validity_audit(sampling, contour, (truth,), mc=mc)
+        assert [r.exceedance for r in report.rows] == [float(np.mean(pls <= a)) for a in DEFAULT_ALPHA_GRID]
+        assert {r.reps for r in report.rows} == {mc.reps}
+
+
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_audits_stay_within_16_mb():
+    # drawn at once these replicates peak at 183 (dkw coverage), 92 (dkw
+    # audit) and 24 MB (behrens_fisher audit); in blocks at 6.1, 6.1 and 4.6 MB
+    dkw_b, bf_b = REGISTRY["dkw"](), REGISTRY["behrens_fisher"]()
+    exp1, bf_truth = dkw_b.theta_grid_hint[0], bf_b.theta_grid_hint[0]
+    # warm the cached pivot table and K_n terms: the peaks measure the replicates
+    contour_validity_audit(bf_b.sampling, bf_b.contour_at_truth, (bf_truth,), mc=MCConfig(reps=10, seed=1))
+    contour_validity_audit(dkw_b.sampling, dkw_b.contour_at_truth, (exp1,), mc=MCConfig(reps=10, seed=1))
+    peaks = {
+        "dkw coverage": _traced_peak_mb(
+            lambda: coverage_probability(
+                dkw_b.sampling, dkw_b.family, exp1, 0.05, MCConfig(reps=10_000, seed=1), interest=dkw_b.interest
+            )
+        ),
+        "dkw audit": _traced_peak_mb(
+            lambda: contour_validity_audit(
+                dkw_b.sampling, dkw_b.contour_at_truth, (exp1,), mc=MCConfig(reps=5_000, seed=1)
+            )
+        ),
+        "behrens_fisher audit": _traced_peak_mb(
+            lambda: contour_validity_audit(
+                bf_b.sampling, bf_b.contour_at_truth, (bf_truth,), mc=MCConfig(reps=100_000, seed=1)
+            )
+        ),
+    }
+    assert max(peaks.values()) < 16.0, peaks

@@ -272,13 +272,48 @@ def test_coverage_subcommand(tmp_path):
      ("behrens_fisher", "1,20", 4), ("fieller", "1", 2)],
 )
 def test_coverage_truth_of_wrong_length_exits_2(model, theta, size, tmp_path, capsys):
-    # "1,20", the default, is fieller's truth; no other model takes two values
+    # "1,20" is fieller's truth; no other model takes two values
     out = tmp_path / "cov.csv"
-    argv = ["coverage", "--model", model, "--reps", "200", "--seed", "1", "--out", str(out)]
-    assert main(argv + (["--theta", theta] if model == "fieller" else [])) == 2
+    argv = ["coverage", "--model", model, "--theta", theta, "--reps", "200", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"truth of {size} comma-separated value(s), got '{theta}'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", ["Exp(2)", "1,20", "0"])
+def test_coverage_dkw_truth_names_a_hint_truth(theta, tmp_path, capsys):
+    out = tmp_path / "cov.csv"
+    assert main(["coverage", "--model", "dkw", "--theta", theta, "--reps", "20", "--out", str(out)]) == 2
+    assert f"takes a truth named Exp(1), got '{theta}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coverage_truth_from_config_file(tmp_path):
+    # a config value that parses as a number is still the truth's text
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = normal_mean\ntheta = 0\nreps = 200\n")
+    out = tmp_path / "cov.csv"
+    assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows[0]["theta"] == "0"
+
+
+def test_every_coverage_model_choice_exits_0(tmp_path):
+    models = _model_choices("coverage")
+    assert {"dkw", "fieller"} <= set(models)
+    truths = {}
+    for model in models:
+        out = tmp_path / f"coverage_{model}.csv"
+        assert main(["coverage", "--model", model, "--out", str(out)]) == 0
+        meta, rows = read_csv(out)
+        assert len(rows) == 1 and int(rows[0]["reps"]) == 10_000
+        truths[model] = (meta["opt_theta"], rows[0]["theta"])
+    # the default truth is the model's first hint truth, recorded as if given
+    assert truths["dkw"] == ("Exp(1)", "Exp(1)")
+    assert truths["fieller"] == ("1,20", "(1, 20)")
+    assert truths["behrens_fisher"] == ("0,0,4,1", "(0, 0, 4, 1)")
+    assert truths["binomial"] == ("0.1", "0.1")
 
 
 def test_coverage_unknown_model_exits_2(tmp_path):
@@ -307,14 +342,16 @@ def test_cli_import_loads_no_optimize_or_integrate():
 
 def test_dkw_exact_law_loads_no_scipy_stats(tmp_path):
     # the dkw contour reads its own K_n law for n > 140, so neither the
-    # command at its defaults (n = 799) nor the bundle pays the scipy.stats import
+    # commands at their defaults (n = 799) nor the bundle pays the scipy.stats import
     out = str(tmp_path / "dkw.csv")
+    cov = str(tmp_path / "coverage.csv")
     code = "\n".join([
         "import sys",
         "from confbel.cli import main",
         "from confbel.mc import MCConfig",
         "from confbel.models import dkw_bundle",
         f"assert main(['dkw', '--out', {out!r}]) == 0",
+        f"assert main(['coverage', '--model', 'dkw', '--out', {cov!r}]) == 0",
         "b = dkw_bundle()",
         "truth = b.theta_grid_hint[0]",
         "x = b.data_replicates(truth, 1, MCConfig(reps=1, seed=3))[0]",
@@ -326,4 +363,4 @@ def test_dkw_exact_law_loads_no_scipy_stats(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "False"
-    assert os.path.exists(out)
+    assert os.path.exists(out) and os.path.exists(cov)
