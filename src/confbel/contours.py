@@ -496,7 +496,7 @@ def marginal_contour(
         raise OutOfRangeError(f"interest value {phi!r} has an empty fiber")
     if phi_map is not None:
         mapped = phi_map(pts[0])
-        if not np.isclose(mapped, phi, rtol=1e-9, atol=1e-9):
+        if not abs(mapped - phi) <= 1e-9 + 1e-9 * abs(phi):  # np.isclose's test, without its overhead
             raise OutOfRangeError(f"fiber point {pts[0]!r} maps to {mapped!r}, not {phi!r}")
     return max(float(contour(p)) for p in pts)
 

@@ -31,11 +31,13 @@ which is stochastically no smaller than uniform at the true parameter, and
 whose level sets sit inside the original confidence regions whenever those
 regions have their nominal coverage.
 
-The supremum over ``alpha`` above the index is evaluated as the support mass
-just beyond the index (a nudge of twice the bisection tolerance), which is the
-right limit the construction calls for; continuous models lose at most the
-nudge, and models with atoms override with exact closed forms.  An index of 1
-means every support meets the observation, and the plausibility is exactly 1.
+The supremum over ``alpha`` above the index is the right limit of the support
+mass at the index.  :func:`theta_specific_plaus` narrows the index's last
+bracket ``ALPHA_BISECT_LEVELS`` halvings further, in one more membership call,
+and reads the mass at most ``1.5 tol / 2**ALPHA_BISECT_LEVELS`` (4.7e-8) past
+the index, so a model with atoms loses one only to a threshold that close
+above it.  An index of 1 means every support meets the observation, and the
+plausibility is exactly 1; an index of 0 reads the mass at ``2 tol``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .contours import (
+    ALPHA_BISECT_LEVELS,
     ALPHA_BISECT_TOL,
     NORMALIZATION_TOL,
     ConfidenceFamily,
@@ -57,6 +60,7 @@ from .contours import (
     Point,
     Region,
     as_alpha,
+    bisect,
     contour_from_family,
 )
 from .mc import MCConfig
@@ -156,14 +160,22 @@ def theta_specific_plaus(
 ) -> float:
     """``pl_x({theta})`` for the fused random set.
 
-    One minus the support mass just above the alpha index; exactly 1 when the
-    index is capped at 1.
+    One minus the support mass just above the alpha index (the right limit;
+    see the module docstring); exactly 1 when the index is capped at 1.
     """
     a = alpha_index(assoc, x, theta, tol)
     if a >= 1.0:
         return 1.0
-    nudged = min(a + 2.0 * tol, ALPHA_CLAMP_HI)
-    return float(max(0.0, 1.0 - rs.mass_at(nudged, theta, mc)))
+    level = 2.0 * tol
+    if a > 0.0:
+        # the index's last bracket lies inside a -+ tol/2, and a stop at
+        # 1.5 fine falls between the widths after the last two halvings
+        fine = tol / 2.0**ALPHA_BISECT_LEVELS
+        member = assoc.family.member
+        level = fine + bisect(
+            lambda al: member(x, al, theta), a - tol / 2.0, a + tol / 2.0, 1.5 * fine, ALPHA_BISECT_LEVELS
+        )
+    return float(max(0.0, 1.0 - rs.mass_at(min(level, ALPHA_CLAMP_HI), theta, mc)))
 
 
 def _golden_max(f, xa, xb, xc, fb):

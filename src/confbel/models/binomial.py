@@ -47,18 +47,9 @@ def cdf_given_theta(n: int, x, theta):
     Independent route from the summed-pmf table in :mod:`confbel.distributions`
     (the two are cross-checked in the test suite).
     """
-    thetas = np.asarray(theta, dtype=float)
-    xs = np.asarray(x)
-    out = np.empty(np.broadcast(xs, thetas).shape, dtype=float)
-    xb, tb = np.broadcast_arrays(xs, thetas)
-    below = xb < 0
-    above = xb >= n
-    mid = ~below & ~above
-    out[below] = 0.0
-    out[above] = 1.0
-    if np.any(mid):
-        k = np.floor(xb[mid]).astype(float)
-        out[mid] = special.betainc(n - k, k + 1.0, 1.0 - tb[mid])
+    k = np.floor(np.asarray(x, dtype=float))
+    # outside 0 <= k < n the CDF is 0 below and 1 above; betainc's value there is discarded
+    out = np.where((0 <= k) & (k < n), special.betainc(n - k, k + 1.0, 1.0 - np.asarray(theta, dtype=float)), k >= n)
     return out if out.ndim else float(out)
 
 
@@ -66,18 +57,9 @@ def sf_given_theta(n: int, x, theta):
     """``P(X >= x)`` vectorized, via the complementary incomplete-beta
     orientation rather than ``1 - F``: the upper tail keeps full relative
     accuracy however deep it is."""
-    thetas = np.asarray(theta, dtype=float)
-    xs = np.asarray(x)
-    out = np.empty(np.broadcast(xs, thetas).shape, dtype=float)
-    xb, tb = np.broadcast_arrays(xs, thetas)
-    k = np.ceil(xb).astype(float)  # P(X >= x) = P(X >= ceil(x)) for real x
-    below = k <= 0
-    above = k > n
-    mid = ~below & ~above
-    out[below] = 1.0
-    out[above] = 0.0
-    if np.any(mid):
-        out[mid] = special.betainc(k[mid], n - k[mid] + 1.0, tb[mid])
+    k = np.ceil(np.asarray(x, dtype=float))  # P(X >= x) = P(X >= ceil(x)) for real x
+    # outside 0 < k <= n the tail is 1 below and 0 above
+    out = np.where((0 < k) & (k <= n), special.betainc(k, n - k + 1.0, np.asarray(theta, dtype=float)), k <= 0)
     return out if out.ndim else float(out)
 
 
@@ -95,7 +77,7 @@ def _tabulated(contour):
     @functools.wraps(contour)
     def fn(n: int, x, theta):
         xs = np.asarray(x)
-        if np.any((xs < 0) | (xs > n)):
+        if xs.min(initial=0) < 0 or xs.max(initial=n) > n:
             raise ValueError(f"binomial outcomes must lie in 0..{n}")
         if xs.ndim and not np.ndim(theta):
             return np.asarray(contour(n, np.arange(n + 1), theta))[xs.astype(int, copy=False)]
@@ -117,7 +99,7 @@ def cp_contour(n: int, x, theta):
     thetas = np.asarray(theta, dtype=float)
     f2 = np.asarray(cdf_given_theta(n, x, thetas))
     sx = np.asarray(sf_given_theta(n, x, thetas))
-    out = np.minimum(np.minimum(2.0 * f2, 2.0 * sx), 1.0)
+    out = np.minimum(2.0 * np.minimum(f2, sx), 1.0)
     return out if out.ndim else float(out)
 
 

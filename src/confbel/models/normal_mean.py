@@ -32,13 +32,9 @@ def pivot_contour(x, theta):
     return out if out.ndim else float(out)
 
 
-def _z(alpha):
-    return dist.quantile(_NORMAL, 1.0 - alpha / 2.0)
-
-
 def member(x, alpha, theta):
     """``|x - theta| <= z_{1-alpha/2}``; broadcasts over x, alpha and theta."""
-    return np.abs(np.asarray(x, dtype=float) - theta) <= _z(alpha)
+    return np.abs(np.asarray(x, dtype=float) - theta) <= special.ndtri(1.0 - alpha / 2.0)
 
 
 def family() -> ConfidenceFamily:

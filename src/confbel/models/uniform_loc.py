@@ -39,7 +39,7 @@ _EMPTY = IntervalUnion(())
 def _split(x):
     """(min, max) of one pair or of a stack of pairs (leading axis)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x[..., 1] < x[..., 0]):
+    if np.count_nonzero(x[..., 1] < x[..., 0]):
         raise ValueError(f"(min, max) pair out of order: {x!r}")
     return x[..., 0], x[..., 1]
 
@@ -82,7 +82,7 @@ def _index(num, den):
         val = 2.0 * np.minimum(r, 1.0) / (1.0 + r)
     # num == den == 0 happens only when the range equals 1 and theta is the
     # single possible location; x - theta is then in every support.
-    pinned = (np.abs(num) < 1e-14) & (np.abs(den) < 1e-14)
+    pinned = (num == 0.0) & (den == 0.0)
     return np.where(pinned, 1.0, np.where((num < 0.0) | (den <= 0.0), 0.0, val))
 
 

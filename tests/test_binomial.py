@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from confbel import distributions as dist
+from confbel.contours import ConfidenceFamily
 from confbel.fusion import alpha_index, check_nested_support, theta_specific_plaus
 from confbel.mc import MCConfig
 from confbel.models import binomial
@@ -147,11 +150,51 @@ def test_im_contour_matches_generic_fusion():
     assoc = binomial.association(N)
     rs = binomial.random_set(N)
     mc = MCConfig(reps=1000, seed=3)
-    for x, theta in [(7, 0.2), (7, 0.45), (17, 0.5), (17, 0.75)]:
+    # The last three are near ties: another outcome's threshold lies less than
+    # 2.5e-6 above the index, where a reading at index + 2 tol drops its atom.
+    near_ties = [(17, 0.5202663348549804), (23, 0.6743066295759572), (12, 0.2431606124019985)]
+    for x, theta in [(7, 0.2), (7, 0.45), (17, 0.5), (17, 0.75)] + near_ties:
         idx = alpha_index(assoc, x, theta)
         assert idx == pytest.approx(binomial.cp_contour(N, x, theta), abs=2e-6)
         pl = theta_specific_plaus(assoc, rs, x, theta, mc)
         assert pl == pytest.approx(binomial.im_contour(N, x, theta), abs=1e-9)
+
+
+def test_right_limit_costs_one_membership_call():
+    calls = []
+
+    def member(x, alpha, theta):
+        calls.append(alpha)
+        return binomial.cp_member(N, x, alpha, theta)
+
+    assoc = replace(binomial.association(N), family=ConfidenceFamily(member=member, center=lambda x: x / N))
+    rs = binomial.random_set(N)
+    mc = MCConfig(reps=10, seed=3)
+    for x, theta in [(7, 0.2), (17, 0.5202663348549804), (0, 0.9), (12, 0.48)]:
+        calls.clear()
+        index = alpha_index(assoc, x, theta)
+        probes = len(calls)
+        calls.clear()
+        theta_specific_plaus(assoc, rs, x, theta, mc)
+        # an index of 0 or 1 reads its mass without refining
+        assert len(calls) == probes + (0.0 < index < 1.0)
+
+
+def test_tails_scalar_calls_are_the_array_call_and_exact_off_the_support():
+    thetas = np.array([0.0, 1e-300, 0.5, 1.0 - 1e-12, 1.0])
+    for n in (1, 2, 25, 100):
+        xs = np.arange(-4, 2 * n + 5) / 2.0  # -2..n+2 in half steps
+        for fn, zero, one in (
+            (binomial.cdf_given_theta, xs < 0, xs >= n),
+            (binomial.sf_given_theta, xs > n, xs <= 0),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid = fn(n, xs[:, None], thetas[None, :])
+                scalars = [[fn(n, x, t) for t in thetas] for x in xs.tolist()]
+            assert all(type(v) is float for row in scalars for v in row)
+            assert grid.tobytes() == np.array(scalars).tobytes()
+            assert np.all(grid[zero] == 0.0) and np.all(grid[one] == 1.0)
 
 
 def test_exact_validity_by_enumeration():

@@ -11,7 +11,7 @@ from scipy import optimize, special
 
 from confbel import distributions as dist
 from confbel import fusion
-from confbel.contours import ConfidenceFamily, ConsonanceError, GridSpec, Interval
+from confbel.contours import ConfidenceFamily, ConsonanceError, GridSpec, Interval, contour_from_family
 from confbel.fusion import (
     EMPTY_REGION,
     RandomSetFamily,
@@ -67,9 +67,58 @@ def test_theta_specific_plaus_uniform_exact():
     for theta in (-0.05, 0.0, 0.1):
         got = theta_specific_plaus(assoc, rs, X_PAIR, theta, MC)
         want = uniform_loc.alpha_index_exact(X_PAIR, theta)
-        # exact support mass: only the 2-tol nudge separates the two
+        # exact support mass: only the bisection's resolution separates the two
         assert got == pytest.approx(want, abs=1e-5)
     assert theta_specific_plaus(assoc, rs, X_PAIR, uniform_loc.theta_hat(X_PAIR), MC) == 1.0
+
+
+def _generic_route_case(model, rng):
+    """One (x, theta) drawn as the benchmark's generic route draws them."""
+    if model == "normal_mean":
+        x = float(rng.normal(3.0))
+        return x, x + rng.uniform(-3.5, 3.5)
+    if model == "binomial":
+        x = int(rng.binomial(25, rng.uniform(0.05, 0.95)))
+        return x, rng.uniform(max(0.001, x / 25 - 0.25), min(0.999, x / 25 + 0.25))
+    u = rng.random(10)
+    lo, hi = u.max() - 1.0, u.min()
+    return (float(u.min()), float(u.max())), lo + (hi - lo) * rng.uniform(0.001, 0.999)
+
+
+GENERIC_ROUTE = {
+    # model: (association, random set, closed-form contour, closed-form fused contour)
+    "normal_mean": (
+        normal_mean.association(),
+        normal_mean.random_set(),
+        normal_mean.pivot_contour,
+        normal_mean.pivot_contour,
+    ),
+    "binomial": (
+        binomial.association(25),
+        binomial.random_set(25),
+        lambda x, t: binomial.cp_contour(25, x, t),
+        lambda x, t: binomial.im_contour(25, x, t),
+    ),
+    "uniform_loc": (
+        uniform_loc.association(),
+        uniform_loc.random_set(10),
+        uniform_loc.alpha_index_exact,
+        uniform_loc.alpha_index_exact,
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GENERIC_ROUTE))
+def test_generic_route_reads_the_closed_forms(model):
+    # the benchmark's generic-route reference check, on 300 fixed draws a model
+    assoc, rs, contour, fused = GENERIC_ROUTE[model]
+    rng = np.random.default_rng(7)
+    mc = MCConfig(reps=2_000, seed=5)
+    for _ in range(300):
+        x, theta = _generic_route_case(model, rng)
+        theta = float(theta)
+        assert abs(contour_from_family(assoc.family, x, theta) - contour(x, theta)) <= 1e-5, (x, theta)
+        assert abs(theta_specific_plaus(assoc, rs, x, theta, mc) - fused(x, theta)) <= 1e-5, (x, theta)
 
 
 def test_support_mass_exact_vs_sampled():

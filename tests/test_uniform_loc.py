@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from confbel.audit import contour_validity_audit, coverage_probability
-from confbel.contours import Interval, plausibility_region
+from confbel.contours import Interval, contour_from_family, plausibility_region
 from confbel.fusion import check_compatibility, check_nested_support
 from confbel.mc import MCConfig
 from confbel.models import uniform_loc
@@ -103,11 +103,15 @@ def test_batch_and_scalar_routes_agree(x1, width, theta):
         ((0.2, 0.9), 0.2, 0.0),  # theta = x1: u1 = 0 on the support boundary
         ((0.2, 0.9), -0.1, 0.0),  # theta = x2 - 1: 1 - u2 = 0
         ((0.2, 0.9), 0.05, 1.0),  # theta_hat
+        ((0.25, 1.25), 0.25, 1.0),
+        # a support one ulp wide: theta = x2 - 1 is its left end, where 1 - u2 = 0
+        ((0.0, 1.0 - 2.0**-53), -(2.0**-53), 0.0),
     ],
 )
 def test_batch_and_scalar_routes_agree_on_edges(x, theta, want):
     assert uniform_loc.alpha_index_exact(x, theta) == want
     assert uniform_loc.alpha_index_exact(np.asarray([x]), theta)[0] == want
+    assert contour_from_family(uniform_loc.family(), x, theta) == want
 
 
 def test_support_mass_closed_form():
