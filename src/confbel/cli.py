@@ -85,9 +85,12 @@ def _resolve_seed(args, config: dict, explicit: set[str]) -> tuple[int, str]:
 
 def _csv_floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(","))
+        values = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"expected comma-separated finite numbers, got {text!r}")
+    return values
 
 
 def _metadata(args, seed: int, seed_source: str, **extra) -> dict:
@@ -157,6 +160,7 @@ def cmd_bf(args, seed: int, seed_source: str) -> None:
 
 
 def cmd_dkw(args, seed: int, seed_source: str) -> None:
+    as_alpha(args.alpha)  # dkw_delta itself accepts alpha up to 2
     if args.data is not None:
         sample = dkw.EmpiricalSample.from_csv(args.data, column=args.column)
     else:

@@ -268,6 +268,8 @@ def sampling(n1: int, n2: int) -> SamplingModel:
 
     def sample(theta, mc: MCConfig):
         mu1, mu2, s1, s2 = (float(v) for v in theta)
+        if not (s1 > 0.0 and s2 > 0.0):
+            raise ValueError(f"behrens_fisher requires variances s1, s2 > 0, got {s1!r}, {s2!r}")
         z = special.ndtri(mc.generator().random((mc.reps, n1 + n2)))
         z1, z2 = z[:, :n1], z[:, n1:]
         m1 = mu1 + np.sqrt(s1) * z1.mean(axis=1)

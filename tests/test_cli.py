@@ -289,6 +289,23 @@ def test_coverage_dkw_truth_names_a_hint_truth(theta, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dkw", "--alpha", "1.5"], "alpha must lie strictly in (0, 1), got 1.5"),
+        (["coverage", "--model", "normal_mean", "--theta", "nan", "--reps", "100"], "finite numbers, got 'nan'"),
+        (["coverage", "--model", "behrens_fisher", "--theta", "0,0,-1,1", "--reps", "50"], "variances s1, s2 > 0"),
+    ],
+    ids=["dkw_alpha", "coverage_nan_truth", "coverage_negative_variance"],
+)
+def test_out_of_domain_value_exits_2_without_artifact(argv, message, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_coverage_truth_from_config_file(tmp_path):
     # a config value that parses as a number is still the truth's text
     cfg = tmp_path / "run.cfg"

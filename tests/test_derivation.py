@@ -150,9 +150,12 @@ def test_uniform_off_the_support_reads_at_most_the_nudge(x):
     if x == (0.2, 0.9):
         for theta in (-0.106, 0.5):
             assert 0.0 <= theta_specific_plaus(assoc, rs, x, theta, mc) <= 2 * ALPHA_BISECT_TOL
-    # the default grid reaches past the support on both sides
-    contour = fused_contour(assoc, rs, x, mc, search=uniform_loc.default_grid(x, 21))
+    contour = fused_contour(assoc, rs, x, mc)
     assert contour(contour.sup_witness) >= 1.0 - 1e-8
+    # the default grid reaches past the support [x2 - 1, x1] on both sides
+    pts = uniform_loc.default_grid(x, 21).points()
+    off = pts[(pts < x[1] - 1.0) | (pts > x[0])]
+    assert len(off) >= 2 and all(0.0 <= contour(float(t)) <= 2 * ALPHA_BISECT_TOL for t in off)
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import optimize, special
+from scipy import special
 
 from confbel import distributions as dist
 from confbel import fusion
@@ -156,65 +156,25 @@ def test_fused_contour_generic_matches_exact():
         assert contour(theta) == pytest.approx(uniform_loc.alpha_index_exact(X_PAIR, theta), abs=1e-5)
 
 
-def test_fused_contour_searches_for_witness():
-    assoc = normal_mean.association()
-    rs = normal_mean.random_set()
-    contour = fused_contour(assoc, rs, 0.4, MC, search=GridSpec(-3.0, 3.0, 41), unimodal=True)
-    assert float(contour.sup_witness) == pytest.approx(0.4, abs=1e-3)
-    assert contour(0.4) == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(ValueError):
-        fused_contour(assoc, rs, 0.4, MC)  # neither witness nor search grid
+def test_fused_contour_witness_is_the_family_center():
+    # the center lies in every region, so the index is capped at 1 there and
+    # the generic plausibility reads exactly 1 without a search
+    for assoc, rs, x in (
+        (normal_mean.association(), normal_mean.random_set(), 0.4),
+        (binomial.association(25), binomial.random_set(25), 17),
+        (uniform_loc.association(), uniform_loc.random_set(10), X_PAIR),
+    ):
+        contour = fused_contour(assoc, rs, x, MC)
+        assert contour.sup_witness == assoc.family.center(x)
+        assert contour(contour.sup_witness) == 1.0
 
 
-@pytest.mark.parametrize(
-    "assoc, rs, x, search",
-    [
-        (normal_mean.association(), normal_mean.random_set(), 0.4, GridSpec(-3.0, 3.0, 41)),
-        (binomial.association(25), binomial.random_set(25), 17, GridSpec(0.43, 0.93, 11)),
-        (uniform_loc.association(), uniform_loc.random_set(10), X_PAIR, GridSpec(-0.09, 0.2, 21)),
-    ],
-    ids=["normal_mean", "binomial", "uniform_loc"],
-)
-def test_fused_contour_refinement_matches_scipy_golden(assoc, rs, x, search):
-    calls = []
-
-    def plaus(theta):
-        calls.append(theta)
-        return theta_specific_plaus(assoc, rs, x, theta, MC)
-
-    witness = float(fused_contour(assoc, rs, x, MC, search, plaus=plaus).sup_witness)
-    ours = len(calls)
-
-    # Reference: the same grid search refined by scipy.optimize.golden.
-    calls.clear()
-    pts = search.points()
-    vals = np.array([plaus(p) for p in pts])
-    i = int(np.argmax(vals))
-    assert 0 < i < len(pts) - 1 and vals[i] > vals[i - 1] and vals[i] > vals[i + 1]
-    refined = optimize.golden(lambda t: -plaus(float(t)), brack=(pts[i - 1], pts[i], pts[i + 1]), tol=1e-6)
-    want = float(refined) if plaus(float(refined)) >= vals[i] else float(pts[i])
-    assert want != float(pts[i])  # the refinement ran and moved the witness
-    assert witness == want
-    # Both routes end with the same two consonance checks at the witness.
-    assert ours <= len(calls) + 2
-
-
-def test_golden_refinement_near_zero_costs_no_more_than_away_from_it():
-    # scipy's purely relative stop chases a witness near 0 to ever finer
-    # precision; the floor at the starting bracket's width bounds that work
-    assoc, rs = normal_mean.association(), normal_mean.random_set()
-
-    def count(x):
-        calls = []
-
-        def plaus(theta):
-            calls.append(theta)
-            return theta_specific_plaus(assoc, rs, x, theta, MC)
-
-        fused_contour(assoc, rs, x, MC, GridSpec(x - 8.0, x + 8.0, 11), plaus=plaus)
-        return len(calls)
-
-    assert count(0.0) <= count(3.0) + 2
+def test_fused_contour_accepts_the_benchmark_search_keyword():
+    # perfbench/workloads.py (generic_route) calls fused_contour with search=;
+    # the grid is ignored and the witness is still the center
+    assoc, rs = binomial.association(25), binomial.random_set(25)
+    contour = fused_contour(assoc, rs, 17, MC, search=GridSpec(0.43, 0.93, 11))
+    assert contour.sup_witness == assoc.family.center(17)
 
 
 def test_fused_contour_detects_normalization_failure():
@@ -227,7 +187,7 @@ def test_fused_contour_detects_normalization_failure():
     rs = replace(normal_mean.random_set(), support_member=support_of(assoc))
     assert alpha_index(assoc, 0.4, 0.4) == pytest.approx(2.0 * special.ndtr(-0.4), abs=2e-6)
     with pytest.raises(ConsonanceError):
-        fused_contour(assoc, rs, 0.4, MC, search=GridSpec(-3.0, 3.0, 41))
+        fused_contour(assoc, rs, 0.4, MC)
 
 
 def test_check_nested_support():

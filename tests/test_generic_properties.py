@@ -5,8 +5,8 @@ truths.  On every containment candidate the grid contour is a plausibility
 (in [0, 1]) that never rises above the contour of the confidence-region family
 it sharpens, as evaluated by the generic bisection; the family's membership is
 nested in alpha on the same candidates; and each bundle's random set has
-nested supports at its hint truths.  Both contours attain 1 at the family's
-center.
+nested supports at its hint truths.  Both contours, and the fused
+plausibility, attain 1 at the family's center.
 """
 
 from __future__ import annotations
@@ -16,11 +16,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from confbel.contours import ALPHA_BISECT_TOL, NORMALIZATION_TOL, contour_from_family
-from confbel.fusion import check_nested_support
+from confbel.fusion import check_nested_support, theta_specific_plaus
 from confbel.mc import MCConfig
-from confbel.models import REGISTRY
+from confbel.models import REGISTRY, behrens_fisher, binomial, dkw, normal_mean, uniform_loc
 
 BUNDLES = {name: factory() for name, factory in REGISTRY.items()}
+# each bundle's association, at the bundle's default sample sizes
+ASSOCIATIONS = {
+    "binomial": binomial.association(25),
+    "uniform_loc": uniform_loc.association(),
+    "normal_mean": normal_mean.association(),
+    "behrens_fisher": behrens_fisher.association(5, 11),
+    "dkw": dkw.association(799),
+}
 seeds = st.integers(0, 2**32 - 1)
 levels = st.floats(0.01, 0.99, allow_nan=False)
 
@@ -75,11 +83,14 @@ def test_random_set_supports_are_nested(name, data, alphas, seed):
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_contours_attain_one_at_the_family_center(name, data):
-    # the center lies in every region, so both contours are 1 there
+    # the center lies in every region, so both contours are 1 there, and so is
+    # the fused plausibility at the association's center (its index is capped)
     bundle = BUNDLES[name]
     x, _ = _dataset(bundle, data)
     center = bundle.family.center(x)
     assert contour_from_family(bundle.family, x, center) == 1.0
+    assoc = ASSOCIATIONS[name]
+    assert theta_specific_plaus(assoc, bundle.random_set, x, assoc.family.center(x), MCConfig(reps=1, seed=0)) == 1.0
     grid = [center] if name == "dkw" else np.asarray([center])
     (pl,) = np.asarray(bundle.plaus_grid(x, grid), dtype=float).tolist()
     if name == "uniform_loc":
