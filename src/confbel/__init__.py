@@ -18,7 +18,6 @@ from .audit import (
     ks_uniform,
 )
 from .contours import (
-    AlphaLevel,
     ConfidenceFamily,
     ConsonanceError,
     DegenerateAssertionError,

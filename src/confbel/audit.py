@@ -234,19 +234,24 @@ def assertion_validity_audit(
     return _validity_audit("assertion-validity", sampling, assertion_plaus, theta_grid, alpha_grid, mc, flag_sigma)
 
 
+def ks_distances(u: np.ndarray) -> np.ndarray:
+    """Row-wise sup-norm distance of the empirical CDF of u from the identity."""
+    u = np.sort(u, axis=-1)
+    n = u.shape[-1]
+    d_plus = np.max(np.arange(1, n + 1) / n - u, axis=-1)
+    d_minus = np.max(u - np.arange(n) / n, axis=-1)
+    return np.maximum(d_plus, d_minus)
+
+
 def ks_uniform(samples) -> float:
     """Kolmogorov-Smirnov distance between ``samples`` and Uniform(0, 1).
 
     Inputs must already live in [0, 1]; the statistic is the exact sup-norm
     distance between the empirical CDF and the identity.
     """
-    u = np.sort(np.asarray(samples, dtype=float))
-    n = len(u)
-    if n == 0:
+    u = np.asarray(samples, dtype=float)
+    if len(u) == 0:
         raise ValueError("ks_uniform needs at least one sample")
-    if u[0] < -1e-12 or u[-1] > 1.0 + 1e-12:
+    if u.min() < -1e-12 or u.max() > 1.0 + 1e-12:
         raise ValueError("samples must lie in [0, 1]")
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - u)
-    d_minus = np.max(u - (i - 1) / n)
-    return float(max(d_plus, d_minus))
+    return float(ks_distances(u))

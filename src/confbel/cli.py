@@ -36,16 +36,8 @@ class UsageError(Exception):
     pass
 
 
-def _parse_scalar(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def _read_config_file(path: str) -> dict:
+    """The file's ``key = value`` lines, each value the raw text a flag takes."""
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     out: dict = {}
@@ -57,40 +49,48 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = _parse_scalar(value.strip())
+            out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
-def _explicit_dests(argv: list[str]) -> set[str]:
-    out = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            out.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    return out
-
-
-def _resolve_seed(args, config: dict, explicit: set[str]) -> tuple[int, str]:
-    if "seed" in explicit:
-        return int(args.seed), "flag"
-    if "seed" in config:
-        return int(config["seed"]), "config"
+def _resolve_seed(args, config: dict) -> tuple[int, str]:
+    """The seed and its source: the flag, the config file, the environment, else 0."""
+    if args.seed is not None:
+        return args.seed, "flag"
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env), "env"
-        except ValueError as exc:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return int(args.seed), "default"
+    for source, name, text in (("config", "seed", config.get("seed")), ("env", SEED_ENV_VAR, env)):
+        if text is not None:
+            try:
+                return int(text), source
+            except ValueError as exc:
+                raise UsageError(f"{name} must be an integer, got {text!r}") from exc
+    return 0, "default"
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every scalar float option: NaN and infinities exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _switch(text: str) -> bool:
+    """argparse type of a switch's config line; the flag itself takes no value."""
+    value = {"true": True, "1": True, "false": False, "0": False}.get(text.lower())
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected true, false, 1 or 0, got {text!r}")
+    return value
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
-    if not np.all(np.isfinite(values)):
-        raise UsageError(f"expected comma-separated finite numbers, got {text!r}")
-    return values
+        return tuple(_finite_float(v) for v in text.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"expected comma-separated finite numbers, got {text!r}") from exc
 
 
 def _metadata(args, seed: int, seed_source: str, **extra) -> dict:
@@ -194,6 +194,7 @@ def cmd_fieller(args, seed: int, seed_source: str) -> None:
     x = (args.x1, args.x2)
     mc = MCConfig(reps=args.reps, seed=seed)
     iv = fieller.fieller_interval(x, args.alpha)
+    phis = GridSpec(args.phi_lo, args.phi_hi, args.grid_points).points() if args.curve else None
     theta = (args.theta1, args.theta2)
     if args.theta is not None:
         theta = _csv_floats(args.theta)
@@ -203,7 +204,6 @@ def cmd_fieller(args, seed: int, seed_source: str) -> None:
         fieller.sampling(), fieller.family(), theta, args.alpha, mc, interest=fieller.interest
     )
     if args.curve:
-        phis = np.linspace(args.phi_lo, args.phi_hi, args.grid_points)
         gs = fieller.fieller_cdf_batch(x, phis)
         rows = [{"phi": f"{p:.10g}", "g": f"{g:.10g}"} for p, g in zip(phis, gs)]
     else:
@@ -318,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, default_out: str, reps: int | None):
         p.add_argument("--out", default=default_out, help="output path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0, help=f"RNG seed (falls back to ${SEED_ENV_VAR})")
+        p.add_argument("--seed", type=int, help=f"RNG seed (else the config file's, ${SEED_ENV_VAR}, then 0)")
         if reps is not None:  # None: the subcommand draws nothing
             p.add_argument("--reps", type=int, default=reps, help="Monte Carlo replications")
         p.add_argument("--config", default=None, help="key=value defaults file (flags win)")
 
     p = sub.add_parser("fig1", help="calibration failure of the |theta| confidence distribution")
     common(p, "confbel_fig1.csv", 5000)
-    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--theta", type=_finite_float, default=0.5)
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("binom", help="exact-tail vs fused binomial contours on a theta grid")
@@ -339,11 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "confbel_bf.csv", 100_000)
     d = behrens_fisher.DEFAULT_DATA
     p.add_argument("--n1", type=int, default=d.n1)
-    p.add_argument("--m1", type=float, default=d.m1)
-    p.add_argument("--v1", type=float, default=d.v1)
+    p.add_argument("--m1", type=_finite_float, default=d.m1)
+    p.add_argument("--v1", type=_finite_float, default=d.v1)
     p.add_argument("--n2", type=int, default=d.n2)
-    p.add_argument("--m2", type=float, default=d.m2)
-    p.add_argument("--v2", type=float, default=d.v2)
+    p.add_argument("--m2", type=_finite_float, default=d.m2)
+    p.add_argument("--v2", type=_finite_float, default=d.v2)
     p.add_argument("--grid-points", type=int, default=201)
     p.add_argument("--lambda-cols", default="0,0.25,0.5,0.75,1", help="lambda slices to emit as columns")
     p.set_defaults(func=cmd_bf)
@@ -354,30 +354,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-seed", type=int, default=1404, help="seed of the synthetic sample")
     p.add_argument("--data", default=None, help="CSV of raw values (overrides the synthetic sample)")
     p.add_argument("--column", default="value")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_finite_float, default=0.05)
     p.set_defaults(func=cmd_dkw)
 
     p = sub.add_parser("fieller", help="ratio-of-means CDF, its intervals, and their coverage")
     common(p, "confbel_fieller.csv", 10_000)
-    p.add_argument("--x1", type=float, default=1.0)
-    p.add_argument("--x2", type=float, default=20.0)
-    p.add_argument("--theta1", type=float, default=1.0)
-    p.add_argument("--theta2", type=float, default=20.0)
+    p.add_argument("--x1", type=_finite_float, default=1.0)
+    p.add_argument("--x2", type=_finite_float, default=20.0)
+    p.add_argument("--theta1", type=_finite_float, default=1.0)
+    p.add_argument("--theta2", type=_finite_float, default=20.0)
     p.add_argument("--theta", default=None, help="comma form of the truth, overrides --theta1/--theta2")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--curve", action="store_true", help="emit the CDF curve instead of the coverage row")
-    p.add_argument("--phi-lo", type=float, default=-0.1)
-    p.add_argument("--phi-hi", type=float, default=0.2)
+    p.add_argument("--alpha", type=_finite_float, default=0.05)
+    curve = p.add_argument("--curve", action="store_true", help="emit the CDF curve instead of the coverage row")
+    curve.type = _switch  # converts a config file's `curve = ...`; the flag takes no value
+    p.add_argument("--phi-lo", type=_finite_float, default=-0.1)
+    p.add_argument("--phi-hi", type=_finite_float, default=0.2)
     p.add_argument("--grid-points", type=int, default=201)
     p.set_defaults(func=cmd_fieller)
 
     p = sub.add_parser("uniform", help="uniform-location fused contour, region, and compatibility")
     common(p, "confbel_uniform.csv", 10_000)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--x1", type=float, default=0.2)
-    p.add_argument("--x2", type=float, default=0.9)
-    p.add_argument("--theta", type=float, default=0.0, help="truth for the coverage estimate")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--x1", type=_finite_float, default=0.2)
+    p.add_argument("--x2", type=_finite_float, default=0.9)
+    p.add_argument("--theta", type=_finite_float, default=0.0, help="truth for the coverage estimate")
+    p.add_argument("--alpha", type=_finite_float, default=0.05)
     p.add_argument("--grid-points", type=int, default=512)
     p.set_defaults(func=cmd_uniform)
 
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated truth, or a CDF's name for dkw (Exp(1)); default: the model's first hint truth",
     )
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_finite_float, default=0.05)
     p.set_defaults(func=cmd_coverage)
 
     return parser
@@ -405,21 +406,19 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    explicit = _explicit_dests(argv)
     try:
         config = _read_config_file(args.config) if args.config else {}
         unknown = sorted(set(config) - (set(vars(args)) - {"command", "func"}))
         if unknown:
             raise UsageError(f"{args.config}: {args.command} has no option {', '.join(unknown)}")
-        for key, value in config.items():
-            if key != "seed" and key not in explicit:
-                setattr(args, key, value)
-        seed, seed_source = _resolve_seed(args, config, explicit)
+        seed, seed_source = _resolve_seed(args, config)
+        if config:
+            # the file's values become defaults: argparse types them, and flags win
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            sub.choices[args.command].set_defaults(**config)
+            args = parser.parse_args(argv)
         args.func(args, seed, seed_source)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

@@ -59,22 +59,8 @@ class OutOfRangeError(ValueError):
     """A requested interest-parameter value has an empty fiber."""
 
 
-@dataclass(frozen=True)
-class AlphaLevel:
-    """A level strictly inside (0, 1); 1 - alpha is the nominal confidence."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.value < 1.0:
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.value!r}")
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
 def as_alpha(alpha) -> float:
-    """Validate and unwrap an alpha given as a float or :class:`AlphaLevel`."""
+    """Validate a level strictly inside (0, 1); 1 - alpha is the nominal confidence."""
     a = float(alpha)
     if not 0.0 < a < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")

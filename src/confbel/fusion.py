@@ -183,7 +183,6 @@ def fused_contour(
     x,
     mc: MCConfig,
     *,
-    plaus: Callable[[Point], float] | None = None,
     witness: Point | None = None,
     unimodal: bool = False,
     tol: float = ALPHA_BISECT_TOL,
@@ -191,18 +190,18 @@ def fused_contour(
 ) -> PlausibilityContour:
     """Package the fused plausibility as a consonance-checked contour.
 
-    ``plaus`` overrides the generic evaluator with a model closed form.  The
-    supremum witness defaults to the family's center: it lies in every region
-    ``C_alpha(x)``, so the alpha index is capped at 1 there and the generic
-    plausibility reads exactly 1.  :class:`PlausibilityContour` evaluates the
-    contour once at the witness and raises :class:`ConsonanceError` if it
-    does not reach 1 (a family whose center is not in every region, typically
-    a mis-specified association).  ``search`` is accepted and ignored: the
-    benchmark's generic_route workload still passes it.
+    The supremum witness defaults to the family's center: it lies in every
+    region ``C_alpha(x)``, so the alpha index is capped at 1 there and the
+    generic plausibility reads exactly 1.  :class:`PlausibilityContour`
+    evaluates the contour once at the witness and raises
+    :class:`ConsonanceError` if it does not reach 1 (a family whose center is
+    not in every region, typically a mis-specified association).  ``search``
+    is accepted and ignored: the benchmark's generic_route workload still
+    passes it.
     """
-    if plaus is None:
-        def plaus(theta):
-            return theta_specific_plaus(assoc, rs, x, theta, mc, tol)
+    def plaus(theta):
+        return theta_specific_plaus(assoc, rs, x, theta, mc, tol)
+
     if witness is None:
         witness = assoc.family.center(x)
     return PlausibilityContour(plaus, witness, unimodal)

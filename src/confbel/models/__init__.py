@@ -19,7 +19,6 @@ from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridSpec
 from ..fusion import RandomSetFamily
-from ..mc import MCConfig
 from . import behrens_fisher, binomial, dkw, fieller, normal_mean, uniform_loc
 
 __all__ = [
@@ -133,11 +132,7 @@ def normal_mean_bundle() -> ModelBundle:
     )
 
 
-def behrens_fisher_bundle(
-    n1: int = 5,
-    n2: int = 11,
-    mc_internal: MCConfig = MCConfig(reps=100_000, seed=11),
-) -> ModelBundle:
+def behrens_fisher_bundle(n1: int = 5, n2: int = 11) -> ModelBundle:
     def data_replicates(theta, k, mc):
         rows = behrens_fisher.sampling(n1, n2).sample(theta, mc.with_reps(k))
         return [
@@ -150,7 +145,7 @@ def behrens_fisher_bundle(
         family=behrens_fisher.family(n1, n2),
         random_set=behrens_fisher.random_set(n1, n2),
         sampling=behrens_fisher.sampling(n1, n2),
-        contour_at_truth=behrens_fisher.contour_at_truth(n1, n2, mc_internal),
+        contour_at_truth=behrens_fisher.contour_at_truth(n1, n2),
         plaus_grid=behrens_fisher.hs_contour,
         member_grid=functools.partial(behrens_fisher.member, n1, n2),
         default_grid=behrens_fisher.default_grid,

@@ -161,6 +161,9 @@ def family(n1: int, n2: int) -> ConfidenceFamily:
 # --------------------------------------------------------------------------
 # Pivotal machinery
 
+# The pivot table that :func:`contour_at_truth` reads.
+CONTOUR_MC = MCConfig(reps=100_000, seed=11)
+
 
 @functools.lru_cache(maxsize=8)
 def pivotal_draws(n1: int, n2: int, mc: MCConfig) -> np.ndarray:
@@ -281,14 +284,14 @@ def sampling(n1: int, n2: int) -> SamplingModel:
     return SamplingModel(name=f"behrens_fisher(n1={n1},n2={n2})", sample=sample, draws_per_rep=n1 + n2)
 
 
-def contour_at_truth(n1: int, n2: int, mc_internal: MCConfig):
+def contour_at_truth(n1: int, n2: int):
     """Vectorized pl of the true theta over sampled summaries: the slice at
-    the truth's own lambda."""
+    the truth's own lambda, from :data:`CONTOUR_MC`'s pivot table."""
 
     def fn(xs, theta):
         theta = np.asarray(theta, dtype=float)
         phi = theta[0] - theta[1] if len(theta) == 4 else theta[0]
-        return slice_plaus(n1, n2, xs, lambda_of(theta, n1, n2), phi, mc_internal)
+        return slice_plaus(n1, n2, xs, lambda_of(theta, n1, n2), phi, CONTOUR_MC)
 
     return fn
 

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from ..audit import SamplingModel
+from ..audit import SamplingModel, ks_distances
 from ..contours import ConfidenceFamily, IntervalUnion, PredicateRegion
 from ..fusion import Association, RandomSetFamily, support_of
 from ..mc import MCConfig
@@ -190,15 +190,6 @@ def distances(sample: EmpiricalSample, candidates) -> np.ndarray:
 def _index(n: int, d):
     """Contour index ``min(1, 2 exp(-2 n D^2))``; broadcasts over D."""
     return np.minimum(1.0, 2.0 * np.exp(-2.0 * n * d * d))
-
-
-def ks_distances(u: np.ndarray) -> np.ndarray:
-    """Row-wise sup-norm distance of the empirical CDF of u from the identity."""
-    u = np.sort(u, axis=-1)
-    n = u.shape[-1]
-    d_plus = np.max(np.arange(1, n + 1) / n - u, axis=-1)
-    d_minus = np.max(u - np.arange(n) / n, axis=-1)
-    return np.maximum(d_plus, d_minus)
 
 
 @functools.lru_cache(maxsize=4)

@@ -216,7 +216,7 @@ def test_association_round_trip():
 
 
 def test_contour_at_truth_validity():
-    fn = bf.contour_at_truth(5, 11, MC)
+    fn = bf.contour_at_truth(5, 11)
     theta = (0.0, 0.0, 4.0, 1.0)
     mc = MCConfig(reps=10_000, seed=53)
     xs = bf.sampling(5, 11).sample(theta, mc)

@@ -306,6 +306,66 @@ def test_out_of_domain_value_exits_2_without_artifact(argv, message, tmp_path, c
     assert not out.exists()
 
 
+def _exit_code(argv) -> int:
+    # argparse rejects a value by raising SystemExit(2); the commands return 2
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, rows",
+    [
+        (["fig1", "--rep", "7"], "reps = 20\n", 0, 7),
+        (["fig1", "--se", "5", "--reps", "10"], None, 0, 10),
+        (["fig1"], "reps = 1e3\n", 2, None),
+        (["fieller", "--reps", "50"], "curve = false\n", 0, 1),
+        (["fig1", "--theta", "nan", "--reps", "50"], None, 2, None),
+        (["fieller", "--x1", "inf", "--reps", "50"], None, 2, None),
+        (["fig1", "--reps", "50"], "theta = -inf\n", 2, None),
+        (["fieller", "--curve", "--grid-points", "0", "--reps", "50"], None, 2, None),
+        (["bf", "--reps", "100", "--grid-points", "5"], "lambda-cols = 0.5\n", 0, 5),
+    ],
+    ids=[
+        "abbreviated_flag_beats_config", "abbreviated_seed_flag", "config_int_written_as_float",
+        "config_switch_off", "nan_flag", "inf_flag", "inf_config", "fieller_grid_of_0_points",
+        "config_csv_option_of_one_number",
+    ],
+)
+def test_options_parse_alike_from_flags_and_config(argv, config, code, rows, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    argv = argv + ["--out", str(out)]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    assert _exit_code(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+    if rows is None:
+        assert not out.exists()
+        return
+    meta, got = read_csv(out)
+    assert len(got) == rows
+    if "--se" in argv:
+        assert (meta["seed"], meta["seed_source"]) == ("5", "flag")
+
+
+def test_config_switch_values(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "o.csv"
+    argv = ["fieller", "--reps", "50", "--grid-points", "11", "--config", str(cfg), "--out", str(out)]
+    for text, rows in (("TRUE", 11), ("1", 11), ("0", 1), ("False", 1)):
+        cfg.write_text(f"curve = {text}\n")
+        assert main(argv) == 0
+        assert len(read_csv(out)[1]) == rows
+    out.unlink()
+    cfg.write_text("curve = yes\n")
+    assert _exit_code(argv) == 2
+    assert "argument --curve: expected true, false, 1 or 0, got 'yes'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_coverage_truth_from_config_file(tmp_path):
     # a config value that parses as a number is still the truth's text
     cfg = tmp_path / "run.cfg"

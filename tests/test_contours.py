@@ -12,7 +12,6 @@ from scipy import special
 from confbel.contours import (
     ALPHA_BISECT_LEVELS,
     ALPHA_BISECT_TOL,
-    AlphaLevel,
     ConfidenceFamily,
     ConsonanceError,
     DegenerateAssertionError,
@@ -58,13 +57,9 @@ def tent(theta):
 
 def test_alpha_validation():
     assert as_alpha(0.3) == 0.3
-    assert as_alpha(AlphaLevel(0.25)) == 0.25
     for bad in (0.0, 1.0, -1, 2):
         with pytest.raises(ValueError):
             as_alpha(bad)
-        if 0 <= bad <= 1:
-            with pytest.raises(ValueError):
-                AlphaLevel(bad)
 
 
 def test_grid_spec():
