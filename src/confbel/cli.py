@@ -78,6 +78,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _count_at_least(minimum: int):
+    """argparse type of a sample-size option: an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _switch(text: str) -> bool:
     """argparse type of a switch's config line; the flag itself takes no value."""
     value = {"true": True, "1": True, "false": False, "0": False}.get(text.lower())
@@ -330,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("binom", help="exact-tail vs fused binomial contours on a theta grid")
     common(p, "confbel_binom.csv", None)
-    p.add_argument("--n", type=int, default=25)
+    p.add_argument("--n", type=_count_at_least(1), default=25)
     p.add_argument("--x", type=int, default=17)
     p.add_argument("--grid-points", type=int, default=512)
     p.set_defaults(func=cmd_binom)
@@ -350,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dkw", help="distribution-free CDF band with the fused contour of its lower edge")
     common(p, "confbel_dkw.csv", None)
-    p.add_argument("--n", type=int, default=799, help="size of the synthetic sample")
+    p.add_argument("--n", type=_count_at_least(1), default=799, help="size of the synthetic sample")
     p.add_argument("--sample-seed", type=int, default=1404, help="seed of the synthetic sample")
     p.add_argument("--data", default=None, help="CSV of raw values (overrides the synthetic sample)")
     p.add_argument("--column", default="value")
@@ -374,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uniform", help="uniform-location fused contour, region, and compatibility")
     common(p, "confbel_uniform.csv", 10_000)
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_count_at_least(2), default=10, help="sample size (a min and a max need two)")
     p.add_argument("--x1", type=_finite_float, default=0.2)
     p.add_argument("--x2", type=_finite_float, default=0.9)
     p.add_argument("--theta", type=_finite_float, default=0.0, help="truth for the coverage estimate")
@@ -415,8 +430,16 @@ def main(argv: list[str] | None = None) -> int:
         if config:
             # the file's values become defaults: argparse types them, and flags win
             sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            sub.choices[args.command].set_defaults(**config)
+            command = sub.choices[args.command]
+            command.set_defaults(**config)
             args = parser.parse_args(argv)
+            # argparse checks choices on flags only; a value from the file gets the same check
+            for action in command._actions:
+                if action.choices is not None and action.dest in config:
+                    try:
+                        command._check_value(action, getattr(args, action.dest))
+                    except argparse.ArgumentError as exc:
+                        command.error(str(exc))
         args.func(args, seed, seed_source)
     except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,12 +19,14 @@ Conventions fixed here and relied on throughout the package:
 * suprema over empty sets are 0;
 * complements are taken closed (boundary points carry no mass for the
   continuous contours shipped here);
-* region boundaries are refined by bisection between straddling grid points,
-  never by model-specific root-finding.
+* region boundaries are refined between straddling grid points by a bracket
+  search guided by the contour values (:func:`_crossing`), never by
+  model-specific root-finding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -427,6 +429,66 @@ def belief(
 # Level sets
 
 
+def _crossing(fn: Callable[[float], float], alpha: float, lo: float, hi: float, g_lo: float, g_hi: float) -> float:
+    """Where ``fn`` crosses ``alpha`` between ``lo`` (``fn > alpha``) and
+    ``hi`` (not), in either order, given ``g = fn - alpha`` at both ends.
+
+    Each step is regula falsi with the Illinois halving (Dowell & Jarratt,
+    BIT 11, 1971): an end kept twice running has its ``g`` halved.  A step
+    within ``nudge`` floats of an end moves that far off it, and ``nudge``
+    doubles while steps keep landing there.  A step is a plain halving when
+    the last three steps did not halve the bracket, or when only halvings can
+    still reach the floor below in the steps left.  Every point is classified
+    by ``fn(t) > alpha``, the test of the grid values.
+
+    The search stops when ``0.5 * (lo + hi)`` is an end (the bracket is two
+    adjacent floats) or the bracket is within ``2**-60`` of the cell, and
+    returns that midpoint.  When the cell holds one crossing and 60 halvings
+    (``bisect`` at tol 0) reach adjacent floats, it is their float.
+
+    Worst case: ``2 * 60`` evaluations a crossing, with the bracket at the
+    floor by then.  60 halvings always cost 60.  At a jump across the level
+    there is nothing to interpolate, and the tests see about 50.
+    """
+    floor = abs(hi - lo) * 2.0**-_BISECT_MAX_ITER
+    widths = []
+    kept = 0  # the end the last step kept: 1 is lo, -1 is hi
+    nudge = 1.0
+    for left in range(2 * _BISECT_MAX_ITER, 0, -1):
+        mid = 0.5 * (lo + hi)
+        width = abs(hi - lo)
+        if mid == lo or mid == hi or width <= floor:
+            return mid
+        widths.append(width)
+        slow = len(widths) > 3 and width > 0.5 * widths[-4]
+        if slow or width > floor * 2.0 ** (left - 1) or g_lo <= 0.0:  # g_lo only underflows to 0
+            t = mid
+        else:
+            t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+            for end, other in ((lo, hi), (hi, lo)):
+                step = nudge * math.ulp(end)
+                if abs(t - end) <= step:
+                    t = end + math.copysign(step, other - end)
+                    nudge *= 2.0
+                    break
+            else:
+                nudge = 1.0
+            if not min(lo, hi) < t < max(lo, hi):
+                t = mid
+        v = float(fn(t))
+        if v > alpha:
+            lo, g_lo = t, v - alpha
+            if kept == -1:
+                g_hi *= 0.5
+            kept = -1
+        else:
+            hi, g_hi = t, v - alpha
+            if kept == 1:
+                g_lo *= 0.5
+            kept = 1
+    return 0.5 * (lo + hi)
+
+
 def _region_from_values(
     fn: Callable[[float], float], pts: np.ndarray, vals: np.ndarray, alpha: float
 ) -> Interval | IntervalUnion:
@@ -435,13 +497,14 @@ def _region_from_values(
     if not len(edges):
         return IntervalUnion(())
 
-    def above(ts: np.ndarray) -> list[bool]:  # fn may take scalars only: one point a call
-        return [float(fn(t)) > alpha for t in ts.tolist()]
+    def crossing(i_in: int, i_out: int) -> float:  # the grid values start the search
+        g_in, g_out = float(vals[i_in]) - alpha, float(vals[i_out]) - alpha
+        return _crossing(fn, alpha, float(pts[i_in]), float(pts[i_out]), g_in, g_out)
 
     intervals = []
     for i0, i1 in zip(edges[::2], edges[1::2] - 1):
-        left = float(pts[0]) if i0 == 0 else bisect(above, float(pts[i0]), float(pts[i0 - 1]), 0.0)
-        right = float(pts[-1]) if i1 == len(pts) - 1 else bisect(above, float(pts[i1]), float(pts[i1 + 1]), 0.0)
+        left = float(pts[0]) if i0 == 0 else crossing(i0, i0 - 1)
+        right = float(pts[-1]) if i1 == len(pts) - 1 else crossing(i1, i1 + 1)
         intervals.append(Interval(left, right))
     if len(intervals) == 1:
         return intervals[0]
@@ -451,8 +514,9 @@ def _region_from_values(
 def plausibility_region(contour: PlausibilityContour, alpha, grid: GridSpec) -> Interval | IntervalUnion:
     """Level set ``{theta : pl_x(theta) > alpha}`` resolved on ``grid``.
 
-    Grid points straddling the level are refined by bisection; a set reaching
-    the edge of the grid is truncated there (widen the grid if that matters).
+    Grid points straddling the level are refined by :func:`_crossing`; a set
+    reaching the edge of the grid is truncated there (widen the grid if that
+    matters).
     Strict inequality: points where the contour equals ``alpha`` exactly are
     excluded.
     """

@@ -236,9 +236,9 @@ def test_audit_artifact(tmp_path):
     assert len(rows) == 2 * 7  # two truth points, seven alpha levels
 
 
-def _model_choices(command: str) -> list[str]:
+def _model_choices(command: str, dest: str = "model") -> list[str]:
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return list(next(a.choices for a in sub.choices[command]._actions if a.dest == "model"))
+    return list(next(a.choices for a in sub.choices[command]._actions if a.dest == dest))
 
 
 def test_every_audit_model_choice_exits_0(tmp_path):
@@ -289,29 +289,32 @@ def test_coverage_dkw_truth_names_a_hint_truth(theta, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["dkw", "--alpha", "1.5"], "alpha must lie strictly in (0, 1), got 1.5"),
-        (["coverage", "--model", "normal_mean", "--theta", "nan", "--reps", "100"], "finite numbers, got 'nan'"),
-        (["coverage", "--model", "behrens_fisher", "--theta", "0,0,-1,1", "--reps", "50"], "variances s1, s2 > 0"),
-    ],
-    ids=["dkw_alpha", "coverage_nan_truth", "coverage_negative_variance"],
-)
-def test_out_of_domain_value_exits_2_without_artifact(argv, message, tmp_path, capsys):
-    out = tmp_path / "o.csv"
-    assert main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
-    assert not out.exists()
-
-
 def _exit_code(argv) -> int:
     # argparse rejects a value by raising SystemExit(2); the commands return 2
     try:
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dkw", "--alpha", "1.5"], "alpha must lie strictly in (0, 1), got 1.5"),
+        (["coverage", "--model", "normal_mean", "--theta", "nan", "--reps", "100"], "finite numbers, got 'nan'"),
+        (["coverage", "--model", "behrens_fisher", "--theta", "0,0,-1,1", "--reps", "50"], "variances s1, s2 > 0"),
+        (["dkw", "--n", "0"], "argument --n: expected an integer of at least 1, got '0'"),
+        (["binom", "--n", "-3", "--x", "0"], "argument --n: expected an integer of at least 1, got '-3'"),
+        (["uniform", "--n", "1"], "argument --n: expected an integer of at least 2, got '1'"),
+    ],
+    ids=["dkw_alpha", "coverage_nan_truth", "coverage_negative_variance", "dkw_n", "binom_n", "uniform_n"],
+)
+def test_out_of_domain_value_exits_2_without_artifact(argv, message, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert _exit_code(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -364,6 +367,25 @@ def test_config_switch_values(tmp_path, capsys):
     assert _exit_code(argv) == 2
     assert "argument --curve: expected true, false, 1 or 0, got 'yes'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, dest, value",
+    [("audit", "model", "nope"), ("coverage", "model", "nope"), ("fig1", "format", "xml")],
+)
+def test_config_value_outside_choices_exits_2(command, dest, value, tmp_path, capsys):
+    # argparse checks choices on flags only; a config line gets the same message
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{dest} = {value}\n")
+    out = tmp_path / "o.csv"
+    option, choices = f"--{dest}", _model_choices(command, dest)
+    assert _exit_code([command, "--reps", "20", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: invalid choice: {value!r}" in err
+    assert all(c in err.partition("choose from")[2] for c in choices)
+    assert not out.exists()
+    # a flag still wins over the file's value
+    assert _exit_code([command, "--reps", "20", "--config", str(cfg), option, choices[0], "--out", str(out)]) == 0
 
 
 def test_coverage_truth_from_config_file(tmp_path):

@@ -34,7 +34,7 @@ from confbel.contours import (
     plausibility,
     plausibility_region,
 )
-from confbel.models import normal_mean
+from confbel.models import binomial, normal_mean, uniform_loc
 
 Z_975 = 1.9599639845400542
 
@@ -335,22 +335,43 @@ def test_plausibility_monotone_under_inclusion(lo, width, grow):
 # level sets
 
 
+def _counting(fn):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+
+    return counted, calls
+
+
 def test_plausibility_region_recovers_interval():
-    c = unimodal_contour(x=0.7)
+    fn, calls = _counting(lambda t: pivot_closed_form(0.7, t))
+    c = PlausibilityContour(fn, sup_witness=0.7, unimodal=True)
+    calls.clear()
     region = plausibility_region(c, 0.05, GridSpec(-8, 8, 801))
     assert isinstance(region, Interval)
     assert region.lower == pytest.approx(0.7 - Z_975, abs=1e-6)
     assert region.upper == pytest.approx(0.7 + Z_975, abs=1e-6)
+    # the contour values guide the search: at most 16 calls a crossing
+    # beyond the grid, where 60 halvings took 60
+    assert len(calls) - 801 <= 2 * 16
 
 
 def test_plausibility_region_strict_threshold():
-    c = PlausibilityContour(tent, sup_witness=0.0, unimodal=True)
+    fn, calls = _counting(tent)
+    c = PlausibilityContour(fn, sup_witness=0.0, unimodal=True)
     # grid hits the level exactly at -+0.5; strictness keeps them out
     region = plausibility_region(c, 0.5, GridSpec(-1, 1, 5))
     assert isinstance(region, Interval)
     assert region.lower == pytest.approx(-0.5, abs=1e-9)
     assert region.upper == pytest.approx(0.5, abs=1e-9)
     assert not region.contains(-0.75)
+    # each crossing lies a few floats off a grid point: 8 calls in all beyond
+    # the grid for both (60 halvings a crossing took 120)
+    calls.clear()
+    assert plausibility_region(c, 0.5, GridSpec(-1, 1, 801)) == Interval(-0.4999999999999999, 0.4999999999999999)
+    assert len(calls) - 801 <= 8
 
 
 def test_plausibility_region_empty_and_disconnected():
@@ -363,6 +384,136 @@ def test_plausibility_region_empty_and_disconnected():
     assert isinstance(region, IntervalUnion)
     assert len(region.intervals) == 2
     assert region.contains(2.0) and region.contains(-2.0) and not region.contains(0.0)
+
+
+@pytest.mark.parametrize("edge", [math.pi / 10, 1.0 / 3.0, 0.7071067811865476])
+def test_jump_at_the_crossing_costs_at_most_two_searches_of_halvings(edge):
+    # nothing to interpolate across a jump: the worst case is 2 * 60 calls a
+    # crossing, and the endpoints are still the halvings' floats
+    def step(t):
+        return 1.0 if abs(t) < edge else 0.0
+
+    fn, calls = _counting(step)
+    c = PlausibilityContour(fn, sup_witness=0.0)
+    for grid in (GridSpec(-1, 1, 801), GridSpec(-1, 1, 11), GridSpec(-8, 8, 801)):
+        calls.clear()
+        region = plausibility_region(c, 0.5, grid)
+        assert len(calls) - grid.n <= 2 * 2 * 60
+        pts = grid.points()
+        i = int(np.searchsorted(pts, edge))  # pts[i - 1] < edge <= pts[i]
+        want = _sequential_bisect(lambda t: step(t) > 0.5, float(pts[i - 1]), float(pts[i]), 0.0)
+        assert region.upper == want and region.lower == -want
+
+
+def _float_crossings(above, a: float, b: float) -> int:
+    """Changes of ``above`` over every float from just below min(a, b) to
+    just above max(a, b)."""
+    t, stop = math.nextafter(min(a, b), -math.inf), math.nextafter(max(a, b), math.inf)
+    assert (stop - t) <= 4096 * math.ulp(max(abs(t), abs(stop)))  # a few floats, not a search
+    prev, changes = above(t), 0
+    while t < stop:
+        t = math.nextafter(t, math.inf)
+        cur = above(t)
+        changes += cur != prev
+        prev = cur
+    return changes
+
+
+def _oracle_endpoints(fn, pts, alpha):
+    """Each region endpoint as 60 tol-0 halvings find it on its straddling
+    cell (None at a grid edge), with the cell and whether the halvings had
+    stalled at adjacent floats."""
+    ins = [float(fn(p)) > alpha for p in pts]
+    out = []
+    for k in range(len(pts)):
+        if not ins[k]:
+            continue
+        for j in (k - 1, k + 1):
+            if j in (-1, len(pts)):
+                out.append((None, float(pts[k]), None, None))
+            elif not ins[j]:
+                a, b = float(pts[k]), float(pts[j])
+                asked = []
+                want = _sequential_bisect(lambda t: asked.append((t, float(fn(t)) > alpha)) or asked[-1][1], a, b, 0.0)
+                lo, hi = a, b  # the bracket the halvings ended on
+                for t, inside in asked:
+                    lo, hi = (t, hi) if inside else (lo, t)
+                out.append((want, a, b, want in (lo, hi)))
+    return out
+
+
+def _shifted_pivot(data):
+    x = data.draw(st.floats(-5.0, 5.0), label="x")
+    span = data.draw(st.floats(2.5, 8.0), label="span")
+    c = PlausibilityContour(lambda t: pivot_closed_form(x, t), sup_witness=x)
+    return c, (x - span, x + span), (abs, normal_mean.abs_fiber, (0.0, abs(x) + span))
+
+
+def _uniform(data):
+    lo = data.draw(st.floats(0.0, 0.9), label="min")
+    x = (lo, data.draw(st.floats(lo, min(lo + 0.95, 1.0)), label="max"))
+    c = uniform_loc.contour(x)
+    pad = 0.02 * (x[0] - x[1] + 1.0)
+    return c, (x[1] - 1.0 - pad, x[0] + pad), (abs, normal_mean.abs_fiber, (0.0, 1.0))
+
+
+def _binomial(data):
+    n = 25
+    x = data.draw(st.integers(0, n), label="x")
+    c = PlausibilityContour(lambda t: binomial.cp_contour(n, x, t), sup_witness=min(max(x / n, 1e-9), 1.0 - 1e-9))
+
+    def fiber(phi):  # preimage of theta -> |theta - 1/2|
+        return list(dict.fromkeys((0.5 - phi, 0.5 + phi)))
+
+    return c, (0.001, 0.999), (lambda t: abs(t - 0.5), fiber, (0.0, 0.499))
+
+
+@given(
+    data=st.data(),
+    model=st.sampled_from([_shifted_pivot, _uniform, _binomial]),
+    marginal=st.booleans(),
+    alpha=st.floats(0.01, 0.99),
+    n=st.integers(3, 120),
+)
+@settings(max_examples=200, deadline=None)
+def test_region_endpoints_are_the_halvings_floats(data, model, marginal, alpha, n):
+    contour, span, (phi_map, fiber, phi_span) = model(data)
+    if marginal:
+        grid = GridSpec(*phi_span, n)
+        region = marginal_region(contour, phi_map, alpha, grid, fiber)
+
+        def fn(phi):
+            return marginal_contour(contour, phi_map, phi, fiber)
+    else:
+        grid = GridSpec(*span, n)
+        region = plausibility_region(contour, alpha, grid)
+        fn = contour
+    got = [e for iv in getattr(region, "intervals", (region,)) for e in (iv.lower, iv.upper)]
+    oracle = _oracle_endpoints(fn, grid.points(), alpha)
+    assert len(got) == len(oracle)
+    for e, (want, a, b, stalled) in zip(got, oracle):
+        assert type(e) is float
+        if want is None:  # the run reaches the grid edge
+            assert e == a
+        elif not stalled:  # 60 halvings ended short of adjacent floats
+            assert abs(e - want) <= abs(b - a) * 2.0**-59
+        elif e.hex() != want.hex():
+            # two answers, so the floats between them cross the level twice
+            assert _float_crossings(lambda t: float(fn(t)) > alpha, e, want) > 1
+
+
+def test_crossing_short_of_adjacent_floats_is_within_the_halvings_resolution():
+    # 0.5 + t rises past 0.5 only above t = 2**-54: 60 halvings of the cell
+    # (-0.01, 0.01) stop far short of that float's spacing
+    def ramp(t):
+        return min(1.0, max(0.0, 0.5 + t))
+
+    c = PlausibilityContour(ramp, sup_witness=0.5)
+    grid = GridSpec(-0.01, 0.99, 51)
+    region = plausibility_region(c, 0.5, grid)
+    want = _sequential_bisect(lambda t: ramp(t) > 0.5, 0.01, -0.01, 0.0)
+    assert abs(region.lower - want) <= 0.02 * 2.0**-59
+    assert abs(region.lower - 2.0**-54) <= 0.02 * 2.0**-59
 
 
 # --------------------------------------------------------------------------
