@@ -38,8 +38,8 @@ class UsageError(Exception):
 
 def _read_config_file(path: str) -> dict:
     """The file's ``key = value`` lines, each value the raw text a flag takes."""
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
+    if not os.path.isfile(path):
+        raise UsageError(f"--config {path}: no such file")
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
@@ -58,13 +58,22 @@ def _resolve_seed(args, config: dict) -> tuple[int, str]:
     if args.seed is not None:
         return args.seed, "flag"
     env = os.environ.get(SEED_ENV_VAR)
-    for source, name, text in (("config", "seed", config.get("seed")), ("env", SEED_ENV_VAR, env)):
+    for source, name, text in (("config", f"seed in {args.config}", config.get("seed")), ("env", SEED_ENV_VAR, env)):
         if text is not None:
             try:
-                return int(text), source
-            except ValueError as exc:
-                raise UsageError(f"{name} must be an integer, got {text!r}") from exc
+                return _count_at_least(0)(text), source
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"{name}: {exc}") from exc
     return 0, "default"
+
+
+def _check_out(path: str) -> None:
+    """``--out`` must name a file in an existing directory; checked before any work."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise UsageError(f"--out {path}: no such directory {directory}")
+    if os.path.isdir(path):
+        raise UsageError(f"--out {path}: is a directory")
 
 
 def _finite_float(text: str) -> float:
@@ -78,8 +87,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _alpha(text: str) -> float:
+    """argparse type of every scalar ``--alpha``: a level strictly inside (0, 1)."""
+    try:
+        return as_alpha(_finite_float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _count_at_least(minimum: int):
-    """argparse type of a sample-size option: an integer of at least ``minimum``."""
+    """argparse type of a count option: an integer of at least ``minimum``."""
 
     def parse(text: str) -> int:
         try:
@@ -144,7 +161,7 @@ def cmd_fig1(args, seed: int, seed_source: str) -> None:
 
 def cmd_binom(args, seed: int, seed_source: str) -> None:
     if not 0 <= args.x <= args.n:
-        raise UsageError(f"x must lie in 0..{args.n}")
+        raise UsageError(f"--x must lie in 0..{args.n}, got {args.x}")
     thetas = binomial.default_grid(args.grid_points).points()
     cp = binomial.cp_contour(args.n, args.x, thetas)
     im = binomial.im_contour(args.n, args.x, thetas)
@@ -175,9 +192,11 @@ def cmd_bf(args, seed: int, seed_source: str) -> None:
 
 
 def cmd_dkw(args, seed: int, seed_source: str) -> None:
-    as_alpha(args.alpha)  # dkw_delta itself accepts alpha up to 2
     if args.data is not None:
-        sample = dkw.EmpiricalSample.from_csv(args.data, column=args.column)
+        try:
+            sample = dkw.EmpiricalSample.from_csv(args.data, column=args.column)
+        except (OSError, ValueError) as exc:  # no such file, a directory, a row without a number
+            raise UsageError(f"--data: {exc}") from exc
     else:
         sample = dkw.synthetic_sample(args.n, seed=args.sample_seed)
     delta, lower, upper = dkw.dkw_band(sample, args.alpha)
@@ -239,7 +258,7 @@ def cmd_fieller(args, seed: int, seed_source: str) -> None:
 def cmd_uniform(args, seed: int, seed_source: str) -> None:
     x = (args.x1, args.x2)
     if x[1] < x[0]:
-        raise UsageError("x2 must be at least x1")
+        raise UsageError(f"--x2 must be at least --x1, got {args.x2} < {args.x1}")
     mc = MCConfig(reps=args.reps, seed=seed)
     grid = uniform_loc.default_grid(x, args.grid_points)
     thetas = grid.points()
@@ -333,9 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, default_out: str, reps: int | None):
         p.add_argument("--out", default=default_out, help="output path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, help=f"RNG seed (else the config file's, ${SEED_ENV_VAR}, then 0)")
+        p.add_argument(
+            "--seed", type=_count_at_least(0), help=f"RNG seed (else the config file's, ${SEED_ENV_VAR}, then 0)"
+        )
         if reps is not None:  # None: the subcommand draws nothing
-            p.add_argument("--reps", type=int, default=reps, help="Monte Carlo replications")
+            p.add_argument("--reps", type=_count_at_least(1), default=reps, help="Monte Carlo replications")
         p.add_argument("--config", default=None, help="key=value defaults file (flags win)")
 
     p = sub.add_parser("fig1", help="calibration failure of the |theta| confidence distribution")
@@ -347,29 +368,29 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "confbel_binom.csv", None)
     p.add_argument("--n", type=_count_at_least(1), default=25)
     p.add_argument("--x", type=int, default=17)
-    p.add_argument("--grid-points", type=int, default=512)
+    p.add_argument("--grid-points", type=_count_at_least(2), default=512)
     p.set_defaults(func=cmd_binom)
 
     p = sub.add_parser("bf", help="two-sample contours: the interval contour (= fused marginal) and lambda slices")
     common(p, "confbel_bf.csv", 100_000)
     d = behrens_fisher.DEFAULT_DATA
-    p.add_argument("--n1", type=int, default=d.n1)
+    p.add_argument("--n1", type=_count_at_least(2), default=d.n1)
     p.add_argument("--m1", type=_finite_float, default=d.m1)
     p.add_argument("--v1", type=_finite_float, default=d.v1)
-    p.add_argument("--n2", type=int, default=d.n2)
+    p.add_argument("--n2", type=_count_at_least(2), default=d.n2)
     p.add_argument("--m2", type=_finite_float, default=d.m2)
     p.add_argument("--v2", type=_finite_float, default=d.v2)
-    p.add_argument("--grid-points", type=int, default=201)
+    p.add_argument("--grid-points", type=_count_at_least(2), default=201)
     p.add_argument("--lambda-cols", default="0,0.25,0.5,0.75,1", help="lambda slices to emit as columns")
     p.set_defaults(func=cmd_bf)
 
     p = sub.add_parser("dkw", help="distribution-free CDF band with the fused contour of its lower edge")
     common(p, "confbel_dkw.csv", None)
     p.add_argument("--n", type=_count_at_least(1), default=799, help="size of the synthetic sample")
-    p.add_argument("--sample-seed", type=int, default=1404, help="seed of the synthetic sample")
+    p.add_argument("--sample-seed", type=_count_at_least(0), default=1404, help="seed of the synthetic sample")
     p.add_argument("--data", default=None, help="CSV of raw values (overrides the synthetic sample)")
     p.add_argument("--column", default="value")
-    p.add_argument("--alpha", type=_finite_float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.set_defaults(func=cmd_dkw)
 
     p = sub.add_parser("fieller", help="ratio-of-means CDF, its intervals, and their coverage")
@@ -379,12 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta1", type=_finite_float, default=1.0)
     p.add_argument("--theta2", type=_finite_float, default=20.0)
     p.add_argument("--theta", default=None, help="comma form of the truth, overrides --theta1/--theta2")
-    p.add_argument("--alpha", type=_finite_float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     curve = p.add_argument("--curve", action="store_true", help="emit the CDF curve instead of the coverage row")
     curve.type = _switch  # converts a config file's `curve = ...`; the flag takes no value
     p.add_argument("--phi-lo", type=_finite_float, default=-0.1)
     p.add_argument("--phi-hi", type=_finite_float, default=0.2)
-    p.add_argument("--grid-points", type=int, default=201)
+    p.add_argument("--grid-points", type=_count_at_least(2), default=201)
     p.set_defaults(func=cmd_fieller)
 
     p = sub.add_parser("uniform", help="uniform-location fused contour, region, and compatibility")
@@ -393,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", type=_finite_float, default=0.2)
     p.add_argument("--x2", type=_finite_float, default=0.9)
     p.add_argument("--theta", type=_finite_float, default=0.0, help="truth for the coverage estimate")
-    p.add_argument("--alpha", type=_finite_float, default=0.05)
-    p.add_argument("--grid-points", type=int, default=512)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
+    p.add_argument("--grid-points", type=_count_at_least(2), default=512)
     p.set_defaults(func=cmd_uniform)
 
     p = sub.add_parser("audit", help="contour validity audit for a model bundle")
@@ -411,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated truth, or a CDF's name for dkw (Exp(1)); default: the model's first hint truth",
     )
-    p.add_argument("--alpha", type=_finite_float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.set_defaults(func=cmd_coverage)
 
     return parser
@@ -440,6 +461,7 @@ def main(argv: list[str] | None = None) -> int:
                         command._check_value(action, getattr(args, action.dest))
                     except argparse.ArgumentError as exc:
                         command.error(str(exc))
+        _check_out(args.out)
         args.func(args, seed, seed_source)
     except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,10 @@ Conventions fixed here and relied on throughout the package:
   continuous contours shipped here);
 * region boundaries are refined between straddling grid points by a bracket
   search guided by the contour values (:func:`_crossing`), never by
-  model-specific root-finding.
+  model-specific root-finding;
+* the alpha index of a generic family is read by :func:`bisect`, which cuts
+  its bracket into ``ALPHA_SPLIT`` equal cells per membership call and
+  lands within ``ALPHA_BISECT_TOL / 2`` of the supremum.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ import numpy as np
 
 NORMALIZATION_TOL = 1e-8
 ALPHA_BISECT_TOL = 1e-6
-# halvings resolved per membership call in the alpha bisections (see docs/decisions.md)
-ALPHA_BISECT_LEVELS = 5
+# equal cells per membership call in the alpha searches (see docs/decisions.md)
+ALPHA_SPLIT = 32
+_SPLIT_FRACTIONS = np.arange(1, ALPHA_SPLIT) / ALPHA_SPLIT
+_SPLIT_MAX_CALLS = 12  # 32**12 = 2**60
 _BISECT_MAX_ITER = 60
 
 Point = float | tuple
@@ -243,51 +248,37 @@ class PlausibilityContour:
         return self.fn(theta)
 
 
-def bisect(pred: Callable[[np.ndarray], object], lo: float, hi: float, tol: float, levels: int = 1) -> float:
+def bisect(pred: Callable[[np.ndarray], object], lo: float, hi: float, tol: float) -> float:
     """Midpoint of the bracket from ``lo`` (``pred`` true) to ``hi`` (false),
-    in either order, halved until ``|hi - lo| <= tol`` or 60 halvings.
+    in either order, cut into ``ALPHA_SPLIT`` equal cells a call until
+    ``|hi - lo| <= tol`` or 12 calls (60 halvings' worth).
 
-    ``pred`` answers elementwise on a 1-d array.  Each call gets the
-    ``2**levels - 1`` midpoints of every path through the next ``levels``
-    halvings, built by the same ``0.5 * (lo + hi)``; the walk down the tree
-    reads only the answers the one-at-a-time search would have asked for, so
-    the result is the same for every ``levels``, monotone ``pred`` or not.
+    ``pred`` answers elementwise on the 1-d array of the 31 inner cut points
+    ``lo + (hi - lo) * k / 32``; the search keeps the cell where the answers
+    first turn false, so each end of the final cell is an asked point or a
+    starting end, true at one and false at the other.
     """
-    done = 0
-    while True:
-        depth = min(levels, _BISECT_MAX_ITER - done)
-        # breadth-first tree: node k's children are 2k + 1 (false) and 2k + 2 (true)
-        pts, brackets = [], [(lo, hi)]
-        for _ in range(depth):
-            nxt = []
-            for a, b in brackets:
-                mid = 0.5 * (a + b)
-                pts.append(mid)
-                nxt += ((a, mid), (mid, b))
-            brackets = nxt
-        answers = np.asarray(pred(np.array(pts)), dtype=bool).tolist()
-        k = 0
-        for _ in range(depth):
-            if answers[k]:
-                lo = pts[k]
-            else:
-                hi = pts[k]
-            done += 1
-            if abs(hi - lo) <= tol or done == _BISECT_MAX_ITER:
-                return 0.5 * (lo + hi)
-            k = 2 * k + 1 + answers[k]
+    for _ in range(_SPLIT_MAX_CALLS):
+        cuts = lo + (hi - lo) * _SPLIT_FRACTIONS
+        answers = np.asarray(pred(cuts), dtype=bool).tolist()
+        k = answers.index(False) if False in answers else len(answers)  # the first false cut
+        lo, hi = [lo, *cuts.tolist(), hi][k : k + 2]  # the cell that ends at it
+        if abs(hi - lo) <= tol:
+            break
+    return 0.5 * (lo + hi)
 
 
-def contour_from_family(family: ConfidenceFamily, x, theta, tol: float = ALPHA_BISECT_TOL) -> float:
-    """Evaluate ``sup{alpha : theta in C_alpha(x)}`` by bisection on alpha.
+def contour_from_family(family: ConfidenceFamily, x, theta) -> float:
+    """Evaluate ``sup{alpha : theta in C_alpha(x)}`` by an alpha search.
 
-    Membership is probed at the clamp levels ``tol`` and ``1 - tol`` first,
-    in one call: outside the widest region means 0, inside the narrowest
-    means 1 (provided membership is consistent; a point inside at ``1 - tol``
-    but outside at ``tol`` witnesses a nestedness violation and raises).  The
-    bisection then resolves ``ALPHA_BISECT_LEVELS`` halvings a call.
+    Membership is probed at the clamp levels ``tol = ALPHA_BISECT_TOL`` and
+    ``1 - tol`` first, in one call: outside the widest region means 0, inside
+    the narrowest means 1 (provided membership is consistent; a point inside
+    at ``1 - tol`` but outside at ``tol`` witnesses a nestedness violation and
+    raises).  :func:`bisect` then takes 4 calls down to width ``tol``, and the
+    result lies within ``tol / 2`` of the supremum.
     """
-    lo, hi = tol, 1.0 - tol
+    lo, hi = ALPHA_BISECT_TOL, 1.0 - ALPHA_BISECT_TOL
     in_lo, in_hi = np.asarray(family.member(x, np.array([lo, hi]), theta), dtype=bool).tolist()
     if in_hi:
         if not in_lo:
@@ -298,7 +289,7 @@ def contour_from_family(family: ConfidenceFamily, x, theta, tol: float = ALPHA_B
         return 1.0
     if not in_lo:
         return 0.0
-    return bisect(lambda a: family.member(x, a, theta), lo, hi, tol, ALPHA_BISECT_LEVELS)
+    return bisect(lambda a: family.member(x, a, theta), lo, hi, ALPHA_BISECT_TOL)
 
 
 # --------------------------------------------------------------------------
@@ -443,8 +434,8 @@ def _crossing(fn: Callable[[float], float], alpha: float, lo: float, hi: float, 
 
     The search stops when ``0.5 * (lo + hi)`` is an end (the bracket is two
     adjacent floats) or the bracket is within ``2**-60`` of the cell, and
-    returns that midpoint.  When the cell holds one crossing and 60 halvings
-    (``bisect`` at tol 0) reach adjacent floats, it is their float.
+    returns that midpoint.  When the cell holds one crossing and 60 plain
+    halvings of it reach adjacent floats, it is their float.
 
     Worst case: ``2 * 60`` evaluations a crossing, with the bracket at the
     floor by then.  60 halvings always cost 60.  At a jump across the level

@@ -32,12 +32,13 @@ whose level sets sit inside the original confidence regions whenever those
 regions have their nominal coverage.
 
 The supremum over ``alpha`` above the index is the right limit of the support
-mass at the index.  :func:`theta_specific_plaus` narrows the index's last
-bracket ``ALPHA_BISECT_LEVELS`` halvings further, in one more membership call,
-and reads the mass at most ``1.5 tol / 2**ALPHA_BISECT_LEVELS`` (4.7e-8) past
-the index, so a model with atoms loses one only to a threshold that close
-above it.  An index of 1 means every support meets the observation, and the
-plausibility is exactly 1; an index of 0 reads the mass at ``2 tol``.
+mass at the index.  :func:`theta_specific_plaus` cuts the index's last
+bracket into ``ALPHA_SPLIT`` cells, in one more membership call, and reads the
+mass at most ``1.5 tol / ALPHA_SPLIT`` (4.7e-8) past the index, so a model
+with atoms loses one only to a threshold that close above it.  An index of 1
+means every support meets the observation, and the plausibility is exactly 1;
+an index of 0 reads the mass at ``2 tol``.  Here ``tol`` is
+``ALPHA_BISECT_TOL``.
 """
 
 from __future__ import annotations
@@ -49,22 +50,19 @@ from typing import Callable
 import numpy as np
 
 from .contours import (
-    ALPHA_BISECT_LEVELS,
     ALPHA_BISECT_TOL,
+    ALPHA_SPLIT,
     ConfidenceFamily,
     ConsonanceError,
     GridSpec,
     IntervalUnion,
     PlausibilityContour,
-    Point,
     Region,
     as_alpha,
     bisect,
     contour_from_family,
 )
 from .mc import MCConfig
-
-ALPHA_CLAMP_HI = 1.0 - 1e-9
 
 _COMPAT_STARVATION_RATE = 1e-4
 _COMPAT_SCAN_CAP = 10_000
@@ -142,57 +140,41 @@ def support_mass(rs: RandomSetFamily, alpha, theta, mc: MCConfig) -> float:
     return rs.mass_at(as_alpha(alpha), theta, mc)
 
 
-def alpha_index(assoc: Association, x, theta, tol: float = ALPHA_BISECT_TOL) -> float:
+def alpha_index(assoc: Association, x, theta) -> float:
     """Largest alpha whose support still meets ``{u : x = forward(theta, u)}``:
     the confidence contour of the association's family at theta (see the
     module docstring)."""
-    return contour_from_family(assoc.family, x, theta, tol)
+    return contour_from_family(assoc.family, x, theta)
 
 
-def theta_specific_plaus(
-    assoc: Association,
-    rs: RandomSetFamily,
-    x,
-    theta,
-    mc: MCConfig,
-    tol: float = ALPHA_BISECT_TOL,
-) -> float:
+def theta_specific_plaus(assoc: Association, rs: RandomSetFamily, x, theta, mc: MCConfig) -> float:
     """``pl_x({theta})`` for the fused random set.
 
     One minus the support mass just above the alpha index (the right limit;
     see the module docstring); exactly 1 when the index is capped at 1.
     """
-    a = alpha_index(assoc, x, theta, tol)
+    a = alpha_index(assoc, x, theta)
     if a >= 1.0:
         return 1.0
+    tol = ALPHA_BISECT_TOL
     level = 2.0 * tol
     if a > 0.0:
         # the index's last bracket lies inside a -+ tol/2, and a stop at
-        # 1.5 fine falls between the widths after the last two halvings
-        fine = tol / 2.0**ALPHA_BISECT_LEVELS
+        # 1.5 fine ends the search after its first cut into cells of width fine
+        fine = tol / ALPHA_SPLIT
         member = assoc.family.member
-        level = fine + bisect(
-            lambda al: member(x, al, theta), a - tol / 2.0, a + tol / 2.0, 1.5 * fine, ALPHA_BISECT_LEVELS
-        )
-    return float(max(0.0, 1.0 - rs.mass_at(min(level, ALPHA_CLAMP_HI), theta, mc)))
+        level = fine + bisect(lambda al: member(x, al, theta), a - tol / 2.0, a + tol / 2.0, 1.5 * fine)
+    return float(max(0.0, 1.0 - rs.mass_at(level, theta, mc)))
 
 
 def fused_contour(
-    assoc: Association,
-    rs: RandomSetFamily,
-    x,
-    mc: MCConfig,
-    *,
-    witness: Point | None = None,
-    unimodal: bool = False,
-    tol: float = ALPHA_BISECT_TOL,
-    search: GridSpec | None = None,
+    assoc: Association, rs: RandomSetFamily, x, mc: MCConfig, *, search: GridSpec | None = None
 ) -> PlausibilityContour:
     """Package the fused plausibility as a consonance-checked contour.
 
-    The supremum witness defaults to the family's center: it lies in every
-    region ``C_alpha(x)``, so the alpha index is capped at 1 there and the
-    generic plausibility reads exactly 1.  :class:`PlausibilityContour`
+    The supremum witness is the family's center: it lies in every region
+    ``C_alpha(x)``, so the alpha index is capped at 1 there and the generic
+    plausibility reads exactly 1.  :class:`PlausibilityContour`
     evaluates the contour once at the witness and raises
     :class:`ConsonanceError` if it does not reach 1 (a family whose center is
     not in every region, typically a mis-specified association).  ``search``
@@ -200,11 +182,9 @@ def fused_contour(
     passes it.
     """
     def plaus(theta):
-        return theta_specific_plaus(assoc, rs, x, theta, mc, tol)
+        return theta_specific_plaus(assoc, rs, x, theta, mc)
 
-    if witness is None:
-        witness = assoc.family.center(x)
-    return PlausibilityContour(plaus, witness, unimodal)
+    return PlausibilityContour(plaus, assoc.family.center(x))
 
 
 # --------------------------------------------------------------------------

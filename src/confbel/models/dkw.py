@@ -116,7 +116,13 @@ class EmpiricalSample:
             raise ValueError(f"no data rows in {path!r}")
         if column not in rows[0]:
             raise ValueError(f"column {column!r} not found in {path!r}")
-        return cls([float(r[column]) for r in rows])
+        values = []
+        for i, r in enumerate(rows, 1):
+            try:
+                values.append(float(r[column]))
+            except (TypeError, ValueError):  # TypeError: a short row reads None
+                raise ValueError(f"row {i} of {path!r} has no number in column {column!r}, got {r[column]!r}") from None
+        return cls(values)
 
 
 @dataclass(frozen=True)

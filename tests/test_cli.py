@@ -90,6 +90,7 @@ def test_config_supplies_defaults_and_flags_win(tmp_path):
 
 def test_config_file_errors(tmp_path):
     assert main(["fig1", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "o.csv")]) == 2
+    assert main(["fig1", "--config", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == 2  # a directory
     bad = tmp_path / "bad.cfg"
     bad.write_text("this line has no delimiter\n")
     assert main(["fig1", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
@@ -225,7 +226,8 @@ def test_uniform_artifact(tmp_path):
 
 
 def test_uniform_alpha_out_of_range_exits_2(tmp_path):
-    assert main(["uniform", "--alpha", "1.5", "--out", str(tmp_path / "o.csv")]) == 2
+    # the parser rejects the level, so argparse exits 2 before main returns
+    assert _exit_code(["uniform", "--alpha", "1.5", "--out", str(tmp_path / "o.csv")]) == 2
 
 
 def test_audit_artifact(tmp_path):
@@ -306,14 +308,58 @@ def _exit_code(argv) -> int:
         (["dkw", "--n", "0"], "argument --n: expected an integer of at least 1, got '0'"),
         (["binom", "--n", "-3", "--x", "0"], "argument --n: expected an integer of at least 1, got '-3'"),
         (["uniform", "--n", "1"], "argument --n: expected an integer of at least 2, got '1'"),
+        (["binom", "--out", "{tmp}/no/dir/x.csv"], "--out {tmp}/no/dir/x.csv: no such directory {tmp}/no/dir"),
+        (["binom", "--out", "{tmp}"], "--out {tmp}: is a directory"),
+        (["dkw", "--data", "{tmp}/no/such.csv"], "--data: [Errno 2] No such file or directory: '{tmp}/no/such.csv'"),
+        (["dkw", "--data", "{tmp}"], "--data: [Errno 21] Is a directory: '{tmp}'"),
+        (["dkw", "--data", "{tmp}/short.csv"], "--data: row 2 of '{tmp}/short.csv' has no number in column 'value'"),
+        (["binom", "--grid-points", "1"], "argument --grid-points: expected an integer of at least 2, got '1'"),
+        (["fieller", "--grid-points", "0"], "--grid-points: expected an integer of at least 2, got '0'"),
+        (["fig1", "--reps", "0"], "argument --reps: expected an integer of at least 1, got '0'"),
+        (["bf", "--n1", "1"], "argument --n1: expected an integer of at least 2, got '1'"),
+        (["bf", "--n2", "0"], "argument --n2: expected an integer of at least 2, got '0'"),
+        (["fig1", "--seed", "-1", "--reps", "50"], "argument --seed: expected an integer of at least 0, got '-1'"),
+        (["dkw", "--sample-seed", "-1"], "argument --sample-seed: expected an integer of at least 0, got '-1'"),
+        (["uniform", "--alpha", "1.5"], "argument --alpha: alpha must lie strictly in (0, 1), got 1.5"),
+        (["fieller", "--alpha", "0", "--reps", "50"], "argument --alpha: alpha must lie strictly in (0, 1), got 0.0"),
+        (["coverage", "--alpha", "1", "--reps", "50"], "argument --alpha: alpha must lie strictly in (0, 1), got 1.0"),
+        (["binom", "--x", "30"], "--x must lie in 0..25, got 30"),
+        (["uniform", "--x1", "0.5", "--x2", "0.25", "--reps", "50"], "--x2 must be at least --x1, got 0.25 < 0.5"),
     ],
-    ids=["dkw_alpha", "coverage_nan_truth", "coverage_negative_variance", "dkw_n", "binom_n", "uniform_n"],
+    ids=[
+        "dkw_alpha", "coverage_nan_truth", "coverage_negative_variance", "dkw_n", "binom_n", "uniform_n",
+        "out_in_missing_directory", "out_is_a_directory", "data_missing", "data_is_a_directory", "data_short_row",
+        "binom_grid_points", "fieller_grid_points_without_curve", "fig1_reps", "bf_n1", "bf_n2", "negative_seed",
+        "negative_sample_seed", "uniform_alpha", "fieller_alpha", "coverage_alpha", "binom_x", "uniform_x2_below_x1",
+    ],
 )
 def test_out_of_domain_value_exits_2_without_artifact(argv, message, tmp_path, capsys):
     out = tmp_path / "o.csv"
-    assert _exit_code(argv + ["--out", str(out)]) == 2
+    (tmp_path / "short.csv").write_text("id,value\n1,0.5\n2\n3,0.7\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    assert _exit_code(argv) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert message.format(tmp=tmp_path) in err and "Traceback" not in err
+    assert not out.exists()
+    assert not list(tmp_path.rglob(".confbel-*.tmp"))
+
+
+@pytest.mark.parametrize("where", ["config", "env"])
+def test_negative_seed_from_config_or_env_exits_2(where, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o.csv"
+    argv = ["fig1", "--reps", "50", "--out", str(out)]
+    if where == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -3\n")
+        argv += ["--config", str(cfg)]
+        source = f"seed in {cfg}"
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, "-3")
+        source = SEED_ENV_VAR
+    assert main(argv) == 2
+    assert f"{source}: expected an integer of at least 0, got '-3'" in capsys.readouterr().err
     assert not out.exists()
 
 

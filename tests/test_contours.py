@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 
 from confbel.contours import (
-    ALPHA_BISECT_LEVELS,
     ALPHA_BISECT_TOL,
+    ALPHA_SPLIT,
     ConfidenceFamily,
     ConsonanceError,
     DegenerateAssertionError,
@@ -109,12 +109,34 @@ def test_contour_consonance_enforced():
 # bisection against the closed form
 
 
+# the alpha search cuts its bracket into equal cells and lands within tol/2
+# of the supremum; 1e-12 absorbs the rounding between a family's membership
+# test and the closed form it is checked against
+SPLIT_BOUND = ALPHA_BISECT_TOL / 2 + 1e-12
+
+
+def _assert_index(got, want):
+    tol = ALPHA_BISECT_TOL
+    if got == 0.0:  # outside the widest region probed
+        assert want <= tol + 1e-12
+    elif got == 1.0:  # inside the narrowest
+        assert want >= 1.0 - tol - 1e-12
+    else:
+        assert abs(got - want) <= SPLIT_BOUND
+
+
 def test_bisection_matches_closed_form():
     fam = pivot_family()
     x = 0.4
     for theta in np.linspace(-3.5, 4.2, 41):
-        got = contour_from_family(fam, x, theta)
-        assert got == pytest.approx(pivot_closed_form(x, theta), abs=1e-5)
+        _assert_index(contour_from_family(fam, x, theta), pivot_closed_form(x, theta))
+    n = 25
+    for k in (0, 3, 17, 25):
+        for theta in np.linspace(0.01, 0.99, 25):
+            _assert_index(contour_from_family(binomial.family(n), k, theta), binomial.cp_contour(n, k, theta))
+    for x in ((0.2, 0.9), (0.05, 0.5), (0.31, 0.33)):
+        for theta in np.linspace(x[1] - 1.0, x[0], 25):
+            _assert_index(contour_from_family(uniform_loc.family(), x, theta), uniform_loc.alpha_index_exact(x, theta))
 
 
 def test_bisection_clamps():
@@ -123,39 +145,32 @@ def test_bisection_clamps():
     assert contour_from_family(fam, 0.0, 50.0) == 0.0
 
 
-def _sequential_bisect(pred, lo, hi, tol):
-    # the one-point-at-a-time search, as the package ran it before batching
+def _halvings(pred, lo, hi):
+    """60 plain halvings of the bracket: the oracle of the level-set crossings."""
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if pred(mid):
             lo = mid
         else:
             hi = mid
-        if abs(hi - lo) <= tol:
-            break
     return 0.5 * (lo + hi)
 
 
-def _sequential_contour(family, x, theta, tol=ALPHA_BISECT_TOL):
-    if family.member(x, 1.0 - tol, theta):
-        return 1.0
-    if not family.member(x, tol, theta):
-        return 0.0
-    return _sequential_bisect(lambda a: family.member(x, a, theta), tol, 1.0 - tol, tol)
-
-
 def test_contour_from_family_probe_count():
-    # one call probes both clamps; (tol, 1 - tol) takes 20 halvings down to
-    # width tol, ALPHA_BISECT_LEVELS of them a call
+    # one call probes both clamps; (tol, 1 - tol) takes 4 cuts into 32 cells
+    # down to width tol
     calls = []
     fam = pivot_family()
     counted = ConfidenceFamily(member=lambda x, a, t: calls.append(a) or fam.member(x, a, t), center=fam.center)
-    bisected = 1 + math.ceil(20 / ALPHA_BISECT_LEVELS)
-    for theta, probes in ((1.7, bisected), (-2.1, bisected), (0.3, 1), (50.0, 1)):
+    tol = ALPHA_BISECT_TOL
+    assert (1.0 - 2.0 * tol) / ALPHA_SPLIT**3 > tol >= (1.0 - 2.0 * tol) / ALPHA_SPLIT**4
+    searched = 1 + 4
+    for theta, probes in ((1.7, searched), (-2.1, searched), (0.3, 1), (50.0, 1)):
         calls.clear()
         got = contour_from_family(counted, 0.3, theta)
         assert len(calls) == probes, theta
-        assert got == _sequential_contour(fam, 0.3, theta), theta
+        if probes > 1:
+            assert abs(got - pivot_closed_form(0.3, theta)) <= SPLIT_BOUND, theta
 
 
 @given(
@@ -164,14 +179,13 @@ def test_contour_from_family_probe_count():
     frac=st.floats(0.0, 1.0),
     flipped=st.booleans(),
     wavy=st.booleans(),
-    tol=st.sampled_from([0.0, 1e-6]),
-    levels=st.sampled_from([1, 2, 5, 8]),
 )
 @settings(max_examples=300, deadline=None)
-def test_batched_bisect_is_the_sequential_search(lo, width, frac, flipped, wavy, tol, levels):
+def test_split_search_keeps_the_first_false_cell(lo, width, frac, flipped, wavy):
+    tol = 1e-6
     hi = lo + width
     c = lo + frac * width
-    if wavy:  # not monotone: the walk must still follow the sequential path
+    if wavy:  # not monotone: the search still ends on a cell whose ends disagree
         def pred(t):
             return np.sin(37.0 * t) > 0.0
     elif flipped:
@@ -181,34 +195,27 @@ def test_batched_bisect_is_the_sequential_search(lo, width, frac, flipped, wavy,
         def pred(t):
             return t <= c
     start = (hi, lo) if flipped else (lo, hi)
-    sizes = []
+    sizes, asked = [], {start[0]: True, start[1]: False}  # the ends the search assumes
 
-    def batched(ts):
+    def counted(ts):
         sizes.append(len(ts))
-        return pred(ts)
+        answers = pred(ts)
+        asked.update(zip(ts.tolist(), np.asarray(answers, dtype=bool).tolist()))
+        return answers
 
-    halvings = []
-
-    def sequential(t):
-        halvings.append(t)
-        return bool(pred(t))
-
-    got = bisect(batched, *start, tol, levels)
-    want = _sequential_bisect(sequential, *start, tol)
-    assert float(got).hex() == float(want).hex()
-    # every call but the last resolves `levels` halvings
-    assert len(sizes) == math.ceil(len(halvings) / levels)
-    assert sizes[:-1] == [2**levels - 1] * (len(sizes) - 1)
-
-
-def _plain_halvings(pred, lo, hi):
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    got = bisect(counted, *start, tol)
+    assert sizes == [ALPHA_SPLIT - 1] * len(sizes)
+    span = abs(start[1] - start[0])
+    # the least count reaching tol, up to rounding at an exact power of 32
+    assert span / ALPHA_SPLIT**len(sizes) <= tol * (1 + 1e-9)
+    assert span / ALPHA_SPLIT ** (len(sizes) - 1) > tol * (1 - 1e-9)
+    if wavy:
+        ins = np.array([t for t, v in asked.items() if v])
+        outs = np.array([t for t, v in asked.items() if not v])
+        cells = (0.5 * (ins[:, None] + outs[None, :]) == got) & (np.abs(ins[:, None] - outs[None, :]) <= tol)
+        assert cells.any()
+    else:
+        assert abs(got - c) <= tol / 2
 
 
 @given(
@@ -232,9 +239,8 @@ def test_bisect_finds_threshold(lo, width, frac, flipped, tol):
     if tol:
         assert abs(got - c) <= tol
     else:
-        # 60 halvings of the bracket, or its last float spacing
+        # 60 halvings' worth of the bracket, or its last float spacing
         assert abs(got - c) <= max(width * 2.0**-59, 2.0 * np.spacing(abs(c)))
-        assert got == _plain_halvings(pred, *start)
 
 
 def test_non_nested_family_detected():
@@ -401,7 +407,7 @@ def test_jump_at_the_crossing_costs_at_most_two_searches_of_halvings(edge):
         assert len(calls) - grid.n <= 2 * 2 * 60
         pts = grid.points()
         i = int(np.searchsorted(pts, edge))  # pts[i - 1] < edge <= pts[i]
-        want = _sequential_bisect(lambda t: step(t) > 0.5, float(pts[i - 1]), float(pts[i]), 0.0)
+        want = _halvings(lambda t: step(t) > 0.5, float(pts[i - 1]), float(pts[i]))
         assert region.upper == want and region.lower == -want
 
 
@@ -420,7 +426,7 @@ def _float_crossings(above, a: float, b: float) -> int:
 
 
 def _oracle_endpoints(fn, pts, alpha):
-    """Each region endpoint as 60 tol-0 halvings find it on its straddling
+    """Each region endpoint as 60 plain halvings find it on its straddling
     cell (None at a grid edge), with the cell and whether the halvings had
     stalled at adjacent floats."""
     ins = [float(fn(p)) > alpha for p in pts]
@@ -434,7 +440,7 @@ def _oracle_endpoints(fn, pts, alpha):
             elif not ins[j]:
                 a, b = float(pts[k]), float(pts[j])
                 asked = []
-                want = _sequential_bisect(lambda t: asked.append((t, float(fn(t)) > alpha)) or asked[-1][1], a, b, 0.0)
+                want = _halvings(lambda t: asked.append((t, float(fn(t)) > alpha)) or asked[-1][1], a, b)
                 lo, hi = a, b  # the bracket the halvings ended on
                 for t, inside in asked:
                     lo, hi = (t, hi) if inside else (lo, t)
@@ -511,7 +517,7 @@ def test_crossing_short_of_adjacent_floats_is_within_the_halvings_resolution():
     c = PlausibilityContour(ramp, sup_witness=0.5)
     grid = GridSpec(-0.01, 0.99, 51)
     region = plausibility_region(c, 0.5, grid)
-    want = _sequential_bisect(lambda t: ramp(t) > 0.5, 0.01, -0.01, 0.0)
+    want = _halvings(lambda t: ramp(t) > 0.5, 0.01, -0.01)
     assert abs(region.lower - want) <= 0.02 * 2.0**-59
     assert abs(region.lower - 2.0**-54) <= 0.02 * 2.0**-59
 

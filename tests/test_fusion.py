@@ -151,7 +151,7 @@ def test_focal_sets():
 def test_fused_contour_generic_matches_exact():
     assoc = uniform_loc.association()
     rs = uniform_loc.random_set(10)
-    contour = fused_contour(assoc, rs, X_PAIR, MC, witness=uniform_loc.theta_hat(X_PAIR), unimodal=True)
+    contour = fused_contour(assoc, rs, X_PAIR, MC)
     for theta in (-0.09, 0.0, 0.15, 0.19):
         assert contour(theta) == pytest.approx(uniform_loc.alpha_index_exact(X_PAIR, theta), abs=1e-5)
 
