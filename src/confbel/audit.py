@@ -37,7 +37,8 @@ DEFAULT_FLAG_SIGMA = 3.0
 
 @dataclass(frozen=True)
 class SamplingModel:
-    """Data generator for audits: ``sample(theta, mc)`` returns mc.reps draws.
+    """Data generator for audits: ``sample(theta, mc)`` returns mc.reps draws
+    (``fusion.sampling_of`` derives it from an association).
 
     The return value is whatever the audited callables consume: a 1-d array
     for scalar data, an (reps, k) array for vector summaries.

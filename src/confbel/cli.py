@@ -95,6 +95,14 @@ def _alpha(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a sample variance: a finite number above 0."""
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def _count_at_least(minimum: int):
     """argparse type of a count option: an integer of at least ``minimum``."""
 
@@ -118,11 +126,11 @@ def _switch(text: str) -> bool:
     return value
 
 
-def _csv_floats(text: str) -> tuple[float, ...]:
+def _csv_floats(option: str, text: str) -> tuple[float, ...]:
     try:
         return tuple(_finite_float(v) for v in text.split(","))
     except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"expected comma-separated finite numbers, got {text!r}") from exc
+        raise UsageError(f"{option}: expected comma-separated finite numbers, got {text!r}") from exc
 
 
 def _metadata(args, seed: int, seed_source: str, **extra) -> dict:
@@ -141,9 +149,13 @@ def _metadata(args, seed: int, seed_source: str, **extra) -> dict:
     return meta
 
 
-def _emit(args, rows: list[dict], meta: dict) -> None:
-    write_rows(args.out, rows, meta, args.format)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+def _emit(args, rows: list[dict], meta: dict, note: str = "") -> None:
+    """Write the artifact to ``--out``; a failed write exits 2 naming it."""
+    try:
+        write_rows(args.out, rows, meta, args.format)
+    except OSError as exc:
+        raise UsageError(f"--out {args.out}: {exc.strerror or exc}") from exc
+    print(f"wrote {args.out} ({len(rows)} rows{note})")
 
 
 # --------------------------------------------------------------------------
@@ -173,11 +185,13 @@ def cmd_binom(args, seed: int, seed_source: str) -> None:
 
 
 def cmd_bf(args, seed: int, seed_source: str) -> None:
+    lam_cols = _csv_floats("--lambda-cols", args.lambda_cols)
+    if not all(0.0 <= lam <= 1.0 for lam in lam_cols):
+        raise UsageError(f"--lambda-cols: each lambda must lie in [0, 1], got {args.lambda_cols!r}")
     data = behrens_fisher.BehrensFisherData(args.n1, args.m1, args.v1, args.n2, args.m2, args.v2)
     mc = MCConfig(reps=args.reps, seed=seed)
     phis = behrens_fisher.default_grid(data, args.grid_points).points()
     hs = behrens_fisher.hs_contour(data, phis)
-    lam_cols = _csv_floats(args.lambda_cols)
     col_values = {lam: behrens_fisher.bf_lambda_plaus(data, phis, lam, mc) for lam in lam_cols}
     rows = []
     for i, phi in enumerate(phis):
@@ -231,7 +245,7 @@ def cmd_fieller(args, seed: int, seed_source: str) -> None:
     phis = GridSpec(args.phi_lo, args.phi_hi, args.grid_points).points() if args.curve else None
     theta = (args.theta1, args.theta2)
     if args.theta is not None:
-        theta = _csv_floats(args.theta)
+        theta = _csv_floats("--theta", args.theta)
         if len(theta) != 2:
             raise UsageError(f"--theta takes two components, got {args.theta!r}")
     est = coverage_probability(
@@ -259,6 +273,8 @@ def cmd_uniform(args, seed: int, seed_source: str) -> None:
     x = (args.x1, args.x2)
     if x[1] < x[0]:
         raise UsageError(f"--x2 must be at least --x1, got {args.x2} < {args.x1}")
+    if x[1] - x[0] > 1.0:  # Unif(theta, theta + 1) data lie within 1 of each other
+        raise UsageError(f"--x2 must be at most --x1 + 1, got {args.x2} > {args.x1} + 1")
     mc = MCConfig(reps=args.reps, seed=seed)
     grid = uniform_loc.default_grid(x, args.grid_points)
     thetas = grid.points()
@@ -289,9 +305,10 @@ def cmd_uniform(args, seed: int, seed_source: str) -> None:
 def cmd_audit(args, seed: int, seed_source: str) -> None:
     bundle = REGISTRY[args.model]()
     mc = MCConfig(reps=args.reps, seed=seed)
-    alphas = _csv_floats(args.alphas)
-    for a in alphas:
-        as_alpha(a)
+    try:
+        alphas = tuple(as_alpha(a) for a in _csv_floats("--alphas", args.alphas))
+    except ValueError as exc:
+        raise UsageError(f"--alphas: {exc}") from exc
     report = contour_validity_audit(
         bundle.sampling,
         bundle.contour_at_truth,
@@ -299,12 +316,10 @@ def cmd_audit(args, seed: int, seed_source: str) -> None:
         alpha_grid=alphas,
         mc=mc,
     )
-    report.write(args.out, args.format)
-    n_flagged = len(report.flagged())
-    print(f"wrote {args.out} ({len(report.rows)} rows, {n_flagged} flagged)")
-    if n_flagged:
-        for row in report.flagged():
-            print(f"  flagged: theta={row.label} alpha={row.alpha} exceedance={row.exceedance:.4f}")
+    flagged = report.flagged()
+    _emit(args, [r.as_row() for r in report.rows], dict(report.metadata), f", {len(flagged)} flagged")
+    for row in flagged:
+        print(f"  flagged: theta={row.label} alpha={row.alpha} exceedance={row.exceedance:.4f}")
 
 
 def _truth(model: str, text: str, hints: tuple):
@@ -316,7 +331,7 @@ def _truth(model: str, text: str, hints: tuple):
             raise UsageError(f"coverage --model {model} takes a truth named {', '.join(named)}, got {text!r}")
         return named[text]
     size = np.size(hints[0])
-    theta = _csv_floats(text)
+    theta = _csv_floats("--theta", text)
     if len(theta) != size:
         raise UsageError(f"coverage --model {model} takes a truth of {size} comma-separated value(s), got {text!r}")
     return theta[0] if size == 1 else theta
@@ -376,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     d = behrens_fisher.DEFAULT_DATA
     p.add_argument("--n1", type=_count_at_least(2), default=d.n1)
     p.add_argument("--m1", type=_finite_float, default=d.m1)
-    p.add_argument("--v1", type=_finite_float, default=d.v1)
+    p.add_argument("--v1", type=_positive_float, default=d.v1)
     p.add_argument("--n2", type=_count_at_least(2), default=d.n2)
     p.add_argument("--m2", type=_finite_float, default=d.m2)
-    p.add_argument("--v2", type=_finite_float, default=d.v2)
+    p.add_argument("--v2", type=_positive_float, default=d.v2)
     p.add_argument("--grid-points", type=_count_at_least(2), default=201)
     p.add_argument("--lambda-cols", default="0,0.25,0.5,0.75,1", help="lambda slices to emit as columns")
     p.set_defaults(func=cmd_bf)

@@ -424,13 +424,14 @@ def _crossing(fn: Callable[[float], float], alpha: float, lo: float, hi: float, 
     """Where ``fn`` crosses ``alpha`` between ``lo`` (``fn > alpha``) and
     ``hi`` (not), in either order, given ``g = fn - alpha`` at both ends.
 
-    Each step is regula falsi with the Illinois halving (Dowell & Jarratt,
-    BIT 11, 1971): an end kept twice running has its ``g`` halved.  A step
-    within ``nudge`` floats of an end moves that far off it, and ``nudge``
-    doubles while steps keep landing there.  A step is a plain halving when
-    the last three steps did not halve the bracket, or when only halvings can
-    still reach the floor below in the steps left.  Every point is classified
-    by ``fn(t) > alpha``, the test of the grid values.
+    Each step is regula falsi with the Anderson-Bjorck factor (BIT 13,
+    1973): an end kept twice running has its ``g`` scaled by ``1 - g_new /
+    g_replaced`` (0.5 unless that is positive), the moved end's ``g`` now and
+    before.  A step within ``nudge`` floats of an end moves that far off it,
+    and ``nudge`` doubles while steps keep landing there.  A step is a plain
+    halving when only halvings can still reach the floor below in the steps
+    left.  Every point is classified by ``fn(t) > alpha``, the test of the
+    grid values.
 
     The search stops when ``0.5 * (lo + hi)`` is an end (the bracket is two
     adjacent floats) or the bracket is within ``2**-60`` of the cell, and
@@ -442,7 +443,6 @@ def _crossing(fn: Callable[[float], float], alpha: float, lo: float, hi: float, 
     there is nothing to interpolate, and the tests see about 50.
     """
     floor = abs(hi - lo) * 2.0**-_BISECT_MAX_ITER
-    widths = []
     kept = 0  # the end the last step kept: 1 is lo, -1 is hi
     nudge = 1.0
     for left in range(2 * _BISECT_MAX_ITER, 0, -1):
@@ -450,9 +450,7 @@ def _crossing(fn: Callable[[float], float], alpha: float, lo: float, hi: float, 
         width = abs(hi - lo)
         if mid == lo or mid == hi or width <= floor:
             return mid
-        widths.append(width)
-        slow = len(widths) > 3 and width > 0.5 * widths[-4]
-        if slow or width > floor * 2.0 ** (left - 1) or g_lo <= 0.0:  # g_lo only underflows to 0
+        if width > floor * 2.0 ** (left - 1) or g_lo <= 0.0:  # g_lo only underflows to 0
             t = mid
         else:
             t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
@@ -467,17 +465,22 @@ def _crossing(fn: Callable[[float], float], alpha: float, lo: float, hi: float, 
             if not min(lo, hi) < t < max(lo, hi):
                 t = mid
         v = float(fn(t))
+        g = v - alpha
         if v > alpha:
-            lo, g_lo = t, v - alpha
             if kept == -1:
-                g_hi *= 0.5
-            kept = -1
+                g_hi *= _anderson_bjorck(g, g_lo)
+            lo, g_lo, kept = t, g, -1
         else:
-            hi, g_hi = t, v - alpha
             if kept == 1:
-                g_lo *= 0.5
-            kept = 1
+                g_lo *= _anderson_bjorck(g, g_hi)
+            hi, g_hi, kept = t, g, 1
     return 0.5 * (lo + hi)
+
+
+def _anderson_bjorck(g_new: float, g_replaced: float) -> float:
+    """The factor on the ``g`` of an end kept twice running."""
+    m = 1.0 - g_new / g_replaced if g_replaced else 0.0
+    return m if m > 0.0 else 0.5
 
 
 def _region_from_values(

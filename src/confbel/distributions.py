@@ -1,18 +1,18 @@
 """Distribution primitives used by the contour and fusion machinery.
 
-A small closed universe of families is enough for every model shipped here:
-standard normal, Student t, chi-square, binomial, and Uniform(0, 1).  Each is
-exposed through one frozen spec type and three operations (``cdf``,
-``quantile``, ``sample``) so the rest of the package never touches a
-distribution library directly.
+A small closed universe of families: standard normal, Student t,
+chi-square, binomial, and Uniform(0, 1).  Each is exposed through one frozen
+spec type and three operations (``cdf``, ``quantile``, ``sample``), alongside
+the binomial tables and the uniform order-statistic sampler the models share.
+The models still evaluate their own closed forms with ``scipy.special``
+directly.
 
 Continuous CDFs delegate to scipy.special (double-precision incomplete
 beta/gamma); the binomial CDF is an exact log-space probability-mass summation.
 Quantiles are the exact inverses scipy.special ships for the continuous
 families (``ndtri``, ``stdtrit``, ``gammaincinv``), and the minimal ``k`` with
 ``F(k) >= p`` for the binomial.  Samplers are inverse-CDF transforms of Philox
-uniforms (see :mod:`confbel.mc`), which makes the binomial sampler identical to
-the inversion used by the binomial association.
+uniforms (see :mod:`confbel.mc`).
 """
 
 from __future__ import annotations

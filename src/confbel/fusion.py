@@ -49,6 +49,7 @@ from typing import Callable
 
 import numpy as np
 
+from .audit import SamplingModel
 from .contours import (
     ALPHA_BISECT_TOL,
     ALPHA_SPLIT,
@@ -75,14 +76,15 @@ class Association:
 
     ``forward`` maps one auxiliary row to one dataset, and a stack of rows
     (leading axis) to a stack of datasets, in the form ``family.member``
-    reads.  ``family.member(x, alpha, theta)`` takes the association's full
-    parameter; the supports and the alpha index are derived from it
-    (:func:`support_of`, :func:`alpha_index`).  ``focal(x, u)`` is the focal
-    set ``{theta : x = forward(theta, u)}`` as a region; return an empty
-    :class:`IntervalUnion` when no parameter fits.  ``compat_witness``, when
-    present, maps ``x`` to the auxiliary point most capable of explaining it
-    regardless of ``theta`` (used by the compatibility check before any
-    sampling).
+    reads; fed the random set's ``aux_sampler``, it draws the data
+    (:func:`sampling_of`).  ``family.member(x, alpha, theta)`` takes the
+    association's full parameter; the supports and the alpha index are
+    derived from it (:func:`support_of`, :func:`alpha_index`).
+    ``focal(x, u)`` is the focal set ``{theta : x = forward(theta, u)}`` as
+    a region; return an empty :class:`IntervalUnion` when no parameter fits.
+    ``compat_witness``, when present, maps ``x`` to the auxiliary point most
+    capable of explaining it regardless of ``theta`` (used by the
+    compatibility check before any sampling).
     """
 
     forward: Callable[..., object]
@@ -128,6 +130,13 @@ def support_of(assoc: Association) -> Callable[..., np.ndarray]:
     """``S_alpha(theta) = {u : theta in C_alpha(forward(theta, u))}`` as a
     ``support_member``: the family's membership read through the association."""
     return lambda u, alpha, theta: assoc.family.member(assoc.forward(theta, u), alpha, theta)
+
+
+def sampling_of(name: str, assoc: Association, rs: RandomSetFamily, draws_per_rep: int) -> SamplingModel:
+    """Data ``X = forward(theta, U)``, ``U`` from ``rs.aux_sampler``: the law
+    the supports read.  ``aux_sampler`` spends ``draws_per_rep`` uniforms a
+    replicate."""
+    return SamplingModel(name, lambda theta, mc: assoc.forward(theta, rs.aux_sampler(mc)), draws_per_rep)
 
 
 def focal_set(assoc: Association, x, u) -> Region:

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridSpec
 from ..fusion import RandomSetFamily
@@ -81,9 +80,19 @@ class ModelBundle:
         return self.default_grid(x).points()
 
 
+def _bundle(row: Callable = lambda r: r, **fields) -> ModelBundle:
+    """The bundle of ``fields``, whose ``data_replicates(theta, k, mc)`` are
+    ``row`` of each row of one ``k``-rep draw of its ``sampling``."""
+    sampling = fields["sampling"]
+    return ModelBundle(
+        data_replicates=lambda theta, k, mc: [row(r) for r in sampling.sample(theta, mc.with_reps(k))], **fields
+    )
+
+
 def binomial_bundle(n: int = 25) -> ModelBundle:
     contour = functools.partial(binomial.im_contour, n)
-    return ModelBundle(
+    return _bundle(
+        row=int,
         name="binomial",
         family=binomial.family(n),
         random_set=binomial.random_set(n),
@@ -92,16 +101,13 @@ def binomial_bundle(n: int = 25) -> ModelBundle:
         plaus_grid=contour,
         member_grid=functools.partial(binomial.cp_member, n),
         default_grid=lambda x: binomial.default_grid(),
-        data_replicates=lambda theta, k, mc: [
-            int(v) for v in dist.sample(dist.binomial(n, float(theta)), mc.with_reps(k))
-        ],
         interest=lambda theta: theta,
         theta_grid_hint=tuple(np.round(np.linspace(0.1, 0.9, 9), 10)),
     )
 
 
 def uniform_loc_bundle(n: int = 10) -> ModelBundle:
-    return ModelBundle(
+    return _bundle(
         name="uniform_loc",
         family=uniform_loc.family(),
         random_set=uniform_loc.random_set(n),
@@ -110,14 +116,13 @@ def uniform_loc_bundle(n: int = 10) -> ModelBundle:
         plaus_grid=uniform_loc.alpha_index_exact,
         member_grid=uniform_loc.member,
         default_grid=uniform_loc.default_grid,
-        data_replicates=lambda theta, k, mc: list(theta + dist.sample_uniform_minmax(n, mc.with_reps(k))),
         interest=lambda theta: theta,
         theta_grid_hint=(0.0, 0.37),
     )
 
 
 def normal_mean_bundle() -> ModelBundle:
-    return ModelBundle(
+    return _bundle(
         name="normal_mean",
         family=normal_mean.family(),
         random_set=normal_mean.random_set(),
@@ -126,21 +131,14 @@ def normal_mean_bundle() -> ModelBundle:
         plaus_grid=normal_mean.pivot_contour,
         member_grid=normal_mean.member,
         default_grid=lambda x: GridSpec(float(x) - 8.0, float(x) + 8.0, 512),
-        data_replicates=lambda theta, k, mc: list(theta + dist.sample(dist.normal(), mc.with_reps(k))),
         interest=lambda theta: theta,
         theta_grid_hint=(0.0, 1.3),
     )
 
 
 def behrens_fisher_bundle(n1: int = 5, n2: int = 11) -> ModelBundle:
-    def data_replicates(theta, k, mc):
-        rows = behrens_fisher.sampling(n1, n2).sample(theta, mc.with_reps(k))
-        return [
-            behrens_fisher.BehrensFisherData(n1, float(r[0]), float(r[2]), n2, float(r[1]), float(r[3]))
-            for r in rows
-        ]
-
-    return ModelBundle(
+    return _bundle(
+        row=lambda r: behrens_fisher.BehrensFisherData(n1, float(r[0]), float(r[2]), n2, float(r[1]), float(r[3])),
         name="behrens_fisher",
         family=behrens_fisher.family(n1, n2),
         random_set=behrens_fisher.random_set(n1, n2),
@@ -149,7 +147,6 @@ def behrens_fisher_bundle(n1: int = 5, n2: int = 11) -> ModelBundle:
         plaus_grid=behrens_fisher.hs_contour,
         member_grid=functools.partial(behrens_fisher.member, n1, n2),
         default_grid=behrens_fisher.default_grid,
-        data_replicates=data_replicates,
         interest=lambda theta: float(theta[0] - theta[1]) if len(theta) == 4 else float(theta[0]),
         theta_grid_hint=((0.0, 0.0, 4.0, 1.0),),
     )
@@ -171,16 +168,13 @@ def dkw_bundle(n: int = 799) -> ModelBundle:
         )
         return shifted + [smooth]
 
-    def data_replicates(truth, k, mc):
-        rows = dkw.sampling(n).sample(truth, mc.with_reps(k))
-        return [dkw.EmpiricalSample(r) for r in rows]
-
     unit_exp = dkw.ParametricCDF(
         cdf=lambda t: -np.expm1(-np.maximum(np.asarray(t, dtype=float), 0.0)),
         quantile=lambda u: -np.log1p(-u),
         name="Exp(1)",
     )
-    return ModelBundle(
+    return _bundle(
+        row=dkw.EmpiricalSample,
         name="dkw",
         family=dkw.family(),
         random_set=dkw.random_set(n),
@@ -189,7 +183,6 @@ def dkw_bundle(n: int = 799) -> ModelBundle:
         plaus_grid=lambda x, candidates: dkw.plaus_of_distance(x.n, dkw.distances(x, candidates)),
         member_grid=lambda x, alpha, candidates: dkw.distances(x, candidates) <= dkw.dkw_delta(x.n, alpha),
         default_grid=lambda x: GridSpec(0.0, 1.0, 2),  # unused; candidates are CDFs
-        data_replicates=data_replicates,
         interest=lambda truth: truth,
         theta_grid_hint=(unit_exp,),
         containment_candidates=containment_candidates,

@@ -267,7 +267,8 @@ def random_set(n1: int, n2: int) -> RandomSetFamily:
 
 
 def sampling(n1: int, n2: int) -> SamplingModel:
-    """Full-summary generator under theta = (mu1, mu2, s1, s2)."""
+    """Full-summary generator under theta = (mu1, mu2, s1, s2); not drawn
+    through :func:`association`, whose rows keep only ``m1 - m2``."""
 
     def sample(theta, mc: MCConfig):
         mu1, mu2, s1, s2 = (float(v) for v in theta)

@@ -37,8 +37,7 @@ from scipy import special
 from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridRegion, GridSpec
-from ..fusion import Association, RandomSetFamily, support_of
-from ..mc import MCConfig
+from ..fusion import Association, RandomSetFamily, sampling_of, support_of
 
 
 def cdf_given_theta(n: int, x, theta):
@@ -61,12 +60,6 @@ def sf_given_theta(n: int, x, theta):
     # outside 0 < k <= n the tail is 1 below and 0 above
     out = np.where((0 < k) & (k <= n), special.betainc(k, n - k + 1.0, np.asarray(theta, dtype=float)), k <= 0)
     return out if out.ndim else float(out)
-
-
-def _tails(n: int, x: int, thetas):
-    f1 = cdf_given_theta(n, x - 1, thetas)
-    f2 = cdf_given_theta(n, x, thetas)
-    return f1, f2
 
 
 def _tabulated(contour):
@@ -154,14 +147,17 @@ def family(n: int) -> ConfidenceFamily:
 def association(n: int) -> Association:
     def forward(theta, u):
         # x = min{k : F_theta(k) >= u} for every entry of u; the table ends at 1
-        return np.searchsorted(dist.binom_cdf_table(n, float(theta)), u, side="left")
+        p = float(theta)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"binomial requires p in [0, 1], got {p!r}")
+        return np.searchsorted(dist.binom_cdf_table(n, p), u, side="left")
 
     def focal(x, u):
         # {theta : F_theta(x-1) < u <= F_theta(x)}, an interval in theta
         # because both tails are monotone in theta; resolved on a fine grid.
         u = float(np.ravel(u)[0])
         grid = np.linspace(0.0, 1.0, 4097)
-        f1, f2 = _tails(n, int(x), grid)
+        f1, f2 = cdf_given_theta(n, int(x) - 1, grid), cdf_given_theta(n, int(x), grid)
         mask = (f1 < u) & (u <= f2)
         return GridRegion(grid, mask)
 
@@ -186,11 +182,7 @@ def random_set(n: int) -> RandomSetFamily:
 
 
 def sampling(n: int) -> SamplingModel:
-    return SamplingModel(
-        name=f"binomial(n={n})",
-        sample=lambda theta, mc: dist.sample(dist.binomial(n, float(theta)), mc).astype(int),
-        draws_per_rep=1,
-    )
+    return sampling_of(f"binomial(n={n})", association(n), random_set(n), 1)
 
 
 def default_grid(n_points: int = 512) -> GridSpec:

@@ -42,7 +42,7 @@ from scipy import special
 
 from ..audit import SamplingModel, ks_distances
 from ..contours import ConfidenceFamily, IntervalUnion, PredicateRegion
-from ..fusion import Association, RandomSetFamily, support_of
+from ..fusion import Association, RandomSetFamily, sampling_of, support_of
 from ..mc import MCConfig
 from ..reportio import read_csv
 
@@ -431,12 +431,7 @@ def association(n: int) -> Association:
 
 def sampling(n: int) -> SamplingModel:
     """Draws of sorted samples given a truth with a ``quantile`` callable."""
-
-    def sample(truth, mc: MCConfig):
-        u = mc.generator().random((mc.reps, n))
-        return np.sort(truth.quantile(u), axis=1)
-
-    return SamplingModel(name=f"dkw(n={n})", sample=sample, draws_per_rep=n)
+    return sampling_of(f"dkw(n={n})", association(n), random_set(n), n)
 
 
 def synthetic_sample(n: int = 799, seed: int = 1404, scale: float = 0.22) -> EmpiricalSample:

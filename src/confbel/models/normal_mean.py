@@ -20,10 +20,8 @@ from scipy import special
 from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridSpec, Interval, PlausibilityContour
-from ..fusion import Association, RandomSetFamily, support_of
+from ..fusion import Association, RandomSetFamily, sampling_of, support_of
 from ..mc import MCConfig
-
-_NORMAL = dist.normal()
 
 
 def pivot_contour(x, theta):
@@ -54,17 +52,13 @@ def association() -> Association:
 def random_set() -> RandomSetFamily:
     return RandomSetFamily(
         support_member=support_of(association()),
-        aux_sampler=lambda mc: dist.sample(_NORMAL, mc),
+        aux_sampler=lambda mc: dist.sample(dist.normal(), mc),
         mass=lambda alpha, theta, mc: 1.0 - alpha,
     )
 
 
 def sampling() -> SamplingModel:
-    return SamplingModel(
-        name="normal_mean",
-        sample=lambda theta, mc: theta + dist.sample(_NORMAL, mc),
-        draws_per_rep=1,
-    )
+    return sampling_of("normal_mean", association(), random_set(), 1)
 
 
 # --------------------------------------------------------------------------
@@ -112,5 +106,4 @@ def cd_abs_draws(mc: MCConfig, theta: float = 0.5) -> np.ndarray:
     Were the confidence distribution calibrated, these would be uniform on
     (0, 1); they are not, which a KS statistic against uniformity exposes.
     """
-    xs = theta + dist.sample(_NORMAL, mc)
-    return cd_abs_value(xs, abs(theta))
+    return cd_abs_value(sampling().sample(theta, mc), abs(theta))

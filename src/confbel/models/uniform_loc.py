@@ -30,8 +30,7 @@ import numpy as np
 from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridSpec, Interval, IntervalUnion, PlausibilityContour
-from ..fusion import Association, RandomSetFamily, support_of
-from ..mc import MCConfig
+from ..fusion import Association, RandomSetFamily, sampling_of, support_of
 
 _EMPTY = IntervalUnion(())
 
@@ -133,11 +132,7 @@ def random_set(n: int) -> RandomSetFamily:
 
 
 def sampling(n: int) -> SamplingModel:
-    return SamplingModel(
-        name=f"uniform_loc(n={n})",
-        sample=lambda theta, mc: theta + dist.sample_uniform_minmax(n, mc),
-        draws_per_rep=n,
-    )
+    return sampling_of(f"uniform_loc(n={n})", association(), random_set(n), n)
 
 
 def default_grid(x, n_points: int = 512) -> GridSpec:

@@ -4,6 +4,7 @@ resolution, config files, and exit codes."""
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -325,12 +326,18 @@ def _exit_code(argv) -> int:
         (["coverage", "--alpha", "1", "--reps", "50"], "argument --alpha: alpha must lie strictly in (0, 1), got 1.0"),
         (["binom", "--x", "30"], "--x must lie in 0..25, got 30"),
         (["uniform", "--x1", "0.5", "--x2", "0.25", "--reps", "50"], "--x2 must be at least --x1, got 0.25 < 0.5"),
+        (["uniform", "--x1", "0.2", "--x2", "1.5", "--reps", "50"], "--x2 must be at most --x1 + 1, got 1.5 > 0.2 + 1"),
+        (["audit", "--alphas", "0", "--reps", "50"], "--alphas: alpha must lie strictly in (0, 1), got 0.0"),
+        (["bf", "--lambda-cols", "2", "--reps", "50"], "--lambda-cols: each lambda must lie in [0, 1], got '2'"),
+        (["bf", "--v1", "-1", "--reps", "50"], "argument --v1: expected a positive finite number, got '-1'"),
+        (["coverage", "--model", "binomial", "--theta", "1.5"], "binomial requires p in [0, 1], got 1.5"),
     ],
     ids=[
         "dkw_alpha", "coverage_nan_truth", "coverage_negative_variance", "dkw_n", "binom_n", "uniform_n",
         "out_in_missing_directory", "out_is_a_directory", "data_missing", "data_is_a_directory", "data_short_row",
         "binom_grid_points", "fieller_grid_points_without_curve", "fig1_reps", "bf_n1", "bf_n2", "negative_seed",
         "negative_sample_seed", "uniform_alpha", "fieller_alpha", "coverage_alpha", "binom_x", "uniform_x2_below_x1",
+        "uniform_range_above_1", "audit_alphas", "bf_lambda_cols", "bf_v1", "coverage_binomial_p",
     ],
 )
 def test_out_of_domain_value_exits_2_without_artifact(argv, message, tmp_path, capsys):
@@ -344,6 +351,19 @@ def test_out_of_domain_value_exits_2_without_artifact(argv, message, tmp_path, c
     assert message.format(tmp=tmp_path) in err and "Traceback" not in err
     assert not out.exists()
     assert not list(tmp_path.rglob(".confbel-*.tmp"))
+
+
+def test_failed_write_exits_2_naming_out(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o.csv"
+
+    def full(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", full)
+    assert main(["binom", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--out {out}: {os.strerror(errno.ENOSPC)}" in err and "Traceback" not in err
+    assert not out.exists() and not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("where", ["config", "env"])

@@ -5,7 +5,9 @@ the family's membership read through the association (``support_of``), and
 the alpha index is the family's confidence contour.  The supports written
 in auxiliary coordinates are kept here as oracles of the first fact
 (binomial's in ``test_binomial.py``); the models' closed-form contours are
-the oracles of the second.
+the oracles of the second.  The data are drawn through the association too
+(``sampling_of``); the samplers once written beside it are the oracles of
+that.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from confbel import distributions as dist
+from confbel import mc as mc_module
 from confbel.contours import ALPHA_BISECT_TOL, GridSpec
 from confbel.fusion import alpha_index, check_compatibility, fused_contour, support_of, theta_specific_plaus
 from confbel.mc import MCConfig
 from confbel.models import behrens_fisher as bf
-from confbel.models import binomial, dkw, normal_mean, uniform_loc
+from confbel.models import REGISTRY, binomial, dkw, normal_mean, uniform_loc
 
 ALPHAS = (0.01, 0.05, 0.2, 0.5, 0.9)
 
@@ -183,3 +186,41 @@ def test_binomial_compatibility_by_sampling():
         report = check_compatibility(binomial.association(25), binomial.random_set(25), x, theta, 0.05, mc)
         assert report.compatible
         assert report.acceptance_rate > 0.9
+
+
+# --------------------------------------------------------------------------
+# Data drawn through the association
+
+
+def _by_hand(name, truth, mc):
+    """Each bundle's sampler as it was written beside its association."""
+    if name == "binomial":
+        return dist.sample(dist.binomial(25, float(truth)), mc).astype(int)
+    if name == "normal_mean":
+        return truth + dist.sample(dist.normal(), mc)
+    if name == "uniform_loc":
+        return truth + dist.sample_uniform_minmax(10, mc)
+    u = mc.generator().random((mc.reps, 799))
+    return np.sort(truth.quantile(u), axis=1)
+
+
+@pytest.mark.parametrize("name", ["binomial", "dkw", "normal_mean", "uniform_loc"])
+def test_samplers_are_the_hand_written_ones(name, monkeypatch):
+    monkeypatch.setattr(mc_module, "BLOCK_DRAWS", 64)  # 300 reps take 5 to 300 blocks
+    b = REGISTRY[name]()
+    for truth in b.theta_grid_hint[:3]:
+        for seed, reps in ((0, 1), (7, 5), (123, 300)):
+            mc = MCConfig(reps=reps, seed=seed, stream_id=2)
+            want = _by_hand(name, truth, mc)
+            got = b.sampling.sample(truth, mc)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            blocks = [b.sampling.sample(truth, block) for block in mc.blocks(b.sampling.draws_per_rep)]
+            assert len(blocks) > 1 or reps < 300
+            assert np.array_equal(np.concatenate(blocks), want)
+            rows = b.data_replicates(truth, reps, MCConfig(reps=1, seed=seed, stream_id=2))
+            if name == "binomial":
+                assert rows == [int(v) for v in want] and {type(r) for r in rows} == {int}
+            elif name == "dkw":
+                assert np.array_equal([r.values for r in rows], want)
+            else:
+                assert np.array_equal(rows, want)
