@@ -48,8 +48,9 @@ class ModelBundle:
     behind ``family.member`` and ``family.member_batch``: it broadcasts over a
     stack of datasets (leading axis) and over a scalar or 1-d theta, so the
     scalar, batch and grid routes cannot disagree.  dkw's candidates are
-    CDFs, so both its grid routes go through ``dkw.distances``, one sup-norm
-    distance per candidate.  ``contour_at_truth(xs, theta)`` evaluates the
+    CDFs, so both its grid routes go through ``dkw.distances``, one stacked
+    sup-norm pass over the step candidates on the dataset's jump points and
+    one distance for each other candidate.  ``contour_at_truth(xs, theta)`` evaluates the
     fused contour at one truth for a stack of datasets and feeds the validity
     audits.  binomial, uniform_loc and normal_mean give both contour fields
     one object that broadcasts over data and parameter (behrens_fisher's

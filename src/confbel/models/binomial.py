@@ -23,6 +23,13 @@ right limit of the support mass just beyond the index).  The sharpened contour
 never exceeds the exact-tail one, and its level sets sit inside the exact-tail
 intervals.
 
+The fused contour is evaluated as the tail mass excluded from that support,
+the deepest lower tail ``F_theta(k) <= alpha*/2`` plus the deepest upper tail
+``P(X >= k) <= alpha*/2``.  The smaller of ``F_theta(x)`` and ``P(X >= x)`` is
+``alpha*/2`` itself and is the deepest on its side, so each theta reads one
+table of the other side's n + 1 tails.  Off [0, 1] or at NaN, ``alpha*`` is
+NaN and the fused contour reads 0.
+
 Both contours broadcast over outcomes and theta; a stack of outcomes at one
 theta, as the audits pass, reads one evaluation at every outcome 0..n.
 """
@@ -40,15 +47,22 @@ from ..contours import ConfidenceFamily, GridRegion, GridSpec
 from ..fusion import Association, RandomSetFamily, sampling_of, support_of
 
 
+def _tail(n: int, a, z):
+    """The binomial tail ``I_z(a, n + 1 - a)`` that counts ``a`` outcomes:
+    ``P(X >= k)`` is ``a = k``, ``z = theta``, and ``F_theta(k)`` is
+    ``a = n - k``, ``z = 1 - theta``.  Outside ``0 < a <= n`` the tail is
+    exactly 1 for ``a <= 0`` and 0 above n; betainc's value there is
+    discarded.  Broadcasts over ``a`` and ``z``."""
+    return np.where((0 < a) & (a <= n), special.betainc(a, n + 1.0 - a, z), a <= 0)
+
+
 def cdf_given_theta(n: int, x, theta):
     """``F_theta(x)`` vectorized over theta via the incomplete-beta identity.
 
     Independent route from the summed-pmf table in :mod:`confbel.distributions`
     (the two are cross-checked in the test suite).
     """
-    k = np.floor(np.asarray(x, dtype=float))
-    # outside 0 <= k < n the CDF is 0 below and 1 above; betainc's value there is discarded
-    out = np.where((0 <= k) & (k < n), special.betainc(n - k, k + 1.0, 1.0 - np.asarray(theta, dtype=float)), k >= n)
+    out = _tail(n, n - np.floor(np.asarray(x, dtype=float)), 1.0 - np.asarray(theta, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -57,8 +71,7 @@ def sf_given_theta(n: int, x, theta):
     orientation rather than ``1 - F``: the upper tail keeps full relative
     accuracy however deep it is."""
     k = np.ceil(np.asarray(x, dtype=float))  # P(X >= x) = P(X >= ceil(x)) for real x
-    # outside 0 < k <= n the tail is 1 below and 0 above
-    out = np.where((0 < k) & (k <= n), special.betainc(k, n - k + 1.0, np.asarray(theta, dtype=float)), k <= 0)
+    out = _tail(n, k, np.asarray(theta, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -110,17 +123,6 @@ def binom_g(n: int, x: int, theta):
     return g if np.ndim(theta) else float(g[0])
 
 
-def _excluded_tail_mass(f, s, half):
-    # Columns are theta points; mass outside the right-limit support is the
-    # deepest low-tail CDF value still <= alpha*/2 plus its upper-tail twin.
-    # Both addends are <= half by selection, so the sum can never round above
-    # 2*half = alpha*: the sharpened contour stays below the exact-tail one
-    # in float arithmetic, not just in the limit.
-    lo = np.max(np.where(f <= half, f, 0.0), axis=0)
-    hi = np.max(np.where(s <= half, s, 0.0), axis=0)
-    return lo + hi
-
-
 @_tabulated
 def im_contour(n: int, x, theta):
     """Fused contour: 1 at capped index, otherwise the excluded tail mass
@@ -128,11 +130,23 @@ def im_contour(n: int, x, theta):
 
     Broadcasts over outcomes ``x`` and ``theta``."""
     xs, thetas = np.broadcast_arrays(np.asarray(x), np.asarray(theta, dtype=float))
-    astar = np.asarray(cp_contour(n, xs, thetas))
-    ks = np.arange(n + 1, dtype=float).reshape((-1,) + (1,) * thetas.ndim)
-    f = cdf_given_theta(n, ks, thetas[None])
-    s = sf_given_theta(n, ks, thetas[None])
-    out = np.where(astar >= 1.0, 1.0, _excluded_tail_mass(f, s, astar[None] / 2.0))
+    f2 = cdf_given_theta(n, xs, thetas)
+    sx = sf_given_theta(n, xs, thetas)
+    # alpha*/2 below the cap; NaN wherever either tail is (theta off [0, 1])
+    half = np.minimum(f2, sx)
+    # The mass outside the right-limit support is the deepest low-tail CDF
+    # value still <= alpha*/2 plus its upper-tail twin.  The smaller tail at x
+    # is one of the two addends, half itself; only the other side's tail is
+    # tabulated, one table row per outcome.  Both addends are <= half by
+    # selection, so the sum can never round above 2*half = alpha*: the
+    # sharpened contour stays below the exact-tail one in float arithmetic,
+    # not just in the limit.
+    ks = np.arange(n + 1.0).reshape((-1,) + (1,) * thetas.ndim)
+    upper = f2 <= sx  # half is the lower tail, so the upper side is tabulated
+    tails = _tail(n, np.where(upper, ks, n - ks), np.where(upper, thetas, 1.0 - thetas))
+    other = np.max(np.where(tails <= half, tails, 0.0), axis=0)
+    # NaN tails read 0.0: no table entry is <= NaN, so no addend is kept
+    out = np.where(2.0 * half >= 1.0, 1.0, np.where(np.isnan(half), 0.0, half) + other)
     return out if out.ndim else float(out)
 
 

@@ -26,9 +26,16 @@ alpha = 0.05 the mass is 0.9516.
 Sup-norm distances are evaluated exactly at both one-sided limits of every
 jump point of both step functions; callable candidates are assumed
 continuous.  Each function is evaluated once, on the sorted jump points
-``ts``: both step functions are constant between consecutive points, so the
-left limit at ``ts[k]`` is the value at ``ts[k-1]`` (and ``y_pre`` at
-``k = 0``).  The empirical CDF is computed once per sample.
+``ts``, with a step function's ``y_pre`` put before the first: both step
+functions are constant between consecutive points, so the left limit at
+``ts[k]`` is the value at ``ts[k-1]`` (``y_pre`` at ``k = 0``), and one pass
+over those values covers both limits.  :func:`distances` stacks the step
+candidates on the sample's own jump points (the shifted containment
+candidates, the band edges) into one array and takes every row's distance in
+one pass; other candidates are taken one at a time, and :func:`sup_norm` is
+the one-candidate case.  Every candidate is first checked to be a CDF on the
+evaluation points, ``y_pre`` included: nondecreasing and in [0, 1], within
+1e-12, and not NaN.  The empirical CDF is computed once per sample.
 """
 
 from __future__ import annotations
@@ -163,34 +170,54 @@ def _on(f, ts: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(f(ts), dtype=float), np.shape(ts))
 
 
-def _left_limits(right: np.ndarray, y_pre: float) -> np.ndarray:
-    """Left limits on the evaluation points of a step function that is
-    constant between consecutive points: the right value one point earlier."""
-    return np.concatenate(([y_pre], right[:-1]))
+def _sup_norms(e: np.ndarray, f: np.ndarray, continuous: bool) -> np.ndarray:
+    """Row-wise exact ``sup_t |Fhat(t) - F(t)|`` on sorted evaluation points,
+    after checking that every row is a CDF's values (nondecreasing, in
+    [0, 1], 1e-12 slack; NaN fails).
 
-
-def sup_norm(sample: EmpiricalSample, candidate) -> float:
-    """Exact ``sup_t |Fhat(t) - F(t)|`` for step or continuous candidates."""
-    ehat = sample.ecdf()
-    ts, e_right = ehat.xs, ehat.ys
-    if isinstance(candidate, StepFn):
-        if np.array_equal(candidate.xs, ts):
-            f_right = candidate.ys
-        else:
-            ts = np.union1d(ts, candidate.xs)
-            f_right, e_right = candidate(ts), ehat(ts)
-        f_left = _left_limits(f_right, candidate.y_pre)
-    else:
-        f_right = f_left = _on(candidate, ts)  # callable candidates are continuous
-    if np.any(np.diff(f_right) < -1e-12) or np.any(f_right < -1e-12) or np.any(f_right > 1.0 + 1e-12):
+    ``e`` holds the empirical CDF's value before the first point and at each
+    point.  Step rows of ``f`` hold the same: both functions are constant
+    between consecutive points, so the left limit at point j is column j and
+    the right limit column j + 1, and one pass over every column covers both
+    one-sided limits.  Continuous rows hold the values at the points, which
+    are both limits there."""
+    if not (np.all(np.diff(f, axis=-1) >= -1e-12) and np.all((f >= -1e-12) & (f <= 1.0 + 1e-12))):
         raise ValueError("candidate is not a CDF on the evaluation points")
-    e_left = _left_limits(e_right, ehat.y_pre)
-    return float(max(np.max(np.abs(e_right - f_right)), np.max(np.abs(e_left - f_left))))
+    if continuous:
+        return np.maximum(np.abs(e[1:] - f).max(axis=-1), np.abs(e[:-1] - f).max(axis=-1))
+    return np.abs(e - f).max(axis=-1)
+
+
+def _with_pre(y_pre, ys) -> np.ndarray:
+    """A step function's value before the first evaluation point and at each."""
+    return np.concatenate(([y_pre], ys))
 
 
 def distances(sample: EmpiricalSample, candidates) -> np.ndarray:
-    """Sup-norm distance of one sample's empirical CDF from each candidate."""
-    return np.asarray([sup_norm(sample, c) for c in candidates], dtype=float)
+    """Exact sup-norm distance of one sample's empirical CDF from each step
+    or continuous candidate.  Step candidates on the sample's own jump points
+    go through one stacked pass; the others one at a time."""
+    candidates = list(candidates)
+    ehat = sample.ecdf()
+    e = _with_pre(ehat.y_pre, ehat.ys)
+    on_jumps = np.array([isinstance(c, StepFn) and np.array_equal(c.xs, ehat.xs) for c in candidates], dtype=bool)
+    out = np.empty(len(candidates))
+    if on_jumps.any():
+        rows = np.array([_with_pre(c.y_pre, c.ys) for c, on in zip(candidates, on_jumps) if on])
+        out[on_jumps] = _sup_norms(e, rows, continuous=False)
+    for i in np.flatnonzero(~on_jumps):
+        c = candidates[i]
+        if isinstance(c, StepFn):
+            ts = np.union1d(ehat.xs, c.xs)
+            out[i] = _sup_norms(_with_pre(ehat.y_pre, ehat(ts)), _with_pre(c.y_pre, c(ts))[None], continuous=False)[0]
+        else:
+            out[i] = _sup_norms(e, _on(c, ehat.xs)[None], continuous=True)[0]
+    return out
+
+
+def sup_norm(sample: EmpiricalSample, candidate) -> float:
+    """Exact ``sup_t |Fhat(t) - F(t)|`` for a step or continuous candidate."""
+    return float(distances(sample, [candidate])[0])
 
 
 def _index(n: int, d):

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy import stats
+from scipy import special, stats
 
 from confbel import distributions as dist
 from confbel.contours import ConfidenceFamily
 from confbel.fusion import alpha_index, check_nested_support, theta_specific_plaus
 from confbel.mc import MCConfig
-from confbel.models import binomial
+from confbel.models import REGISTRY, binomial
 
 N = 25
 THETA_GRID = np.linspace(0.02, 0.98, 49)
@@ -144,6 +144,54 @@ def test_im_contour_one_on_capped_plateau():
     thetas = THETA_GRID[binomial.cp_contour(N, 17, THETA_GRID) >= 1.0]
     assert len(thetas) > 0
     assert_allclose(binomial.im_contour(N, 17, thetas), 1.0, atol=0)
+
+
+def _im_contour_two_tables(n, x, theta):
+    """The fused contour read from both full tail tables, each tail by its own
+    incomplete-beta expression: the oracle of the one-table ``im_contour``."""
+
+    def cdf(k, t):
+        return np.where((0 <= k) & (k < n), special.betainc(n - k, k + 1.0, 1.0 - t), k >= n)
+
+    def sf(k, t):
+        return np.where((0 < k) & (k <= n), special.betainc(k, n - k + 1.0, t), k <= 0)
+
+    xs, thetas = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(theta, dtype=float))
+    astar = np.minimum(2.0 * np.minimum(cdf(xs, thetas), sf(xs, thetas)), 1.0)
+    ks = np.arange(n + 1, dtype=float).reshape((-1,) + (1,) * thetas.ndim)
+    f, s, half = cdf(ks, thetas[None]), sf(ks, thetas[None]), astar[None] / 2.0
+    lo = np.max(np.where(f <= half, f, 0.0), axis=0)
+    hi = np.max(np.where(s <= half, s, 0.0), axis=0)
+    return np.where(astar >= 1.0, 1.0, lo + hi)
+
+
+def test_im_contour_is_the_two_table_oracle_bit_for_bit():
+    # Off [0, 1] and at NaN both tails are NaN or one of them is, so alpha* is
+    # NaN and the contour reads 0.0; the smallest subnormals and the floats
+    # next to 0 and 1 are where a per-column choice of table could slip.
+    edges = [0.0, 1.0, 5e-324, 1e-300, 1e-16, 1.0 - 1e-16, np.nextafter(1.0, 0.0), 0.5]
+    outside = [-1e-300, -0.5, 1.0 + 1e-16, 1.0114, 2.0, np.inf, -np.inf, np.nan]
+    thetas = np.concatenate([np.linspace(-0.05, 1.05, 221), edges, outside])
+    for n in (1, 2, 5, 25, 60):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in range(n + 1):
+                got, want = binomial.im_contour(n, x, thetas), _im_contour_two_tables(n, x, thetas)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, x)
+            stacked = np.arange(n + 1)
+            for theta in thetas[::5]:
+                got, want = binomial.im_contour(n, stacked, theta), _im_contour_two_tables(n, stacked, theta)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, theta)
+
+
+def test_im_contour_reads_zero_off_the_unit_interval_on_every_route():
+    # x = 1 at theta just above 1: the lower tail is NaN and the upper tail 1,
+    # so a side picked by comparing the two would read the capped value 1.0
+    theta = 1.0114
+    assert binomial.im_contour(N, 1, np.array([0.5, theta]))[1] == 0.0
+    assert binomial.im_contour(N, 1, theta) == 0.0
+    bundle = REGISTRY["binomial"]()
+    assert bundle.contour_at_truth(np.array([0, 1, N]), theta).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_im_contour_matches_generic_fusion():

@@ -145,16 +145,21 @@ def test_sup_norm_equals_both_limit_reference(data):
     subset = data.draw(st.lists(st.sampled_from(ehat.xs.tolist()), min_size=1, unique=True), label="subset")
     unrelated = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=20, unique=True), label="unrelated")
     scale = data.draw(st.floats(0.2, 5.0), label="scale")
-    candidates = [
-        _step_candidate(data.draw, ehat.xs),
+    # 2-4 step candidates on the sample's own jumps, plus ehat itself, make a
+    # stack of several rows in distances; the rest go one at a time, in any order
+    on_jumps = [_step_candidate(data.draw, ehat.xs) for _ in range(data.draw(st.integers(2, 4), label="stacked"))]
+    candidates = data.draw(st.permutations([
+        *on_jumps,
         _step_candidate(data.draw, np.sort(subset)),
         _step_candidate(data.draw, np.sort(unrelated)),
         lambda t: -np.expm1(-np.maximum(np.asarray(t, dtype=float) + 3.0, 0.0) / scale),
         ehat,
-    ]
-    for candidate in candidates:
-        assert dkw.sup_norm(sample, candidate) == sup_norm_reference(sample, candidate)
-    assert np.array_equal(dkw.distances(sample, candidates), [sup_norm_reference(sample, c) for c in candidates])
+    ]), label="order")
+    want = [sup_norm_reference(sample, c) for c in candidates]
+    for candidate, d in zip(candidates, want):
+        assert dkw.sup_norm(sample, candidate) == d
+    assert np.array_equal(dkw.distances(sample, candidates), want)
+    assert dkw.distances(sample, []).shape == (0,)
 
 
 def test_ecdf_is_computed_once_and_sample_stays_frozen():
@@ -192,6 +197,22 @@ def test_sup_norm_rejects_non_cdf():
         dkw.sup_norm(sample, lambda t: -0.5)
     with pytest.raises(ValueError):
         dkw.sup_norm(sample, dkw.StepFn([0.5, 1.5], [0.9, 0.2]))
+    with pytest.raises(ValueError):  # NaN would otherwise read as fully plausible
+        dkw.dkw_contour(dkw.synthetic_sample(), lambda t: np.full(np.shape(t), np.nan))
+    # the value before the first jump must lie in [0, ys[0]], also on the sample's own jumps
+    sample = dkw.EmpiricalSample([0.1, 0.2, 0.3, 0.4])
+    xs = sample.ecdf().xs
+    ys = [0.2, 0.4, 0.6, 0.8]
+    for y_pre in (0.9, 1.5, -0.5, np.nan):
+        with pytest.raises(ValueError):
+            dkw.sup_norm(sample, dkw.StepFn(xs, ys, y_pre=y_pre))
+        with pytest.raises(ValueError):
+            dkw.sup_norm(sample, dkw.StepFn(xs + 0.05, ys, y_pre=y_pre))
+    assert dkw.sup_norm(sample, dkw.StepFn(xs, ys, y_pre=0.2)) == pytest.approx(0.2, abs=1e-15)
+    # one bad row fails the whole stacked pass
+    good = dkw.StepFn(xs, ys, y_pre=0.1)
+    with pytest.raises(ValueError):
+        dkw.distances(sample, [good, sample.ecdf(), dkw.StepFn(xs, [0.2, 0.4, 0.3, 0.8]), good])
 
 
 def test_alpha_index_at_band_edge_recovers_level():
