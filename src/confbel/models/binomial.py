@@ -26,9 +26,11 @@ intervals.
 The fused contour is evaluated as the tail mass excluded from that support,
 the deepest lower tail ``F_theta(k) <= alpha*/2`` plus the deepest upper tail
 ``P(X >= k) <= alpha*/2``.  The smaller of ``F_theta(x)`` and ``P(X >= x)`` is
-``alpha*/2`` itself and is the deepest on its side, so each theta reads one
-table of the other side's n + 1 tails.  Off [0, 1] or at NaN, ``alpha*`` is
-NaN and the fused contour reads 0.
+``alpha*/2`` itself and is the deepest on its side.  The other side's tails
+fall as the number of outcomes they count grows, so its deepest tail is the
+first one at or below ``alpha*/2``: a binary search over the n + 2 counts
+finds it with ceil(log2(n + 2)) tails per theta.  Off [0, 1] or at NaN a
+tail at x is NaN, and both contours read 0.
 
 Both contours broadcast over outcomes and theta; a stack of outcomes at one
 theta, as the audits pass, reads one evaluation at every outcome 0..n.
@@ -76,15 +78,20 @@ def sf_given_theta(n: int, x, theta):
 
 
 def _tabulated(contour):
-    """``contour(n, x, theta)`` checked to take outcomes in 0..n (else
-    ValueError).  A stack of outcomes at one theta evaluates ``contour`` once
-    at every outcome 0..n and indexes that table."""
+    """``contour(n, x, theta)`` checked to take integer outcomes in 0..n (else
+    ValueError; an integer dtype skips the integer check).  A stack of
+    outcomes at one theta evaluates ``contour`` once at every outcome 0..n and
+    indexes that table."""
 
     @functools.wraps(contour)
     def fn(n: int, x, theta):
         xs = np.asarray(x)
-        if xs.min(initial=0) < 0 or xs.max(initial=n) > n:
-            raise ValueError(f"binomial outcomes must lie in 0..{n}")
+        if (
+            xs.min(initial=0) < 0
+            or xs.max(initial=n) > n
+            or (xs.dtype.kind not in "iub" and not np.all(xs == np.floor(xs)))
+        ):
+            raise ValueError(f"binomial outcomes must be integers in 0..{n}")
         if xs.ndim and not np.ndim(theta):
             return np.asarray(contour(n, np.arange(n + 1), theta))[xs.astype(int, copy=False)]
         return contour(n, x, theta)
@@ -101,11 +108,13 @@ def cp_member(n: int, x, alpha: float, theta):
 @_tabulated
 def cp_contour(n: int, x, theta):
     """``min(2 F2, 2 S, 1)`` with ``S = P(X >= x)``: the exact-tail contour
-    and alpha index, each tail evaluated directly as a small number."""
+    and alpha index, each tail evaluated directly as a small number; 0.0 off
+    [0, 1] and at NaN."""
     thetas = np.asarray(theta, dtype=float)
     f2 = np.asarray(cdf_given_theta(n, x, thetas))
     sx = np.asarray(sf_given_theta(n, x, thetas))
-    out = np.minimum(2.0 * np.minimum(f2, sx), 1.0)
+    # fmax reads a NaN tail (theta off [0, 1]) as 0.0, as im_contour does
+    out = np.fmax(np.minimum(2.0 * np.minimum(f2, sx), 1.0), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -136,16 +145,25 @@ def im_contour(n: int, x, theta):
     half = np.minimum(f2, sx)
     # The mass outside the right-limit support is the deepest low-tail CDF
     # value still <= alpha*/2 plus its upper-tail twin.  The smaller tail at x
-    # is one of the two addends, half itself; only the other side's tail is
-    # tabulated, one table row per outcome.  Both addends are <= half by
-    # selection, so the sum can never round above 2*half = alpha*: the
-    # sharpened contour stays below the exact-tail one in float arithmetic,
-    # not just in the limit.
-    ks = np.arange(n + 1.0).reshape((-1,) + (1,) * thetas.ndim)
-    upper = f2 <= sx  # half is the lower tail, so the upper side is tabulated
-    tails = _tail(n, np.where(upper, ks, n - ks), np.where(upper, thetas, 1.0 - thetas))
-    other = np.max(np.where(tails <= half, tails, 0.0), axis=0)
-    # NaN tails read 0.0: no table entry is <= NaN, so no addend is kept
+    # is one of the two addends, half itself.  The other side's tails are
+    # _tail(n, a, z) for a = 0..n, nonincreasing in a, so the deepest one
+    # <= half is the one at the first passing a; past n every tail is 0.0 and
+    # passes.  A binary search finds that a with one tail a step: ``failing``
+    # is the largest a known to fail, each step probes ``failing + step``, and
+    # ``other`` keeps the tail of the smallest passing probe.  Both addends are
+    # <= half by selection, so the sum can never round above 2*half = alpha*:
+    # the sharpened contour stays below the exact-tail one in float
+    # arithmetic, not just in the limit.
+    # where f2 <= sx, half is the lower tail and the upper side is searched
+    z = np.where(f2 <= sx, thetas, 1.0 - thetas)
+    failing, other = np.full(z.shape, -1.0), np.zeros(z.shape)
+    for step in 2.0 ** np.arange(int(n + 1).bit_length() - 1, -1, -1):
+        probe = failing + step
+        tail = _tail(n, probe, z)
+        passes = tail <= half
+        other = np.where(passes, tail, other)
+        failing = np.where(passes, failing, probe)
+    # NaN tails read 0.0: no tail is <= NaN, so no addend is kept
     out = np.where(2.0 * half >= 1.0, 1.0, np.where(np.isnan(half), 0.0, half) + other)
     return out if out.ndim else float(out)
 

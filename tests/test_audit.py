@@ -15,6 +15,7 @@ from confbel.audit import (
     assertion_validity_audit,
     contour_validity_audit,
     coverage_probability,
+    ks_distances,
     ks_uniform,
 )
 from confbel.contours import Interval
@@ -145,6 +146,21 @@ def test_ks_uniform_exact_values():
     u = (np.arange(1, n + 1) - 0.5) / n
     assert ks_uniform(u) == pytest.approx(1 / (2 * n), abs=1e-15)
     assert ks_uniform([0.0, 1.0]) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_ks_distances_reads_sorted_rows_as_they_stand():
+    # rows already in order skip the sort; the same rows shuffled go through
+    # it, and every distance keeps its bytes
+    rng = np.random.default_rng(3)
+    u = np.sort(rng.random((6, 40)), axis=-1)
+    shuffled = rng.permuted(u, axis=-1)
+    assert np.all(np.any(shuffled[:, 1:] < shuffled[:, :-1], axis=-1))
+    want = ks_distances(u).tobytes()
+    assert ks_distances(shuffled).tobytes() == want
+    assert ks_distances(np.vstack([u[:5], shuffled[5:]])).tobytes() == want
+    # ks_uniform sorts what it is given: the mid-quantiles in reverse order
+    n = 10
+    assert ks_uniform((np.arange(n, 0, -1) - 0.5) / n) == pytest.approx(1 / (2 * n), abs=1e-15)
 
 
 def test_ks_uniform_rejects_bad_input():

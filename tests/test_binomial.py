@@ -172,7 +172,7 @@ def test_im_contour_is_the_two_table_oracle_bit_for_bit():
     edges = [0.0, 1.0, 5e-324, 1e-300, 1e-16, 1.0 - 1e-16, np.nextafter(1.0, 0.0), 0.5]
     outside = [-1e-300, -0.5, 1.0 + 1e-16, 1.0114, 2.0, np.inf, -np.inf, np.nan]
     thetas = np.concatenate([np.linspace(-0.05, 1.05, 221), edges, outside])
-    for n in (1, 2, 5, 25, 60):
+    for n in (1, 2, 5, 25, 60, 200):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for x in range(n + 1):
@@ -184,6 +184,42 @@ def test_im_contour_is_the_two_table_oracle_bit_for_bit():
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, theta)
 
 
+def test_im_contour_matches_the_oracle_where_betainc_does_not_underflow():
+    # At n = 1000 betainc is not monotone in a below about 1e-250, so the
+    # first passing outcome need not hold the table's largest passing tail;
+    # everywhere else the two agree bit for bit.
+    n = 1000
+    thetas = np.concatenate([np.linspace(0.0, 1.0, 401), [1e-300, 1.0 - 1e-16, np.nan, 1.5]])
+    for x in (0, 1, 3, 100, 333, 500, 777, 999, 1000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = binomial.im_contour(n, x, thetas), _im_contour_two_tables(n, x, thetas)
+        same = got.view(np.int64) == want.view(np.int64)
+        assert np.all(same | ((got < 1e-250) & (want < 1e-250))), x
+
+
+@pytest.mark.parametrize("n", [25, 1000])
+def test_im_contour_costs_log_n_tails_a_theta_column(monkeypatch, n):
+    evaluated = []
+    betainc = special.betainc
+
+    def counting(a, b, z):
+        evaluated.append(np.broadcast(a, b, z).size)
+        return betainc(a, b, z)
+
+    monkeypatch.setattr(special, "betainc", counting)
+    thetas = binomial.default_grid().points()
+    bound = int(np.ceil(np.log2(n + 2))) + 2
+    for x in (0, n // 3, n):
+        evaluated.clear()
+        binomial.im_contour(n, x, thetas)
+        assert 0 < sum(evaluated) <= bound * len(thetas), (x, sum(evaluated))
+    # a stack at one theta: one column per outcome
+    evaluated.clear()
+    binomial.im_contour(n, np.arange(n + 1), 0.3)
+    assert 0 < sum(evaluated) <= bound * (n + 1)
+
+
 def test_im_contour_reads_zero_off_the_unit_interval_on_every_route():
     # x = 1 at theta just above 1: the lower tail is NaN and the upper tail 1,
     # so a side picked by comparing the two would read the capped value 1.0
@@ -192,6 +228,18 @@ def test_im_contour_reads_zero_off_the_unit_interval_on_every_route():
     assert binomial.im_contour(N, 1, theta) == 0.0
     bundle = REGISTRY["binomial"]()
     assert bundle.contour_at_truth(np.array([0, 1, N]), theta).tolist() == [0.0, 0.0, 0.0]
+    # the exact-tail contour reads 0.0 there too, so containment holds; at
+    # -1e-300 one tail's 1 - theta rounds to 1, and 1 + 1e-16 is 1.0
+    outside = np.array([theta, -0.5, 2.0, np.inf, -np.inf, np.nan])
+    edges = np.array([-1e-300, 1.0 + 1e-16])
+    for x in range(N + 1):
+        im, cp = binomial.im_contour(N, x, outside), binomial.cp_contour(N, x, outside)
+        assert np.all(im == 0.0) and np.all(cp == 0.0), x
+        assert np.all(binomial.im_contour(N, x, edges) <= binomial.cp_contour(N, x, edges)), x
+    for t in np.concatenate([outside, edges]):
+        stacked = np.arange(N + 1)
+        assert np.all(binomial.im_contour(N, stacked, t) <= binomial.cp_contour(N, stacked, t))
+        assert binomial.im_contour(N, 1, t) <= binomial.cp_contour(N, 1, t)
 
 
 def test_im_contour_matches_generic_fusion():
@@ -287,10 +335,11 @@ def test_random_set_nested():
     assert report.passed
 
 
-@pytest.mark.parametrize("outcome", [-1, N + 1])
+@pytest.mark.parametrize("outcome", [-1, N + 1, 2.5, np.nan])
 def test_outcome_outside_range_raises(outcome):
     # a stack at one theta indexes a table of the n + 1 outcomes, where a
-    # negative outcome would otherwise wrap round to the top of the table
+    # negative outcome would otherwise wrap round to the top of the table, a
+    # fraction would be truncated and NaN would index far outside it
     for x in (outcome, [3, outcome]):
         with pytest.raises(ValueError):
             binomial.im_contour(N, x, 0.3)

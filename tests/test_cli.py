@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,21 @@ def test_binom_artifact(tmp_path):
     cp = np.asarray([float(r["cp_contour"]) for r in rows])
     im = np.asarray([float(r["im_contour"]) for r in rows])
     assert np.all(im <= cp + 1e-12)
+
+
+def test_binom_large_n_holds_one_grid_of_tails(tmp_path):
+    # the fused contour keeps O(grid) tails: a table of every outcome's tail
+    # at n = 100 000 would hold (n + 1) x 512 floats, about 0.4 GB an array
+    out = tmp_path / "binom.csv"
+    tracemalloc.start()
+    try:
+        assert main(["binom", "--n", "100000", "--x", "30000", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    _, rows = read_csv(out)
+    assert len(rows) == 512
 
 
 def test_binom_x_out_of_range(tmp_path):
