@@ -24,11 +24,13 @@ from .reportio import write_rows
 
 SEED_ENV_VAR = "CONFBEL_SEED"
 
+# Boundary checks raise UsageError; a ValueError past them is the numerics'.
 _NUMERICAL_ERRORS = (
     ConsonanceError,
     NestednessError,
     fieller.NonMonotoneError,
     FloatingPointError,
+    ValueError,
 )
 
 
@@ -61,7 +63,7 @@ def _resolve_seed(args, config: dict) -> tuple[int, str]:
     for source, name, text in (("config", f"seed in {args.config}", config.get("seed")), ("env", SEED_ENV_VAR, env)):
         if text is not None:
             try:
-                return _count_at_least(0)(text), source
+                return _seed(text), source
             except argparse.ArgumentTypeError as exc:
                 raise UsageError(f"{name}: {exc}") from exc
     return 0, "default"
@@ -118,6 +120,14 @@ def _count_at_least(minimum: int):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: a key of the 64-bit Philox stream."""
+    value = _count_at_least(0)(text)
+    if value >= 2**64:
+        raise argparse.ArgumentTypeError(f"expected an integer below 2**64, got {text!r}")
+    return value
+
+
 def _switch(text: str) -> bool:
     """argparse type of a switch's config line; the flag itself takes no value."""
     value = {"true": True, "1": True, "false": False, "0": False}.get(text.lower())
@@ -131,6 +141,16 @@ def _csv_floats(option: str, text: str) -> tuple[float, ...]:
         return tuple(_finite_float(v) for v in text.split(","))
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"{option}: expected comma-separated finite numbers, got {text!r}") from exc
+
+
+def _check_truth(option: str, sampling, interest, theta) -> None:
+    """The model's own domain checks on a truth, run on one replicate before
+    any work, so a truth outside the domain exits 2 with the model's message."""
+    try:
+        sampling.sample(theta, MCConfig(reps=1))
+        interest(theta)
+    except ValueError as exc:
+        raise UsageError(f"{option}: {exc}") from exc
 
 
 def _metadata(args, seed: int, seed_source: str, **extra) -> dict:
@@ -242,12 +262,15 @@ def cmd_fieller(args, seed: int, seed_source: str) -> None:
     x = (args.x1, args.x2)
     mc = MCConfig(reps=args.reps, seed=seed)
     iv = fieller.fieller_interval(x, args.alpha)
+    if args.curve and not args.phi_lo < args.phi_hi:
+        raise UsageError(f"--phi-hi must exceed --phi-lo, got {args.phi_hi} <= {args.phi_lo}")
     phis = GridSpec(args.phi_lo, args.phi_hi, args.grid_points).points() if args.curve else None
     theta = (args.theta1, args.theta2)
     if args.theta is not None:
         theta = _csv_floats("--theta", args.theta)
         if len(theta) != 2:
             raise UsageError(f"--theta takes two components, got {args.theta!r}")
+    _check_truth("--theta" if args.theta is not None else "--theta2", fieller.sampling(), fieller.interest, theta)
     est = coverage_probability(
         fieller.sampling(), fieller.family(), theta, args.alpha, mc, interest=fieller.interest
     )
@@ -348,6 +371,7 @@ def cmd_coverage(args, seed: int, seed_source: str) -> None:
         first = hints[0]
         args.theta = first.name if hasattr(first, "name") else ",".join(f"{float(v):.10g}" for v in np.ravel(first))
     t = _truth(args.model, str(args.theta), hints)
+    _check_truth("--theta", sampling, interest, t)
     est = coverage_probability(sampling, family, t, args.alpha, mc, interest=interest)
     _emit(args, [est.as_row()], _metadata(args, seed, seed_source))
 
@@ -368,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=default_out, help="output path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument(
-            "--seed", type=_count_at_least(0), help=f"RNG seed (else the config file's, ${SEED_ENV_VAR}, then 0)"
+            "--seed", type=_seed, help=f"RNG seed (else the config file's, ${SEED_ENV_VAR}, then 0)"
         )
         if reps is not None:  # None: the subcommand draws nothing
             p.add_argument("--reps", type=_count_at_least(1), default=reps, help="Monte Carlo replications")
@@ -478,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
                         command.error(str(exc))
         _check_out(args.out)
         args.func(args, seed, seed_source)
-    except (UsageError, ValueError, KeyError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

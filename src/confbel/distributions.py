@@ -12,7 +12,9 @@ beta/gamma); the binomial CDF is an exact log-space probability-mass summation.
 Quantiles are the exact inverses scipy.special ships for the continuous
 families (``ndtri``, ``stdtrit``, ``gammaincinv``), and the minimal ``k`` with
 ``F(k) >= p`` for the binomial.  Samplers are inverse-CDF transforms of Philox
-uniforms (see :mod:`confbel.mc`).
+uniforms (see :mod:`confbel.mc`); the order-statistic sampler draws the
+(min, max) pair from its exact joint law, two uniforms a pair whatever the
+sample size.
 """
 
 from __future__ import annotations
@@ -181,8 +183,13 @@ def sample(spec: DistSpec, mc: MCConfig) -> np.ndarray:
 
 
 def sample_uniform_minmax(n: int, mc: MCConfig) -> np.ndarray:
-    """(reps, 2) array of (min, max) order statistics of ``n`` iid uniforms."""
+    """(reps, 2) array of (min, max) order statistics of ``n`` iid uniforms,
+    drawn from their exact joint law with two uniforms a row:
+    ``max = (1 - V1)^(1/n)``, and given it the other ``n - 1`` points are
+    iid Uniform(0, max), so ``min = max (1 - (1 - V2)^(1/(n - 1)))``."""
     if n < 2:
         raise ValueError("order-statistic pairs need n >= 2")
-    u = mc.generator().random((mc.reps, n))
-    return np.column_stack([u.min(axis=1), u.max(axis=1)])
+    v = mc.generator().random((mc.reps, 2))
+    hi = np.exp(np.log1p(-v[:, 0]) / n)
+    lo = -hi * np.expm1(np.log1p(-v[:, 1]) / (n - 1))
+    return np.column_stack([lo, hi])

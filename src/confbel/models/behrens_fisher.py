@@ -268,21 +268,35 @@ def random_set(n1: int, n2: int) -> RandomSetFamily:
 
 def sampling(n1: int, n2: int) -> SamplingModel:
     """Full-summary generator under theta = (mu1, mu2, s1, s2); not drawn
-    through :func:`association`, whose rows keep only ``m1 - m2``."""
+    through :func:`association`, whose rows keep only ``m1 - m2``.
+
+    Each summary is drawn from its exact law, not reduced from a sample: a
+    group's mean is ``mu + sqrt(s/n) z`` and its variance ``s chi2_k / k``
+    with ``k = n - 1``, independent of the mean, where ``chi2_k`` is twice a
+    sum of ``k // 2`` unit exponentials ``-log1p(-U)``, plus one squared
+    normal when ``k`` is odd (docs/decisions.md, "Samplers draw each summary
+    from its exact law").  A row reads, in order, the two means' uniforms,
+    the odd groups' squared-normal uniforms, then group 1's and group 2's
+    exponentials."""
+    k1, k2 = n1 - 1, n2 - 1
+    normals, h1 = 2 + k1 % 2 + k2 % 2, k1 // 2
+    draws = normals + h1 + k2 // 2
 
     def sample(theta, mc: MCConfig):
         mu1, mu2, s1, s2 = (float(v) for v in theta)
         if not (s1 > 0.0 and s2 > 0.0):
             raise ValueError(f"behrens_fisher requires variances s1, s2 > 0, got {s1!r}, {s2!r}")
-        z = special.ndtri(mc.generator().random((mc.reps, n1 + n2)))
-        z1, z2 = z[:, :n1], z[:, n1:]
-        m1 = mu1 + np.sqrt(s1) * z1.mean(axis=1)
-        m2 = mu2 + np.sqrt(s2) * z2.mean(axis=1)
-        v1 = s1 * z1.var(axis=1, ddof=1)
-        v2 = s2 * z2.var(axis=1, ddof=1)
-        return np.column_stack([m1, m2, v1, v2])
+        u = mc.generator().random((mc.reps, draws))
+        z = special.ndtri(u[:, :normals])
+        e = np.log1p(-u[:, normals:])  # minus the unit exponentials
+        sq = z[:, 2:] * z[:, 2:]
+        chi1 = np.sum(sq[:, : k1 % 2], axis=1) - 2.0 * np.sum(e[:, :h1], axis=1)
+        chi2 = np.sum(sq[:, k1 % 2 :], axis=1) - 2.0 * np.sum(e[:, h1:], axis=1)
+        m1 = mu1 + np.sqrt(s1 / n1) * z[:, 0]
+        m2 = mu2 + np.sqrt(s2 / n2) * z[:, 1]
+        return np.column_stack([m1, m2, s1 * chi1 / k1, s2 * chi2 / k2])
 
-    return SamplingModel(name=f"behrens_fisher(n1={n1},n2={n2})", sample=sample, draws_per_rep=n1 + n2)
+    return SamplingModel(name=f"behrens_fisher(n1={n1},n2={n2})", sample=sample, draws_per_rep=draws)
 
 
 def contour_at_truth(n1: int, n2: int):

@@ -118,20 +118,6 @@ def cp_contour(n: int, x, theta):
     return out if out.ndim else float(out)
 
 
-def binom_g(n: int, x: int, theta):
-    """Right-limit support mass ``g(theta, x)`` at the alpha index."""
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    astar = np.atleast_1d(cp_contour(n, x, thetas))
-    ks = np.arange(n + 1, dtype=float)
-    f_curr = cdf_given_theta(n, ks[:, None], thetas[None, :])
-    # S[k] = P(X >= k) = 1 - F(k-1), but taken from the stable route.
-    s_curr = sf_given_theta(n, ks[:, None], thetas[None, :])
-    pmf = np.exp(dist.binom_log_pmf(n, ks[:, None], thetas[None, :]))
-    qualifies = (f_curr > astar[None, :] / 2.0) & (s_curr > astar[None, :] / 2.0)
-    g = np.sum(pmf * qualifies, axis=0)
-    return g if np.ndim(theta) else float(g[0])
-
-
 @_tabulated
 def im_contour(n: int, x, theta):
     """Fused contour: 1 at capped index, otherwise the excluded tail mass

@@ -132,7 +132,7 @@ def random_set(n: int) -> RandomSetFamily:
 
 
 def sampling(n: int) -> SamplingModel:
-    return sampling_of(f"uniform_loc(n={n})", association(), random_set(n), n)
+    return sampling_of(f"uniform_loc(n={n})", association(), random_set(n), 2)
 
 
 def default_grid(x, n_points: int = 512) -> GridSpec:

@@ -29,6 +29,7 @@ from confbel.models import (
     fieller,
     normal_mean,
 )
+from test_binomial import binom_g
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -228,7 +229,7 @@ def test_criterion_8_independent_route_equivalences():
     for x, theta in ((17, 0.4), (17, 0.55), (12, 0.3)):
         astar = binomial.cp_contour(n, x, theta)
         assert 1e-3 < astar < 1.0
-        g = binomial.binom_g(n, x, theta)
+        g = binom_g(n, x, theta)
         mc_est = float(np.mean(binomial.random_set(n).support_member(u, astar + 1e-9, theta)))
         if abs(g - mc_est) > 3.0 * math.sqrt(g * (1.0 - g) / reps):
             g_ok = False

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from confbel.audit import coverage_probability
 from confbel.mc import MCConfig
@@ -202,6 +202,32 @@ def test_family_coverage_nominal():
     )
     # the interval family is conservative for unequal variances: >= nominal
     assert est.estimate >= 0.95 - 4 * est.se
+
+
+# The sampler's laws, stated before the draws were made: 25 size pairs x 6
+# Kolmogorov-Smirnov tests at a family-wise level of 1e-3, Bonferroni, so
+# each test rejects below p = 1e-3 / 150.  20 000 rows a pair.
+LAW_SIZES = (2, 3, 4, 5, 11)  # k = n - 1 of both parities, k = 1 included
+LAW_TRUTH = (1.5, -2.0, 4.0, 0.25)
+LAW_P = 1e-3 / (len(LAW_SIZES) ** 2 * 6)
+
+
+@pytest.mark.parametrize("n1", LAW_SIZES)
+@pytest.mark.parametrize("n2", LAW_SIZES)
+def test_sampler_draws_the_exact_summary_laws(n1, n2):
+    # m ~ N(mu, s/n) and v ~ s chi2_k / k; the studentized mean is t_k only
+    # if each group's mean and variance are independent, which fails if they
+    # share uniforms
+    mu1, mu2, s1, s2 = LAW_TRUTH
+    m1, m2, v1, v2 = bf.sampling(n1, n2).sample(LAW_TRUTH, MCConfig(reps=20_000, seed=2303)).T
+    for n, mu, s, m, v in ((n1, mu1, s1, m1, v1), (n2, mu2, s2, m2, v2)):
+        k = n - 1
+        for sample, law in (
+            ((m - mu) / np.sqrt(s / n), stats.norm.cdf),
+            (k * v / s, stats.chi2(k).cdf),
+            ((m - mu) / np.sqrt(v / n), stats.t(k).cdf),
+        ):
+            assert stats.kstest(sample, law).pvalue > LAW_P
 
 
 def test_association_round_trip():

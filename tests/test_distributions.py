@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from confbel import distributions as dist
 from confbel.audit import ks_uniform
@@ -180,3 +181,13 @@ def test_sample_uniform_minmax_shape_and_order():
     assert pairs[:, 1].mean() == pytest.approx(10 / 11, abs=0.005)
     with pytest.raises(ValueError):
         dist.sample_uniform_minmax(1, MCConfig(reps=10, seed=0))
+
+
+# The pair's laws, stated before the draws were made: 4 sizes x 3
+# Kolmogorov-Smirnov tests at a family-wise level of 1e-3, Bonferroni, so
+# each test rejects below p = 1e-3 / 12.  20 000 rows a size.
+@pytest.mark.parametrize("n", [2, 3, 10, 1000])
+def test_sample_uniform_minmax_draws_the_order_statistic_laws(n):
+    lo, hi = dist.sample_uniform_minmax(n, MCConfig(reps=20_000, seed=2304)).T
+    for sample, law in ((lo, stats.beta(1, n)), (hi, stats.beta(n, 1)), (hi - lo, stats.beta(n - 1, 2))):
+        assert stats.kstest(sample, law.cdf).pvalue > 1e-3 / 12
