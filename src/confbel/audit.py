@@ -235,16 +235,34 @@ def assertion_validity_audit(
     return _validity_audit("assertion-validity", sampling, assertion_plaus, theta_grid, alpha_grid, mc, flag_sigma)
 
 
+def sup_norms(e: np.ndarray, f, continuous: bool = True) -> np.ndarray:
+    """Row-wise exact ``sup_t |E(t) - F(t)|`` on sorted points, after checking
+    that each row of ``f`` is a CDF's values there: nondecreasing and in
+    [0, 1], within 1e-12, NaN failing.  ``e`` holds the empirical CDF's value
+    before the first point and at each.  Continuous rows hold the candidate's
+    values at the points; step rows the same columns as ``e`` (both are
+    constant between points, so every column's ``|e - f|`` covers both
+    one-sided limits).  Every dkw distance and :func:`ks_distances` use it."""
+    f = np.asarray(f, dtype=float)
+    # the 1e-12 slack costs a pass only when some row is not exactly in order;
+    # monotone rows are in range once their first and last values are
+    monotone = np.all(f[..., 1:] >= f[..., :-1]) or np.all(np.diff(f, axis=-1) >= -1e-12)
+    ends = f[..., [0, -1]]
+    if not (monotone and np.all((ends >= -1e-12) & (ends <= 1.0 + 1e-12))):
+        raise ValueError("candidate is not a CDF on the evaluation points")
+    if continuous:
+        return np.maximum((e[1:] - f).max(axis=-1), (f - e[:-1]).max(axis=-1))
+    return np.abs(e - f).max(axis=-1)
+
+
 def ks_distances(u: np.ndarray) -> np.ndarray:
-    """Row-wise sup-norm distance of the empirical CDF of u from the identity.
-    Rows already in order, as a sorted sample's candidate CDF values are,
-    are read as they stand."""
+    """Row-wise sup-norm distance of the empirical CDF of u from the identity,
+    by :func:`sup_norms` (values off [0, 1] or NaN raise ``ValueError``);
+    rows out of order are sorted first."""
     if np.any(u[..., 1:] < u[..., :-1]):
         u = np.sort(u, axis=-1)
     n = u.shape[-1]
-    d_plus = np.max(np.arange(1, n + 1) / n - u, axis=-1)
-    d_minus = np.max(u - np.arange(n) / n, axis=-1)
-    return np.maximum(d_plus, d_minus)
+    return sup_norms(np.arange(n + 1) / n, u)
 
 
 def ks_uniform(samples) -> float:

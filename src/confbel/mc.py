@@ -21,9 +21,11 @@ import numpy as np
 _KEY_STRIDE = 1 << 64
 # Philox turns its 256-bit counter into four 64-bit outputs per step.
 _OUTPUTS_PER_COUNTER = 4
-# Uniforms per row block of :meth:`MCConfig.blocks` (2 MB of doubles); the
-# measurements behind the size are in docs/decisions.md.
+# Uniforms per row block of :meth:`MCConfig.blocks` (2 MB of doubles), a row
+# counting as at least MIN_ROW_DRAWS, since its contour's temporaries cost
+# memory however few it reads; docs/decisions.md has the measurements.
 BLOCK_DRAWS = 1 << 18
+MIN_ROW_DRAWS = 16
 
 
 @dataclass(frozen=True)
@@ -57,13 +59,13 @@ class MCConfig:
 
     def blocks(self, draws_per_rep: int) -> Iterator["MCConfig"]:
         """Configs that cover this one's reps in order, in row blocks of at
-        most ``BLOCK_DRAWS // draws_per_rep`` reps (at least one) each, every
-        block at the offset where its first rep's draws start; a sampler that
-        uses ``draws_per_rep`` uniforms per rep gives the same rows block by
-        block as at once."""
+        most ``BLOCK_DRAWS // max(draws_per_rep, MIN_ROW_DRAWS)`` reps (at
+        least one) each, every block at the offset where its first rep's
+        draws start; a sampler that uses ``draws_per_rep`` uniforms per rep
+        gives the same rows block by block as at once."""
         if draws_per_rep < 1:
             raise ValueError(f"draws_per_rep must be a positive integer, got {draws_per_rep!r}")
-        size = max(1, BLOCK_DRAWS // draws_per_rep)
+        size = max(1, BLOCK_DRAWS // max(draws_per_rep, MIN_ROW_DRAWS))
         for start in range(0, self.reps, size):
             yield replace(self, reps=min(size, self.reps - start), offset=self.offset + start * draws_per_rep)
 

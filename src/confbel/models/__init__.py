@@ -10,6 +10,7 @@ for the fused contour and region membership over an interest-parameter grid.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,21 +45,18 @@ class ModelBundle:
     ``plaus_grid(x, phis)`` and ``member_grid(x, alpha, phis)`` evaluate the
     fused contour and the confidence-region membership of one dataset over
     the same interest-parameter candidates, which is how containment gets
-    checked.  ``member_grid`` is the model's membership evaluator, the one
-    behind ``family.member`` and ``family.member_batch``: it broadcasts over a
-    stack of datasets (leading axis) and over a scalar or 1-d theta, so the
-    scalar, batch and grid routes cannot disagree.  dkw's candidates are
-    CDFs, so both its grid routes go through ``dkw.distances``, one stacked
-    sup-norm pass over the step candidates on the dataset's jump points and
-    one distance for each other candidate.  ``contour_at_truth(xs, theta)`` evaluates the
-    fused contour at one truth for a stack of datasets and feeds the validity
-    audits.  binomial, uniform_loc and normal_mean give both contour fields
-    one object that broadcasts over data and parameter (behrens_fisher's
-    phi-marginal and its slice at the truth are different functions).
-    ``mc_boundary_se`` is the distance from the level within which a
-    containment check would exempt a grid point whose contour is a Monte
-    Carlo estimate.  Every shipped ``plaus_grid`` is exact, so it is 0 in
-    every bundle; the field stays because ``perfbench/workloads.py`` reads it.
+    checked.  ``contour_at_truth(xs, theta)`` evaluates the fused contour at
+    one truth for a stack of datasets and feeds the validity audits.
+    :func:`_bundle` derives what a factory would only repeat: ``member_grid``
+    is ``family.member`` itself, which broadcasts over a stack of datasets,
+    alpha and a scalar or 1-d theta (dkw: one CDF or a sequence), so the
+    scalar, batch and grid routes cannot disagree; ``plaus_grid`` is
+    ``contour_at_truth`` unless passed (behrens_fisher's phi-marginal and
+    dkw's CDF candidates differ); ``interest`` is the identity unless passed.
+    The derived fields stay fields because the benchmark's tracer wraps them.
+    ``mc_boundary_se`` would exempt grid points whose contour is a Monte
+    Carlo estimate; every shipped ``plaus_grid`` is exact, so it is 0, and it
+    stays because ``perfbench/workloads.py`` reads it.
     """
 
     name: str
@@ -82,27 +80,29 @@ class ModelBundle:
 
 
 def _bundle(row: Callable = lambda r: r, **fields) -> ModelBundle:
-    """The bundle of ``fields``, whose ``data_replicates(theta, k, mc)`` are
-    ``row`` of each row of one ``k``-rep draw of its ``sampling``."""
+    """The bundle of ``fields`` with its derived fields; ``data_replicates(theta,
+    k, mc)`` are ``row`` of each row of one ``k``-rep draw of its ``sampling``."""
     sampling = fields["sampling"]
+    fields.setdefault("plaus_grid", fields["contour_at_truth"])
+    fields.setdefault("interest", lambda theta: theta)
     return ModelBundle(
-        data_replicates=lambda theta, k, mc: [row(r) for r in sampling.sample(theta, mc.with_reps(k))], **fields
+        # the evaluator itself: a tracer that wrapped the family's member
+        # wraps this field again under its own name (perfbench/tracer.py)
+        member_grid=inspect.unwrap(fields["family"].member),
+        data_replicates=lambda theta, k, mc: [row(r) for r in sampling.sample(theta, mc.with_reps(k))],
+        **fields,
     )
 
 
 def binomial_bundle(n: int = 25) -> ModelBundle:
-    contour = functools.partial(binomial.im_contour, n)
     return _bundle(
         row=int,
         name="binomial",
         family=binomial.family(n),
         random_set=binomial.random_set(n),
         sampling=binomial.sampling(n),
-        contour_at_truth=contour,
-        plaus_grid=contour,
-        member_grid=functools.partial(binomial.cp_member, n),
+        contour_at_truth=functools.partial(binomial.im_contour, n),
         default_grid=lambda x: binomial.default_grid(),
-        interest=lambda theta: theta,
         theta_grid_hint=tuple(np.round(np.linspace(0.1, 0.9, 9), 10)),
     )
 
@@ -114,10 +114,7 @@ def uniform_loc_bundle(n: int = 10) -> ModelBundle:
         random_set=uniform_loc.random_set(n),
         sampling=uniform_loc.sampling(n),
         contour_at_truth=uniform_loc.alpha_index_exact,
-        plaus_grid=uniform_loc.alpha_index_exact,
-        member_grid=uniform_loc.member,
         default_grid=uniform_loc.default_grid,
-        interest=lambda theta: theta,
         theta_grid_hint=(0.0, 0.37),
     )
 
@@ -129,10 +126,7 @@ def normal_mean_bundle() -> ModelBundle:
         random_set=normal_mean.random_set(),
         sampling=normal_mean.sampling(),
         contour_at_truth=normal_mean.pivot_contour,
-        plaus_grid=normal_mean.pivot_contour,
-        member_grid=normal_mean.member,
         default_grid=lambda x: GridSpec(float(x) - 8.0, float(x) + 8.0, 512),
-        interest=lambda theta: theta,
         theta_grid_hint=(0.0, 1.3),
     )
 
@@ -146,7 +140,6 @@ def behrens_fisher_bundle(n1: int = 5, n2: int = 11) -> ModelBundle:
         sampling=behrens_fisher.sampling(n1, n2),
         contour_at_truth=behrens_fisher.contour_at_truth(n1, n2),
         plaus_grid=behrens_fisher.hs_contour,
-        member_grid=functools.partial(behrens_fisher.member, n1, n2),
         default_grid=behrens_fisher.default_grid,
         interest=lambda theta: float(theta[0] - theta[1]) if len(theta) == 4 else float(theta[0]),
         theta_grid_hint=((0.0, 0.0, 4.0, 1.0),),
@@ -154,13 +147,14 @@ def behrens_fisher_bundle(n1: int = 5, n2: int = 11) -> ModelBundle:
 
 
 def dkw_bundle(n: int = 799) -> ModelBundle:
+    shifts = np.array([-1.5, -1.0, -0.6, -0.25, 0.0, 0.25, 0.6, 1.0, 1.5])
+
     def containment_candidates(x):
         ehat = x.ecdf()
-        delta = dkw.dkw_delta(x.n, 0.05)
-        shifted = [
-            dkw.StepFn(ehat.xs, np.clip(ehat.ys + c * delta, 0.0, 1.0), y_pre=float(np.clip(c * delta, 0.0, 1.0)))
-            for c in (-1.5, -1.0, -0.6, -0.25, 0.0, 0.25, 0.6, 1.0, 1.5)
-        ]
+        # each row: the shifted value before the first jump, then at each jump
+        e = np.concatenate(([ehat.y_pre], ehat.ys))
+        rows = np.clip(e + (shifts * dkw.dkw_delta(x.n, 0.05))[:, None], 0.0, 1.0)
+        shifted = [ehat.on_jumps(r[1:], y_pre=r[0]) for r in rows]
         scale = float(np.mean(x.values))
         smooth = dkw.ParametricCDF(
             cdf=lambda t: -np.expm1(-np.maximum(np.asarray(t, dtype=float), 0.0) / scale),
@@ -182,9 +176,7 @@ def dkw_bundle(n: int = 799) -> ModelBundle:
         sampling=dkw.sampling(n),
         contour_at_truth=lambda xs, truth: dkw.plaus_of_distance(n, dkw.distance(xs, truth)),
         plaus_grid=lambda x, candidates: dkw.plaus_of_distance(x.n, dkw.distances(x, candidates)),
-        member_grid=lambda x, alpha, candidates: dkw.distances(x, candidates) <= dkw.dkw_delta(x.n, alpha),
         default_grid=lambda x: GridSpec(0.0, 1.0, 2),  # unused; candidates are CDFs
-        interest=lambda truth: truth,
         theta_grid_hint=(unit_exp,),
         containment_candidates=containment_candidates,
     )

@@ -23,19 +23,17 @@ Massart's DKW bound guarantees ``P{K_n <= delta} >= 1 - alpha``, so the
 support-mass law holds with slack rather than equality: at n = 799 and
 alpha = 0.05 the mass is 0.9516.
 
-Sup-norm distances are evaluated exactly at both one-sided limits of every
-jump point of both step functions; callable candidates are assumed
-continuous.  Each function is evaluated once, on the sorted jump points
-``ts``, with a step function's ``y_pre`` put before the first: both step
-functions are constant between consecutive points, so the left limit at
-``ts[k]`` is the value at ``ts[k-1]`` (``y_pre`` at ``k = 0``), and one pass
-over those values covers both limits.  :func:`distances` stacks the step
-candidates on the sample's own jump points (the shifted containment
-candidates, the band edges) into one array and takes every row's distance in
-one pass; other candidates are taken one at a time, and :func:`sup_norm` is
-the one-candidate case.  Every candidate is first checked to be a CDF on the
-evaluation points, ``y_pre`` included: nondecreasing and in [0, 1], within
-1e-12, and not NaN.  The empirical CDF is computed once per sample.
+Sup-norm distances are exact at both one-sided limits of every jump point of
+both step functions; callable candidates are assumed continuous.  Every
+distance goes through one checked row-wise evaluator,
+:func:`confbel.audit.sup_norms`, on two routes: one sample against a sequence
+of candidates (:func:`distances`: the step candidates on the sample's own jump
+points and the continuous candidates each in one stacked pass, a step
+candidate on other points on the union of jumps), and a stack of sorted
+samples against one continuous candidate (:func:`distance` on an array, hence
+``contour_at_truth`` and the coverage audit).  :func:`member` takes one CDF or
+a sequence of them, as other models take a scalar or 1-d theta.  The
+empirical CDF is computed once per sample.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from ..audit import SamplingModel, ks_distances
+from ..audit import SamplingModel, ks_distances, sup_norms
 from ..contours import ConfidenceFamily, IntervalUnion, PredicateRegion
 from ..fusion import Association, RandomSetFamily, sampling_of, support_of
 from ..mc import MCConfig
@@ -84,6 +82,15 @@ class StepFn:
         idx = np.searchsorted(self.xs, np.asarray(t, dtype=float), side="left") - 1
         vals = np.where(idx >= 0, self.ys[np.maximum(idx, 0)], self.y_pre)
         return vals if vals.ndim else float(vals)
+
+    def on_jumps(self, ys, y_pre: float = 0.0) -> "StepFn":
+        """The step function with values ``ys`` on this one's jump points,
+        which are shared, not copied or checked again."""
+        out = object.__new__(StepFn)
+        object.__setattr__(out, "xs", self.xs)
+        object.__setattr__(out, "ys", np.broadcast_to(np.asarray(ys, dtype=float), self.xs.shape))
+        object.__setattr__(out, "y_pre", float(y_pre))
+        return out
 
 
 @dataclass(frozen=True)
@@ -159,8 +166,8 @@ def dkw_band(sample: EmpiricalSample, alpha: float) -> tuple[float, StepFn, Step
     """(delta, lower, upper): the clipped band edges as step functions."""
     delta = dkw_delta(sample.n, alpha)
     ehat = sample.ecdf()
-    lower = StepFn(ehat.xs, np.clip(ehat.ys - delta, 0.0, 1.0), y_pre=0.0)
-    upper = StepFn(ehat.xs, np.clip(ehat.ys + delta, 0.0, 1.0), y_pre=min(delta, 1.0))
+    lower = ehat.on_jumps(np.clip(ehat.ys - delta, 0.0, 1.0), y_pre=0.0)
+    upper = ehat.on_jumps(np.clip(ehat.ys + delta, 0.0, 1.0), y_pre=min(delta, 1.0))
     return delta, lower, upper
 
 
@@ -168,24 +175,6 @@ def _on(f, ts: np.ndarray) -> np.ndarray:
     """Candidate ``f`` evaluated on the whole array ``ts`` in one call; a
     constant-returning callable is broadcast to ``ts``'s shape."""
     return np.broadcast_to(np.asarray(f(ts), dtype=float), np.shape(ts))
-
-
-def _sup_norms(e: np.ndarray, f: np.ndarray, continuous: bool) -> np.ndarray:
-    """Row-wise exact ``sup_t |Fhat(t) - F(t)|`` on sorted evaluation points,
-    after checking that every row is a CDF's values (nondecreasing, in
-    [0, 1], 1e-12 slack; NaN fails).
-
-    ``e`` holds the empirical CDF's value before the first point and at each
-    point.  Step rows of ``f`` hold the same: both functions are constant
-    between consecutive points, so the left limit at point j is column j and
-    the right limit column j + 1, and one pass over every column covers both
-    one-sided limits.  Continuous rows hold the values at the points, which
-    are both limits there."""
-    if not (np.all(np.diff(f, axis=-1) >= -1e-12) and np.all((f >= -1e-12) & (f <= 1.0 + 1e-12))):
-        raise ValueError("candidate is not a CDF on the evaluation points")
-    if continuous:
-        return np.maximum(np.abs(e[1:] - f).max(axis=-1), np.abs(e[:-1] - f).max(axis=-1))
-    return np.abs(e - f).max(axis=-1)
 
 
 def _with_pre(y_pre, ys) -> np.ndarray:
@@ -196,28 +185,24 @@ def _with_pre(y_pre, ys) -> np.ndarray:
 def distances(sample: EmpiricalSample, candidates) -> np.ndarray:
     """Exact sup-norm distance of one sample's empirical CDF from each step
     or continuous candidate.  Step candidates on the sample's own jump points
-    go through one stacked pass; the others one at a time."""
+    go through one stacked pass, continuous candidates through another; a
+    step candidate on other points is taken on the union of jumps."""
     candidates = list(candidates)
     ehat = sample.ecdf()
     e = _with_pre(ehat.y_pre, ehat.ys)
-    on_jumps = np.array([isinstance(c, StepFn) and np.array_equal(c.xs, ehat.xs) for c in candidates], dtype=bool)
+    step = np.array([isinstance(c, StepFn) for c in candidates], dtype=bool)
+    on_jumps = np.array([s and np.array_equal(c.xs, ehat.xs) for c, s in zip(candidates, step)], dtype=bool)
     out = np.empty(len(candidates))
     if on_jumps.any():
-        rows = np.array([_with_pre(c.y_pre, c.ys) for c, on in zip(candidates, on_jumps) if on])
-        out[on_jumps] = _sup_norms(e, rows, continuous=False)
-    for i in np.flatnonzero(~on_jumps):
+        rows = [_with_pre(c.y_pre, c.ys) for c, on in zip(candidates, on_jumps) if on]
+        out[on_jumps] = sup_norms(e, rows, continuous=False)
+    if not step.all():
+        out[~step] = sup_norms(e, [_on(c, ehat.xs) for c, s in zip(candidates, step) if not s])
+    for i in np.flatnonzero(step & ~on_jumps):
         c = candidates[i]
-        if isinstance(c, StepFn):
-            ts = np.union1d(ehat.xs, c.xs)
-            out[i] = _sup_norms(_with_pre(ehat.y_pre, ehat(ts)), _with_pre(c.y_pre, c(ts))[None], continuous=False)[0]
-        else:
-            out[i] = _sup_norms(e, _on(c, ehat.xs)[None], continuous=True)[0]
+        ts = np.union1d(ehat.xs, c.xs)
+        out[i] = sup_norms(_with_pre(ehat.y_pre, ehat(ts)), _with_pre(c.y_pre, c(ts)), continuous=False)
     return out
-
-
-def sup_norm(sample: EmpiricalSample, candidate) -> float:
-    """Exact ``sup_t |Fhat(t) - F(t)|`` for a step or continuous candidate."""
-    return float(distances(sample, [candidate])[0])
 
 
 def _index(n: int, d):
@@ -394,22 +379,24 @@ def plaus_of_distance(n: int, d):
 
 def dkw_contour(sample: EmpiricalSample, candidate) -> tuple[float, float]:
     """(alpha index, fused plausibility) of a candidate CDF, from one distance."""
-    d = sup_norm(sample, candidate)
+    d = distance(sample, candidate)
     return float(_index(sample.n, d)), plaus_of_distance(sample.n, d)
 
 
 def distance(x, candidate):
     """Sup-norm distance of the empirical CDF from ``candidate``: exact for one
-    :class:`EmpiricalSample` (step or continuous candidate), row-wise for one
-    sorted sample or a stack of them (continuous candidate)."""
+    :class:`EmpiricalSample` and one step or continuous candidate (a float) or
+    a sequence of them (an array); row-wise for one sorted sample or a stack
+    of them (leading axis) and one continuous candidate."""
     if isinstance(x, EmpiricalSample):
-        return sup_norm(x, candidate)
-    return ks_distances(candidate(np.asarray(x, dtype=float)))
+        return float(distances(x, [candidate])[0]) if callable(candidate) else distances(x, candidate)
+    xs = np.asarray(x, dtype=float)
+    return sup_norms(np.arange(xs.shape[-1] + 1) / xs.shape[-1], _on(candidate, xs))
 
 
 def member(x, alpha, candidate):
-    """Band membership ``D <= delta(n, alpha)`` for one sample or a stack of
-    sorted samples (leading axis); broadcasts over alpha."""
+    """Band membership ``D <= delta(n, alpha)`` for every pairing
+    :func:`distance` takes; broadcasts over alpha."""
     n = x.n if isinstance(x, EmpiricalSample) else np.shape(x)[-1]
     return distance(x, candidate) <= dkw_delta(n, alpha)
 

@@ -179,8 +179,13 @@ def test_sampling_model_carries_name():
 
 
 # Uniforms per block in the streaming tests: every sampler splits a few
-# thousand reps into several blocks, and dkw (n = 799) into blocks of two.
+# hundred reps into several blocks (a row counts as at least MIN_ROW_DRAWS
+# uniforms), and dkw (n = 799) into blocks of two.
 SMALL_BLOCK = 2000
+
+
+def _block_rows(draws_per_rep: int) -> int:
+    return max(1, SMALL_BLOCK // max(draws_per_rep, mc_module.MIN_ROW_DRAWS))
 STREAMED = sorted(REGISTRY) + ["fieller"]
 
 
@@ -210,7 +215,7 @@ def test_blocks_reproduce_one_draw(name, monkeypatch):
         sampling, truth = BLOCKS_ONLY[name]
     else:
         sampling, _, _, truth, _ = _streamed(name)
-    size = max(1, SMALL_BLOCK // sampling.draws_per_rep)
+    size = _block_rows(sampling.draws_per_rep)
 
     def stitched(s, mc):
         return np.concatenate([s.sample(truth, block) for block in mc.blocks(s.draws_per_rep)])
@@ -229,7 +234,7 @@ def test_blocks_reproduce_one_draw(name, monkeypatch):
 def test_streamed_estimates_equal_one_block_reference(name, monkeypatch):
     monkeypatch.setattr(mc_module, "BLOCK_DRAWS", SMALL_BLOCK)
     sampling, family, interest, truth, contour = _streamed(name)
-    mc = MCConfig(reps=7 * max(1, SMALL_BLOCK // sampling.draws_per_rep) + 3, seed=4, stream_id=1)
+    mc = MCConfig(reps=7 * _block_rows(sampling.draws_per_rep) + 3, seed=4, stream_id=1)
 
     hits = np.asarray(family.member_batch(sampling.sample(truth, mc), 0.1, interest(truth)), dtype=bool)
     est = coverage_probability(sampling, family, truth, 0.1, mc, interest=interest)

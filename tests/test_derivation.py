@@ -206,7 +206,7 @@ def _by_hand(name, truth, mc):
 
 @pytest.mark.parametrize("name", ["binomial", "dkw", "normal_mean", "uniform_loc"])
 def test_samplers_are_the_hand_written_ones(name, monkeypatch):
-    monkeypatch.setattr(mc_module, "BLOCK_DRAWS", 64)  # 300 reps take 5 to 300 blocks
+    monkeypatch.setattr(mc_module, "BLOCK_DRAWS", 64)  # 300 reps take 75 to 300 blocks
     b = REGISTRY[name]()
     for truth in b.theta_grid_hint[:3]:
         for seed, reps in ((0, 1), (7, 5), (123, 300)):

@@ -87,8 +87,8 @@ def test_dkw_band_geometry():
     assert np.all(lower.ys <= ehat.ys) and np.all(ehat.ys <= upper.ys)
     assert np.all((lower.ys >= 0.0) & (upper.ys <= 1.0))
     # unclipped somewhere at the top, so the band edge sits exactly delta away
-    assert dkw.sup_norm(sample, lower) == pytest.approx(delta, abs=1e-15)
-    assert dkw.sup_norm(sample, upper) == pytest.approx(delta, abs=1e-15)
+    assert dkw.distance(sample, lower) == pytest.approx(delta, abs=1e-15)
+    assert dkw.distance(sample, upper) == pytest.approx(delta, abs=1e-15)
 
 
 def test_sup_norm_continuous_matches_classic_formula():
@@ -98,8 +98,8 @@ def test_sup_norm_continuous_matches_classic_formula():
     n = sample.n
     i = np.arange(1, n + 1)
     classic = max(np.max(i / n - f), np.max(f - (i - 1) / n))
-    assert dkw.sup_norm(sample, truth) == pytest.approx(classic, abs=1e-12)
-    assert dkw.sup_norm(sample, truth) == pytest.approx(
+    assert dkw.distance(sample, truth) == pytest.approx(classic, abs=1e-12)
+    assert dkw.distance(sample, truth) == pytest.approx(
         stats.kstest(sample.values, truth.cdf).statistic, abs=1e-12
     )
 
@@ -108,7 +108,7 @@ def test_sup_norm_step_candidate_by_hand():
     sample = dkw.EmpiricalSample([1.0, 2.0, 3.0])
     candidate = dkw.StepFn([1.5], [1.0], y_pre=0.25)
     # the largest gap opens just after the candidate's jump: |1/3 - 1|
-    assert dkw.sup_norm(sample, candidate) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert dkw.distance(sample, candidate) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def sup_norm_reference(sample, candidate) -> float:
@@ -157,7 +157,7 @@ def test_sup_norm_equals_both_limit_reference(data):
     ]), label="order")
     want = [sup_norm_reference(sample, c) for c in candidates]
     for candidate, d in zip(candidates, want):
-        assert dkw.sup_norm(sample, candidate) == d
+        assert dkw.distance(sample, candidate) == d
     assert np.array_equal(dkw.distances(sample, candidates), want)
     assert dkw.distances(sample, []).shape == (0,)
 
@@ -194,9 +194,9 @@ def test_dkw_paths_never_build_the_null_table(monkeypatch):
 def test_sup_norm_rejects_non_cdf():
     sample = dkw.EmpiricalSample([1.0, 2.0])
     with pytest.raises(ValueError):
-        dkw.sup_norm(sample, lambda t: -0.5)
+        dkw.distance(sample, lambda t: -0.5)
     with pytest.raises(ValueError):
-        dkw.sup_norm(sample, dkw.StepFn([0.5, 1.5], [0.9, 0.2]))
+        dkw.distance(sample, dkw.StepFn([0.5, 1.5], [0.9, 0.2]))
     with pytest.raises(ValueError):  # NaN would otherwise read as fully plausible
         dkw.dkw_contour(dkw.synthetic_sample(), lambda t: np.full(np.shape(t), np.nan))
     # the value before the first jump must lie in [0, ys[0]], also on the sample's own jumps
@@ -205,10 +205,10 @@ def test_sup_norm_rejects_non_cdf():
     ys = [0.2, 0.4, 0.6, 0.8]
     for y_pre in (0.9, 1.5, -0.5, np.nan):
         with pytest.raises(ValueError):
-            dkw.sup_norm(sample, dkw.StepFn(xs, ys, y_pre=y_pre))
+            dkw.distance(sample, dkw.StepFn(xs, ys, y_pre=y_pre))
         with pytest.raises(ValueError):
-            dkw.sup_norm(sample, dkw.StepFn(xs + 0.05, ys, y_pre=y_pre))
-    assert dkw.sup_norm(sample, dkw.StepFn(xs, ys, y_pre=0.2)) == pytest.approx(0.2, abs=1e-15)
+            dkw.distance(sample, dkw.StepFn(xs + 0.05, ys, y_pre=y_pre))
+    assert dkw.distance(sample, dkw.StepFn(xs, ys, y_pre=0.2)) == pytest.approx(0.2, abs=1e-15)
     # one bad row fails the whole stacked pass
     good = dkw.StepFn(xs, ys, y_pre=0.1)
     with pytest.raises(ValueError):
@@ -219,7 +219,7 @@ def test_alpha_index_at_band_edge_recovers_level():
     sample = dkw.synthetic_sample(799)
     for alpha in (0.05, 0.1, 0.32):
         _, lower, _ = dkw.dkw_band(sample, alpha)
-        d = dkw.sup_norm(sample, lower)
+        d = dkw.distance(sample, lower)
         idx, _ = dkw.dkw_contour(sample, lower)
         assert d == pytest.approx(dkw.dkw_delta(799, alpha), abs=1e-15)
         assert idx == pytest.approx(alpha, abs=1e-12)
@@ -227,7 +227,7 @@ def test_alpha_index_at_band_edge_recovers_level():
 
 def test_alpha_index_caps_at_one():
     sample = dkw.synthetic_sample(50)
-    d = dkw.sup_norm(sample, sample.ecdf())
+    d = dkw.distance(sample, sample.ecdf())
     idx, _ = dkw.dkw_contour(sample, sample.ecdf())
     assert d == 0.0
     assert idx == 1.0
@@ -250,7 +250,7 @@ def test_ks_null_sample_against_exact_law():
 def test_dkw_contour_matches_exact_tail():
     sample = dkw.synthetic_sample(799)
     truth = unit_exp()
-    d = dkw.sup_norm(sample, truth)
+    d = dkw.distance(sample, truth)
     _, pl = dkw.dkw_contour(sample, truth)
     assert pl == pytest.approx(stats.kstwo.sf(d, 799), abs=1e-10)
 

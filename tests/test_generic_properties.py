@@ -3,7 +3,9 @@
 Datasets come from each bundle's ``data_replicates`` at random seeds and
 truths.  On every containment candidate the grid contour is a plausibility
 (in [0, 1]) that never rises above the contour of the confidence-region family
-it sharpens, as evaluated by the generic bisection; the family's membership is
+it sharpens, checked at every level at once by one membership query at the
+contour's own value (:func:`containment_violations`) and, on a few
+candidates, against the generic bisection; the family's membership is
 nested in alpha on the same candidates; and each bundle's random set has
 nested supports at its hint truths.  Both contours, and the fused
 plausibility, attain 1 at the family's center.
@@ -33,6 +35,17 @@ seeds = st.integers(0, 2**32 - 1)
 levels = st.floats(0.01, 0.99, allow_nan=False)
 
 
+def containment_violations(member, x, candidates, pl, eps: float = 1e-12) -> np.ndarray:
+    """Indices of the candidates where the fused contour ``pl`` rises above
+    the confidence contour: ``eps < pl < 1 - eps`` and the candidate lies
+    outside ``C_{pl - eps}(x)``.  By nesting in alpha, that one membership
+    query checks every level below ``pl`` at once, in one ``member`` call."""
+    pl = np.asarray(pl, dtype=float)
+    live = (eps < pl) & (pl < 1.0 - eps)
+    inside = np.asarray(member(x, np.where(live, pl - eps, 0.5), candidates), dtype=bool)
+    return np.flatnonzero(live & ~inside)
+
+
 def _dataset(bundle, data):
     truth = data.draw(st.sampled_from(bundle.theta_grid_hint), label="truth")
     seed = data.draw(seeds, label="seed")
@@ -46,9 +59,11 @@ def _dataset(bundle, data):
 def test_grid_contour_lies_in_unit_interval_below_family_contour(name, data):
     bundle = BUNDLES[name]
     x, cands = _dataset(bundle, data)
-    pl = np.asarray(bundle.plaus_grid(x, cands if name == "dkw" else np.asarray(cands)), dtype=float)
+    grid = cands if name == "dkw" else np.asarray(cands)
+    pl = np.asarray(bundle.plaus_grid(x, grid), dtype=float)
     assert pl.shape == (len(cands),)
     assert np.all((pl >= 0.0) & (pl <= 1.0))
+    assert containment_violations(bundle.member_grid, x, grid, pl).size == 0
     # the family contour costs one bisection a candidate: check a few
     picks = data.draw(st.lists(st.integers(0, len(cands) - 1), min_size=1, max_size=6, unique=True), label="picks")
     for j in picks:

@@ -77,7 +77,7 @@ def test_offset_continues_the_stream():
 
 @pytest.mark.parametrize("draws_per_rep", [1, 3, 799, mc_module.BLOCK_DRAWS + 1])
 def test_blocks_tile_the_reps(draws_per_rep):
-    size = max(1, mc_module.BLOCK_DRAWS // draws_per_rep)
+    size = max(1, mc_module.BLOCK_DRAWS // max(draws_per_rep, mc_module.MIN_ROW_DRAWS))
     base = MCConfig(reps=2 * size + 5, seed=7, stream_id=2, offset=6)
     blocks = list(base.blocks(draws_per_rep))
     assert len(blocks) == -(-base.reps // size)

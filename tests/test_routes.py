@@ -162,6 +162,38 @@ def test_contour_at_truth_is_plaus_grid(name):
     assert bundle.contour_at_truth is bundle.plaus_grid
 
 
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_member_grid_is_family_member(name):
+    bundle = REGISTRY[name]()
+    assert bundle.member_grid is bundle.family.member
+
+
+def test_every_dkw_route_rejects_a_non_cdf_candidate():
+    # A decreasing candidate must not be sorted into a CDF, and NaN must not
+    # read as an answer, on the stacked routes as on the one-sample route.
+    n = 50
+    bundle = dkw_bundle(n)
+    truth = bundle.theta_grid_hint[0]
+    x = bundle.data_replicates(truth, 1, MCConfig(reps=1, seed=6))[0]
+    stack = bundle.sampling.sample(truth, MCConfig(reps=3, seed=6))
+    for cdf in (lambda t: 1.0 - np.clip(t, 0.0, 1.0), lambda t: np.full(np.shape(t), np.nan)):
+        bad = dkw.ParametricCDF(cdf=cdf, quantile=lambda u: np.asarray(u, dtype=float), name="not a CDF")
+        routes = {
+            "one-sample member": lambda: dkw.member(x, 0.05, bad),
+            "stacked member": lambda: dkw.member(stack, 0.05, bad),
+            "contour_at_truth": lambda: bundle.contour_at_truth(stack, bad),
+            "plaus_grid": lambda: bundle.plaus_grid(x, [truth, bad]),
+            "member_grid": lambda: bundle.member_grid(x, 0.05, [truth, bad]),
+            "coverage_probability": lambda: coverage_probability(
+                bundle.sampling, bundle.family, bad, 0.05, MCConfig(reps=10, seed=6), interest=bundle.interest
+            ),
+        }
+        for route, call in routes.items():
+            with pytest.raises(ValueError, match="not a CDF"):
+                call()
+                pytest.fail(route)
+
+
 def test_dkw_contour_at_truth_is_dkw_contour_row_by_row():
     # About one row in eight sits close enough to the truth that the index
     # caps at 1; the batch route must apply the same cap.
