@@ -154,7 +154,7 @@ def dkw_bundle(n: int = 799) -> ModelBundle:
         # each row: the shifted value before the first jump, then at each jump
         e = np.concatenate(([ehat.y_pre], ehat.ys))
         rows = np.clip(e + (shifts * dkw.dkw_delta(x.n, 0.05))[:, None], 0.0, 1.0)
-        shifted = [ehat.on_jumps(r[1:], y_pre=r[0]) for r in rows]
+        shifted = [dkw.StepFn(ehat.xs, r[1:], y_pre=r[0]) for r in rows]
         scale = float(np.mean(x.values))
         smooth = dkw.ParametricCDF(
             cdf=lambda t: -np.expm1(-np.maximum(np.asarray(t, dtype=float), 0.0) / scale),

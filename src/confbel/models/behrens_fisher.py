@@ -255,9 +255,9 @@ def random_set(n1: int, n2: int) -> RandomSetFamily:
     dof = min(n1, n2) - 1
 
     def mass(alpha, theta, mc):
-        # P{T_lambda <= t*_alpha}, read from the sorted column slice_plaus reads
-        t_sorted = _sorted_t_lambda(n1, n2, mc, lambda_of(theta, n1, n2))
-        return float(np.searchsorted(t_sorted, _t_quantile(dof, 1.0 - alpha / 2.0), side="right") / len(t_sorted))
+        lam = lambda_of(theta, n1, n2)
+        t = t_lambda(pivotal_draws(n1, n2, mc), lam)
+        return float(np.mean(t <= float(_t_quantile(dof, 1.0 - alpha / 2.0))))
 
     return RandomSetFamily(
         support_member=support_of(association(n1, n2)),

@@ -83,15 +83,6 @@ class StepFn:
         vals = np.where(idx >= 0, self.ys[np.maximum(idx, 0)], self.y_pre)
         return vals if vals.ndim else float(vals)
 
-    def on_jumps(self, ys, y_pre: float = 0.0) -> "StepFn":
-        """The step function with values ``ys`` on this one's jump points,
-        which are shared, not copied or checked again."""
-        out = object.__new__(StepFn)
-        object.__setattr__(out, "xs", self.xs)
-        object.__setattr__(out, "ys", np.broadcast_to(np.asarray(ys, dtype=float), self.xs.shape))
-        object.__setattr__(out, "y_pre", float(y_pre))
-        return out
-
 
 @dataclass(frozen=True)
 class EmpiricalSample:
@@ -166,8 +157,8 @@ def dkw_band(sample: EmpiricalSample, alpha: float) -> tuple[float, StepFn, Step
     """(delta, lower, upper): the clipped band edges as step functions."""
     delta = dkw_delta(sample.n, alpha)
     ehat = sample.ecdf()
-    lower = ehat.on_jumps(np.clip(ehat.ys - delta, 0.0, 1.0), y_pre=0.0)
-    upper = ehat.on_jumps(np.clip(ehat.ys + delta, 0.0, 1.0), y_pre=min(delta, 1.0))
+    lower = StepFn(ehat.xs, np.clip(ehat.ys - delta, 0.0, 1.0), y_pre=0.0)
+    upper = StepFn(ehat.xs, np.clip(ehat.ys + delta, 0.0, 1.0), y_pre=min(delta, 1.0))
     return delta, lower, upper
 
 

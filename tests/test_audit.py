@@ -17,6 +17,7 @@ from confbel.audit import (
     coverage_probability,
     ks_distances,
     ks_uniform,
+    sup_norms,
 )
 from confbel.contours import Interval
 from confbel.mc import MCConfig
@@ -170,6 +171,17 @@ def test_ks_uniform_rejects_bad_input():
         ks_uniform([0.5, 1.4])
     with pytest.raises(ValueError):
         ks_uniform([-0.2, 0.5])
+
+
+def test_sup_norms_checks_every_value_of_a_row_out_of_exact_order():
+    # a row that steps down by less than the 1e-12 slack is a CDF's values;
+    # its range is then read at every value, not only at its ends
+    e = np.arange(5) / 4
+    assert np.isfinite(sup_norms(e, [0.2, 0.5, 0.5 - 5e-13, 0.7]))
+    with pytest.raises(ValueError):
+        sup_norms(e, [1.0, 1.0 + 2.5e-12, 1.0 + 1.7e-12, 1.0 + 9e-13])
+    with pytest.raises(ValueError):
+        sup_norms(e, [0.0, -8e-13, -1.6e-12, 0.0])
 
 
 def test_sampling_model_carries_name():

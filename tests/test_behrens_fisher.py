@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate, special, stats
 
 from confbel.audit import coverage_probability
+from confbel.fusion import support_mass
 from confbel.mc import MCConfig
 from confbel.models import REGISTRY
 from confbel.models import behrens_fisher as bf
@@ -136,6 +137,24 @@ def test_lambda_one_slice_is_exact_t():
 def test_lambda_plaus_validation():
     with pytest.raises(ValueError):
         bf.bf_lambda_plaus(bf.DEFAULT_DATA, 0.0, 1.5, MC)
+
+
+def test_support_mass_is_the_pivot_law_at_the_interval_level():
+    # support mass at (alpha, theta) is P{T_lambda <= t*_alpha} over the pivot
+    # table, and the sorted column slice_plaus reads gives the same count,
+    # also once slice_plaus has filled that column's 8-entry cache
+    rs = bf.random_set(5, 11)
+    u = bf.pivotal_draws(5, 11, MC)
+    for lam in np.linspace(0.05, 0.95, 9):
+        bf.slice_plaus(5, 11, bf.DEFAULT_DATA, float(lam), 0.0, MC)
+    for theta in ((0.3, 4.0, 1.0), (0.0, 1.0, 1.0), (-2.0, 0.01, 9.0), (1.0, 9.0, 0.01)):
+        lam = bf.lambda_of(theta, 5, 11)
+        t_sorted = bf._sorted_t_lambda(5, 11, MC, lam)
+        for alpha in (0.01, 0.05, 0.2, 0.5, 0.9):
+            t_star = float(bf._t_quantile(4, 1.0 - alpha / 2.0))
+            got = support_mass(rs, alpha, theta, MC)
+            assert got == np.mean(bf.t_lambda(u, lam) <= t_star)
+            assert got == np.searchsorted(t_sorted, t_star, side="right") / len(t_sorted)
 
 
 def test_marginal_dominates_slices_and_peaks_at_one():
