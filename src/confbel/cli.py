@@ -28,7 +28,6 @@ SEED_ENV_VAR = "CONFBEL_SEED"
 _NUMERICAL_ERRORS = (
     ConsonanceError,
     NestednessError,
-    fieller.NonMonotoneError,
     FloatingPointError,
     ValueError,
 )

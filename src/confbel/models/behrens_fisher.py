@@ -49,7 +49,6 @@ from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridRegion, GridSpec, Interval
 from ..fusion import Association, RandomSetFamily, support_of
 from ..mc import MCConfig
-from ..reportio import read_csv
 
 
 @dataclass(frozen=True)
@@ -80,34 +79,6 @@ class BehrensFisherData:
     @property
     def dof(self) -> int:
         return min(self.n1, self.n2) - 1
-
-    @classmethod
-    def from_csv(cls, path, group_column: str = "group", value_column: str = "value") -> "BehrensFisherData":
-        """Read either raw rows (group, value) or per-group summaries.
-
-        A header containing ``n``, ``mean`` and ``variance`` columns is taken
-        as the summary form, one row per group; anything else is treated as
-        one observation per row.
-        """
-        _, rows = read_csv(path)
-        if not rows:
-            raise ValueError(f"no data rows in {path!r}")
-        if {"n", "mean", "variance"} <= set(rows[0]):
-            if len(rows) != 2:
-                raise ValueError(f"summary form needs exactly 2 rows, found {len(rows)}")
-            a, b = rows
-            return cls(
-                int(a["n"]), float(a["mean"]), float(a["variance"]),
-                int(b["n"]), float(b["mean"]), float(b["variance"]),
-            )
-        groups: dict[str, list[float]] = {}
-        for r in rows:
-            groups.setdefault(r[group_column], []).append(float(r[value_column]))
-        if len(groups) != 2:
-            raise ValueError(f"expected exactly 2 groups, found {sorted(groups)}")
-        (g1, a), (g2, b) = sorted(groups.items())
-        a, b = np.asarray(a), np.asarray(b)
-        return cls(len(a), float(a.mean()), float(a.var(ddof=1)), len(b), float(b.mean()), float(b.var(ddof=1)))
 
 
 # Small two-route commute-time summary with severely unequal variances; the

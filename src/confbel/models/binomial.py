@@ -45,8 +45,8 @@ from scipy import special
 
 from .. import distributions as dist
 from ..audit import SamplingModel
-from ..contours import ConfidenceFamily, GridRegion, GridSpec
-from ..fusion import Association, RandomSetFamily, sampling_of, support_of
+from ..contours import ConfidenceFamily, GridSpec, Interval
+from ..fusion import EMPTY_REGION, Association, RandomSetFamily, sampling_of, support_of
 
 
 def _tail(n: int, a, z):
@@ -171,13 +171,17 @@ def association(n: int) -> Association:
         return np.searchsorted(dist.binom_cdf_table(n, p), u, side="left")
 
     def focal(x, u):
-        # {theta : F_theta(x-1) < u <= F_theta(x)}, an interval in theta
-        # because both tails are monotone in theta; resolved on a fine grid.
-        u = float(np.ravel(u)[0])
-        grid = np.linspace(0.0, 1.0, 4097)
-        f1, f2 = cdf_given_theta(n, int(x) - 1, grid), cdf_given_theta(n, int(x), grid)
-        mask = (f1 < u) & (u <= f2)
-        return GridRegion(grid, mask)
+        # {theta : F_theta(x-1) < u <= F_theta(x)}.  F_theta(k) is
+        # I_{1-theta}(n - k, k + 1), falling in theta, so the set runs from
+        # where F_theta(x-1) = u up to where F_theta(x) = u; F_theta(-1) = 0
+        # and F_theta(n) = 1 put the ends at 0 and 1 for x = 0 and x = n.
+        k, u = int(x), float(np.ravel(u)[0])
+        lower = 0.0 if k == 0 else 1.0 - special.betaincinv(n - k + 1, k, u)
+        upper = 1.0 if k == n else 1.0 - special.betaincinv(n - k, k + 1, u)
+        # a NaN end (k off 0..n, or betaincinv giving up at u near 0) reads empty
+        if u == 0.0 or not lower <= upper:
+            return EMPTY_REGION
+        return Interval(float(lower), float(upper))
 
     return Association(forward=forward, family=family(n), focal=focal)
 

@@ -46,12 +46,10 @@ import numpy as np
 from scipy import special
 
 from ..audit import SamplingModel, ks_distances, sup_norms
-from ..contours import ConfidenceFamily, IntervalUnion, PredicateRegion
-from ..fusion import Association, RandomSetFamily, sampling_of, support_of
+from ..contours import ConfidenceFamily, PredicateRegion
+from ..fusion import EMPTY_REGION, Association, RandomSetFamily, sampling_of, support_of
 from ..mc import MCConfig
 from ..reportio import read_csv
-
-_EMPTY = IntervalUnion(())
 
 
 @dataclass(frozen=True)
@@ -96,22 +94,19 @@ class EmpiricalSample:
             raise ValueError("empirical sample must be non-empty")
         if not np.all(np.isfinite(values)):
             raise ValueError("empirical sample must be finite")
-        values.flags.writeable = False  # the cached ECDF is derived from it
+        values.flags.writeable = False  # the ECDF is derived from it
+        xs, counts = np.unique(values, return_counts=True)
+        ecdf = StepFn(xs, np.cumsum(counts) / len(values))
+        ecdf.xs.flags.writeable = ecdf.ys.flags.writeable = False  # shared by every caller
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_ecdf", ecdf)
 
     @property
     def n(self) -> int:
         return len(self.values)
 
-    @functools.cached_property
-    def _ecdf(self) -> StepFn:
-        xs, counts = np.unique(self.values, return_counts=True)
-        ecdf = StepFn(xs, np.cumsum(counts) / self.n)
-        ecdf.xs.flags.writeable = ecdf.ys.flags.writeable = False  # shared by every caller
-        return ecdf
-
     def ecdf(self) -> StepFn:
-        """The empirical CDF, computed once per sample."""
+        """The empirical CDF, built once with the sample."""
         return self._ecdf
 
     @classmethod
@@ -423,7 +418,7 @@ def association(n: int) -> Association:
         values = x.values if isinstance(x, EmpiricalSample) else np.asarray(x, dtype=float)
         u = np.ravel(np.asarray(u, dtype=float))
         if np.any(np.diff(u) < 0.0):
-            return _EMPTY
+            return EMPTY_REGION
         return PredicateRegion(lambda f: np.allclose(_on(f, values), u, atol=1e-9))
 
     return Association(

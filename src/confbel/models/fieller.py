@@ -11,8 +11,9 @@ around ``phi = -x2/x1`` whenever the denominator observation is small, and for
 ``x2 < 0`` it runs backwards entirely.  The equal-tailed construction
 ``{phi : alpha/2 <= G_x(phi) <= 1 - alpha/2}`` inherits those defects: its
 endpoints escape to +-infinity exactly when the data stop identifying the
-ratio, and quantile requests inside a non-monotone stretch have no answer at
-all (:class:`NonMonotoneError`).  The equal-tailed set is nonetheless
+ratio.  The dip (a peak when ``x1 < 0``) only takes values beyond the stranded
+masses, so every level strictly between them is reached exactly once and has
+one quantile, in closed form.  The equal-tailed set is nonetheless
 Fieller's exact set, with coverage exactly ``1 - alpha`` at every truth with
 ``theta_2 != 0``; the caution concerns reading ``G_x`` as a distribution
 function for ``phi``, not the set's coverage.  This module ships the
@@ -28,16 +29,14 @@ derive from it.  The tests keep the integral as a quadrature oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import special
 
 from ..audit import SamplingModel
-from ..contours import ConfidenceFamily, Interval
+from ..contours import ConfidenceFamily, Interval, as_alpha
 from ..mc import MCConfig
-
-
-class NonMonotoneError(RuntimeError):
-    """G_x is not monotone where an inverse was requested."""
 
 
 def fieller_cdf_batch(xs, phi) -> np.ndarray:
@@ -59,38 +58,28 @@ def mass_at_infinity(x) -> float:
 
 
 def _g_inverse(x, p: float) -> float:
-    """Solve ``G_x(phi) = p``; +-inf when the stranded mass swallows ``p``."""
+    """Solve ``G_x(phi) = p``; +-inf when the stranded mass swallows ``p``.
+
+    With ``phi = tan t`` the pivot is ``r sin(t - t0)``, ``r = hypot(x1, x2)``
+    and ``t0 = atan2(x1, x2)``; over ``t`` in [-pi/2, pi/2] it runs from -x2
+    to x2 and meets each level ``z`` strictly between once, at ``t - t0 =
+    asin(z / r)`` (proof in ``docs/decisions.md``)."""
     tail = mass_at_infinity(x)
     if p <= tail:
         return -np.inf
     if p >= 1.0 - tail:
         return np.inf
-    lo, hi = -1.0, 1.0
-    for _ in range(60):
-        if fieller_cdf(x, lo) < p:
-            break
-        lo *= 2.0
-    else:
-        return -np.inf
-    for _ in range(60):
-        if fieller_cdf(x, hi) > p:
-            break
-        hi *= 2.0
-    else:
-        return np.inf
-    probe = fieller_cdf_batch(x, np.linspace(lo, hi, 41))
-    if np.any(np.diff(probe) < -1e-7):
-        raise NonMonotoneError(f"G_x is not monotone on [{lo}, {hi}] for x={tuple(x)!r}")
-    # There the pivot equals z = ndtri(p).  Squared: a phi^2 - 2 b phi + c = 0
-    # with b^2 - a c = z^2 (x1^2 + x2^2 - z^2).  Its roots q / a and c / q put
-    # the pivot at +z and at -z (where G_x = 1 - p); keep ours.
     x1, x2 = float(x[0]), float(x[1])
-    z = float(special.ndtri(p))
-    a, b, c = x2 * x2 - z * z, x1 * x2, x1 * x1 - z * z
-    q = b + np.copysign(abs(z) * np.sqrt(max(x1 * x1 + x2 * x2 - z * z, 0.0)), b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = np.clip([q / a, c / q], lo, hi)  # the bracket holds the root up to rounding
-    return float(roots[np.nanargmin(np.abs(fieller_cdf_batch(x, roots) - p))])
+    # one float from an edge, ndtri(p) may round onto or past -x2 or x2
+    z = min(max(float(special.ndtri(p)), math.nextafter(-x2, 0.0)), math.nextafter(x2, 0.0))
+    r = math.hypot(x1, x2)
+    w = math.sqrt(r - abs(z)) * math.sqrt(r + abs(z))  # r cos(t - t0)
+    # tan t = (x1 w + x2 z) / (x2 w - x1 z) = (b + w z) / (x2^2 - z^2)
+    # = (x1^2 - z^2) / (b - w z): take the form whose sum cannot cancel
+    b = x1 * x2
+    if b * z < 0.0:
+        return (x1 - z) * (x1 + z) / (b - w * z)
+    return (b + w * z) / ((x2 - z) * (x2 + z))
 
 
 def fieller_interval(x, alpha) -> Interval:
@@ -99,9 +88,7 @@ def fieller_interval(x, alpha) -> Interval:
     Endpoints become infinite when ``Phi(-x2) >= alpha/2``; that is the
     mass-at-infinity escape hatch, not an error.
     """
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    a = as_alpha(alpha)
     return Interval(_g_inverse(x, a / 2.0), _g_inverse(x, 1.0 - a / 2.0))
 
 

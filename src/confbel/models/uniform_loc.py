@@ -29,10 +29,8 @@ import numpy as np
 
 from .. import distributions as dist
 from ..audit import SamplingModel
-from ..contours import ConfidenceFamily, GridSpec, Interval, IntervalUnion, PlausibilityContour
-from ..fusion import Association, RandomSetFamily, sampling_of, support_of
-
-_EMPTY = IntervalUnion(())
+from ..contours import ConfidenceFamily, GridSpec, Interval, PlausibilityContour
+from ..fusion import EMPTY_REGION, Association, RandomSetFamily, sampling_of, support_of
 
 
 def _split(x):
@@ -109,7 +107,7 @@ def association() -> Association:
         u = np.ravel(np.asarray(u, dtype=float))
         t1, t2 = x1 - u[0], x2 - u[1]
         ok = abs(t1 - t2) <= 1e-12 and 0.0 <= u[0] <= u[1] <= 1.0
-        return Interval(t1, t1) if ok else _EMPTY
+        return Interval(t1, t1) if ok else EMPTY_REGION
 
     def compat_witness(x):
         th = theta_hat(x)

@@ -13,7 +13,6 @@ from confbel.fusion import support_mass
 from confbel.mc import MCConfig
 from confbel.models import REGISTRY
 from confbel.models import behrens_fisher as bf
-from confbel.reportio import write_rows
 
 # independently computed from the stock data (arbitrary-precision t CDF)
 DIFF = 1.444
@@ -58,35 +57,6 @@ def test_data_summaries():
         bf.BehrensFisherData(1, 0.0, 1.0, 5, 0.0, 1.0)
     with pytest.raises(ValueError):
         bf.BehrensFisherData(5, 0.0, 0.0, 5, 0.0, 1.0)
-
-
-def test_from_csv_raw_rows(tmp_path):
-    rows = [{"group": "a", "value": v} for v in ("1.0", "2.0", "3.0")]
-    rows += [{"group": "b", "value": v} for v in ("10.0", "14.0")]
-    path = tmp_path / "raw.csv"
-    write_rows(path, rows, {}, "csv")
-    d = bf.BehrensFisherData.from_csv(path)
-    assert (d.n1, d.n2) == (3, 2)
-    assert d.m1 == pytest.approx(2.0)
-    assert d.v1 == pytest.approx(1.0)  # ddof = 1
-    assert d.m2 == pytest.approx(12.0)
-    assert d.v2 == pytest.approx(8.0)
-
-
-def test_from_csv_summary_form(tmp_path):
-    rows = [
-        {"n": "5", "mean": "7.580", "variance": "2.237"},
-        {"n": "11", "mean": "6.136", "variance": "0.073"},
-    ]
-    path = tmp_path / "summary.csv"
-    write_rows(path, rows, {}, "csv")
-    d = bf.BehrensFisherData.from_csv(path)
-    assert d == bf.DEFAULT_DATA
-
-    bad = tmp_path / "bad.csv"
-    write_rows(bad, rows[:1], {}, "csv")
-    with pytest.raises(ValueError):
-        bf.BehrensFisherData.from_csv(bad)
 
 
 def test_hs_contour_and_interval():

@@ -14,7 +14,7 @@ from scipy import special, stats
 
 from confbel import distributions as dist
 from confbel.contours import ConfidenceFamily
-from confbel.fusion import alpha_index, check_nested_support, theta_specific_plaus
+from confbel.fusion import EMPTY_REGION, alpha_index, check_nested_support, theta_specific_plaus
 from confbel.mc import MCConfig
 from confbel.models import REGISTRY, binomial
 
@@ -338,9 +338,27 @@ def test_association_round_trip():
         xs = assoc.forward(theta, u)
         for x, ui in zip(xs.tolist(), u):
             assert assoc.forward(theta, ui) == x
-            focal = assoc.focal(x, ui)
-            assert not focal.is_empty
-            assert np.min(np.abs(focal.included() - theta)) < 1.5 / 4096
+            assert assoc.focal(x, ui).contains(theta)
+    # the ends at x = 0 and x = n are 0 and 1, and each end's inner point maps
+    # forward to the outcome
+    for ui in u:
+        low, high = assoc.focal(0, ui), assoc.focal(N, ui)
+        assert low.lower == 0.0 and high.upper == 1.0
+        assert assoc.forward(0.5 * low.upper, ui) == 0
+        assert assoc.forward(0.5 * (1.0 + high.lower), ui) == N
+
+
+@pytest.mark.parametrize("u", [0.0, 1e-300, 1e-310, 5e-324])
+def test_focal_at_vanishing_u(u):
+    # u = 0 fits no outcome; under about 1e-300 betaincinv may return NaN or a
+    # bound that crosses the other, which read empty rather than raise
+    assoc = binomial.association(N)
+    for x in range(N + 1):
+        focal = assoc.focal(x, np.asarray([u]))
+        if u == 0.0:
+            assert focal is EMPTY_REGION
+        else:
+            assert focal is EMPTY_REGION or 0.0 <= focal.lower <= focal.upper <= 1.0
 
 
 def test_random_set_nested():

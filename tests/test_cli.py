@@ -224,11 +224,13 @@ def test_fieller_bad_theta(tmp_path):
     assert main(["fieller", "--theta", "spam", "--out", str(tmp_path / "o.csv")]) == 2
 
 
-def test_fieller_nonmonotone_exits_3(tmp_path):
+def test_fieller_through_the_dip_exits_0(tmp_path):
+    # the levels 0.475 and 0.525 lie beyond the dip, so both ends are finite
     out = tmp_path / "o.csv"
     argv = ["fieller", "--x1", "1", "--x2", "0.1", "--alpha", "0.95", "--reps", "50", "--out", str(out)]
-    assert main(argv) == 3
-    assert not out.exists()
+    assert main(argv) == 0
+    meta, _ = read_csv(out)
+    assert (meta["interval_lower"], meta["interval_upper"]) == ("6.1147195", "26.84583")
 
 
 def test_uniform_artifact(tmp_path):

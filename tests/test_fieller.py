@@ -5,10 +5,11 @@ assignment as a CDF."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
@@ -167,16 +168,50 @@ def test_interval_alpha_validation(alpha):
         fieller.fieller_interval((1.0, 20.0), alpha)
 
 
-def test_quantile_through_the_dip_raises():
+def test_quantile_through_the_dip_is_finite():
     # alpha/2 = 0.475 sits between the stranded mass Phi(-0.1) ~ 0.460 and the
-    # upper tail limit, so the bracket spans the dip and the probe must balk.
-    with pytest.raises(fieller.NonMonotoneError):
-        fieller.fieller_interval((1.0, 0.1), 0.95)
+    # upper tail limit; the dip only reaches values below the stranded mass,
+    # so each end is the unique solution of G = level.
+    iv = fieller.fieller_interval((1.0, 0.1), 0.95)
+    assert iv.lower == pytest.approx(6.1147, abs=1e-4)
+    assert iv.upper == pytest.approx(26.8458, abs=1e-4)
+    for end, level in ((iv.lower, 0.475), (iv.upper, 0.525)):
+        assert fieller.fieller_cdf((1.0, 0.1), end) == pytest.approx(level, abs=1e-12)
+        assert g_quadrature((1.0, 0.1), end) == pytest.approx(level, abs=1e-9)
 
 
-def test_center_through_the_dip_raises():
-    with pytest.raises(fieller.NonMonotoneError):
-        fieller.family().center((1.0, 0.1))
+def test_center_through_the_dip_is_the_ratio():
+    # G = 1/2 where the pivot phi x2 - x1 vanishes, at phi = x1 / x2
+    assert fieller.family().center((1.0, 0.1)) == pytest.approx(10.0, rel=1e-12)
+
+
+# The bound, fixed before the test was run: each endpoint solves G = p within
+# 1e-12, and on 1999 interior angles G - p changes sign once, a grid value
+# counting only when it is more than 1e-13 (well above G's rounding) from p.
+@settings(max_examples=400, deadline=None)
+@given(
+    st.floats(-50.0, 50.0),
+    st.floats(0.0, 30.0, exclude_min=True),
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from(["one float above", "one float below"])),
+)
+def test_g_inverse_is_the_unique_solution(x1, x2, where):
+    x = (x1, x2)
+    tail = fieller.mass_at_infinity(x)
+    if where == "one float above":
+        p = np.nextafter(tail, 1.0)
+    elif where == "one float below":
+        p = np.nextafter(1.0 - tail, 0.0)
+    else:
+        p = tail + where * (1.0 - 2.0 * tail)
+    assume(tail < p < 1.0 - tail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        phi = fieller._g_inverse(x, p)
+    assert abs(fieller.fieller_cdf(x, phi) - p) <= 1e-12
+    t = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 2001)[1:-1]
+    d = fieller.fieller_cdf_batch(x, np.tan(t)) - p
+    signs = np.sign(np.concatenate([[tail - p], d[np.abs(d) > 1e-13], [1.0 - tail - p]]))
+    assert np.count_nonzero(np.diff(signs)) == 1
 
 
 def test_family_member_matches_interval():
