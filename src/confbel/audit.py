@@ -159,7 +159,8 @@ def _exceedance_rows(
     rows = []
     for alpha in alpha_grid:
         a = as_alpha(alpha)
-        exceed = float(np.mean(pls <= a))
+        # the float np.mean(pls <= a) gives: an exact count divided once
+        exceed = int(np.count_nonzero(pls <= a)) / reps
         se = float(np.sqrt(a * (1.0 - a) / reps))
         rows.append(AuditRow(label, a, exceed, se, exceed > a + flag_sigma * se, reps))
     return rows

@@ -19,6 +19,7 @@ sample size.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,46 @@ def binom_cdf_table(n: int, p: float) -> np.ndarray:
     return np.minimum(cum, 1.0)
 
 
+# Guide cells per table entry, and the cap on cells per table.
+GUIDE_CELLS_PER_OUTCOME = 32
+GUIDE_MAX_CELLS = 1 << 16
+
+
+@functools.lru_cache(maxsize=16)
+def _binom_guide(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """``binom_cdf_table(n, p)`` and its guide cells, both read-only.
+
+    The ``m`` cells (a power of two, the smallest at least
+    ``GUIDE_CELLS_PER_OUTCOME * (n + 1)``, at most ``GUIDE_MAX_CELLS``) split
+    [0, 1) at ``j/m``.  With ``g[j] = #(table < j/m)``, cell ``j`` holds
+    ``g[j]`` when no table entry lies in ``[j/m, (j + 1)/m)`` and -1
+    otherwise (Chen & Asau 1974; docs/decisions.md, "Guide-table binomial
+    draws")."""
+    table = binom_cdf_table(n, p)
+    m = min(1 << (GUIDE_CELLS_PER_OUTCOME * (n + 1) - 1).bit_length(), GUIDE_MAX_CELLS)
+    g = np.searchsorted(table, np.arange(m + 1) / m, side="left")
+    cells = np.where(g[1:] == g[:-1], g[:-1], -1)
+    table.flags.writeable = cells.flags.writeable = False
+    return table, cells
+
+
+def binom_inverse_cdf(n: int, p: float, u):
+    """``min{k : F(k) >= u}`` for every key of ``u``: ``np.searchsorted(
+    binom_cdf_table(n, p), u, side="left")``, read from the guide cells in
+    O(1) a key.  Keys in a cell that holds a table entry, keys off [0, 1)
+    and NaN take the search itself.  Shape of ``u`` in, integers out."""
+    table, cells = _binom_guide(n, float(p))
+    keys = np.asarray(u, dtype=float)
+    flat = keys.reshape(-1)
+    inside = (flat >= 0.0) & (flat < 1.0)
+    # u * m is exact (m is a power of two); keys off [0, 1) and NaN read cell 0
+    x = cells[(np.where(inside, flat, 0.0) * len(cells)).astype(np.intp)]
+    need = (x < 0) | ~inside
+    x[need] = np.searchsorted(table, flat[need], side="left")
+    out = x.reshape(keys.shape)
+    return out if out.ndim else out[()]
+
+
 def cdf(spec: DistSpec, x):
     """CDF of ``spec`` at ``x`` (scalar or array; array in, array out)."""
     xs = np.asarray(x, dtype=float)
@@ -152,8 +193,7 @@ def quantile(spec: DistSpec, p):
     if spec.family == "uniform01":
         out = ps.copy()
     elif spec.family == "binomial":
-        table = binom_cdf_table(spec.n, spec.p)
-        out = np.searchsorted(table, ps, side="left").astype(float)
+        out = binom_inverse_cdf(spec.n, spec.p, ps).astype(float)
     elif spec.family == "normal":
         out = special.ndtri(ps)
     elif spec.family == "student_t":
@@ -178,8 +218,7 @@ def sample(spec: DistSpec, mc: MCConfig) -> np.ndarray:
         return special.stdtrit(spec.df, u)
     if spec.family == "uniform01":
         return u
-    table = binom_cdf_table(spec.n, spec.p)
-    return np.searchsorted(table, u, side="left").astype(float)
+    return binom_inverse_cdf(spec.n, spec.p, u).astype(float)
 
 
 def sample_uniform_minmax(n: int, mc: MCConfig) -> np.ndarray:

@@ -176,10 +176,16 @@ def _sorted_t_lambda(n1: int, n2: int, mc: MCConfig, lam: float) -> np.ndarray:
 def slice_plaus(n1: int, n2: int, x, lam: float, phi, mc: MCConfig) -> np.ndarray:
     """Fixed-lambda slice ``P{T_lambda > |t|}`` at ``t = (d - phi) / f``, one
     minus the pivot table's empirical CDF; broadcasts over a stack of summary
-    rows and over phi."""
+    rows and over phi.  The keys are searched in sorted order, so each search
+    starts where the last one ended, and the counts go back to the keys'
+    places."""
     d, f = _diff_se(x, n1, n2)
     t_sorted = _sorted_t_lambda(n1, n2, mc, lam)
-    return 1.0 - np.searchsorted(t_sorted, np.abs(d - phi) / f, side="right") / len(t_sorted)
+    keys = np.asarray(np.abs(d - phi) / f)
+    order = np.argsort(keys, axis=None)
+    counts = np.empty(keys.shape, dtype=np.intp)
+    counts.flat[order] = np.searchsorted(t_sorted, keys.flat[order], side="right")
+    return 1.0 - counts / len(t_sorted)
 
 
 def bf_lambda_plaus(data: BehrensFisherData, phi, lam: float, mc: MCConfig) -> np.ndarray:

@@ -77,11 +77,19 @@ def sf_given_theta(n: int, x, theta):
     return out if out.ndim else float(out)
 
 
+@functools.lru_cache(maxsize=64)
+def _outcome_table(contour, n: int, theta: float) -> np.ndarray:
+    """``contour`` at every outcome 0..n at one theta, read-only."""
+    table = np.asarray(contour(n, np.arange(n + 1), theta))
+    table.flags.writeable = False
+    return table
+
+
 def _tabulated(contour):
     """``contour(n, x, theta)`` checked to take integer outcomes in 0..n (else
     ValueError; an integer dtype skips the integer check).  A stack of
-    outcomes at one theta evaluates ``contour`` once at every outcome 0..n and
-    indexes that table."""
+    outcomes at one theta indexes the outcome table of that theta, evaluated
+    once and cached."""
 
     @functools.wraps(contour)
     def fn(n: int, x, theta):
@@ -93,7 +101,7 @@ def _tabulated(contour):
         ):
             raise ValueError(f"binomial outcomes must be integers in 0..{n}")
         if xs.ndim and not np.ndim(theta):
-            return np.asarray(contour(n, np.arange(n + 1), theta))[xs.astype(int, copy=False)]
+            return _outcome_table(contour, n, float(theta))[xs.astype(int, copy=False)]
         return contour(n, x, theta)
 
     return fn
@@ -168,7 +176,7 @@ def association(n: int) -> Association:
         p = float(theta)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"binomial requires p in [0, 1], got {p!r}")
-        return np.searchsorted(dist.binom_cdf_table(n, p), u, side="left")
+        return dist.binom_inverse_cdf(n, p, u)
 
     def focal(x, u):
         # {theta : F_theta(x-1) < u <= F_theta(x)}.  F_theta(k) is

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from confbel import mc as mc_module
+from confbel import distributions as dist, mc as mc_module
 from confbel.audit import (
     DEFAULT_ALPHA_GRID,
     SamplingModel,
@@ -21,7 +21,7 @@ from confbel.audit import (
 )
 from confbel.contours import Interval
 from confbel.mc import MCConfig
-from confbel.models import REGISTRY, behrens_fisher, fieller, normal_mean, uniform_loc
+from confbel.models import REGISTRY, behrens_fisher, binomial, fieller, normal_mean, uniform_loc
 from confbel.reportio import read_csv
 
 MC = MCConfig(reps=20_000, seed=17)
@@ -75,6 +75,19 @@ def test_contour_validity_audit_exact_pivot():
     for row in report.rows:
         assert row.exceedance == pytest.approx(row.alpha, abs=4 * row.se)
     assert report.worst_excess() <= 3.0
+    # plausibilities at each alpha and at the floats either side of it, over
+    # three row blocks: every exceedance is the float np.mean gives
+    grid = np.asarray(DEFAULT_ALPHA_GRID)
+    ties = np.concatenate([np.nextafter(grid, 0.0), grid, np.nextafter(grid, 1.0)])
+
+    def tied(xs, theta):
+        return ties[(np.abs(xs) * 1e6).astype(np.int64) % len(ties)]
+
+    mc = MCConfig(reps=40_000, seed=3)
+    report = contour_validity_audit(normal_mean.sampling(), tied, theta_grid=(0.0,), mc=mc)
+    pls = tied(normal_mean.sampling().sample(0.0, mc.substream(0)), 0.0)
+    assert [r.exceedance for r in report.rows] == [float(np.mean(pls <= a)) for a in DEFAULT_ALPHA_GRID]
+    assert all(type(r.exceedance) is float for r in report.rows)
 
 
 def test_contour_validity_audit_flags_overconfidence():
@@ -271,12 +284,22 @@ def _traced_peak_mb(fn) -> float:
 
 def test_streamed_audits_stay_within_16_mb():
     # drawn at once these replicates peak at 183 (dkw coverage), 92 (dkw
-    # audit) and 24 MB (behrens_fisher audit); in blocks at 6.1, 6.1 and 4.6 MB
-    dkw_b, bf_b = REGISTRY["dkw"](), REGISTRY["behrens_fisher"]()
-    exp1, bf_truth = dkw_b.theta_grid_hint[0], bf_b.theta_grid_hint[0]
+    # audit) and 24 MB (behrens_fisher audit); in blocks at 6.1, 6.1 and
+    # 4.1 MB, and a cold binomial cell at 1.5 MB
+    dkw_b, bf_b, binom_b = REGISTRY["dkw"](), REGISTRY["behrens_fisher"](), REGISTRY["binomial"]()
+    exp1, bf_truth, binom_truth = dkw_b.theta_grid_hint[0], bf_b.theta_grid_hint[0], binom_b.theta_grid_hint[0]
     # warm the cached pivot table and K_n terms: the peaks measure the replicates
     contour_validity_audit(bf_b.sampling, bf_b.contour_at_truth, (bf_truth,), mc=MCConfig(reps=10, seed=1))
     contour_validity_audit(dkw_b.sampling, dkw_b.contour_at_truth, (exp1,), mc=MCConfig(reps=10, seed=1))
+
+    def cold_binomial_cell():
+        # the cached guide and outcome tables are built inside the peak
+        dist._binom_guide.cache_clear()
+        binomial._outcome_table.cache_clear()
+        contour_validity_audit(
+            binom_b.sampling, binom_b.contour_at_truth, (binom_truth,), mc=MCConfig(reps=100_000, seed=1)
+        )
+
     peaks = {
         "dkw coverage": _traced_peak_mb(
             lambda: coverage_probability(
@@ -293,5 +316,6 @@ def test_streamed_audits_stay_within_16_mb():
                 bf_b.sampling, bf_b.contour_at_truth, (bf_truth,), mc=MCConfig(reps=100_000, seed=1)
             )
         ),
+        "binomial audit": _traced_peak_mb(cold_binomial_cell),
     }
     assert max(peaks.values()) < 16.0, peaks

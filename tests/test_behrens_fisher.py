@@ -104,6 +104,21 @@ def test_lambda_one_slice_is_exact_t():
     assert np.max(np.abs(got - want)) < 0.01
 
 
+def test_slice_plaus_is_the_plain_column_search():
+    # rows with v1/5 + v2/11 = 1 have f = 1, so at phi = 0 a row's key is its
+    # m1 exactly: keys equal to column entries, ties between rows, and one NaN
+    t_sorted = bf._sorted_t_lambda(5, 11, MC, 0.3)
+    m1 = np.concatenate([t_sorted[[0, 7, 7, 500, len(t_sorted) - 1]], [-t_sorted[9], np.nan, 0.0, 40.0]])
+    rows = np.column_stack([m1, np.zeros_like(m1), np.full_like(m1, 2.5), np.full_like(m1, 5.5)])
+    phi = np.asarray([0.0, 0.25, -1.0])[:, None]
+    got = bf.slice_plaus(5, 11, rows, 0.3, phi, MC)
+    keys = np.abs(m1 - phi)
+    assert np.all(np.isin(keys[0, :5], t_sorted))
+    want = 1.0 - np.searchsorted(t_sorted, keys, side="right") / len(t_sorted)
+    assert got.shape == (3, len(m1)) and np.array_equal(got, want)
+    assert got[0, 6] == 0.0 and got[0, 4] == 0.0 and got[0, 1] == got[0, 2]
+
+
 def test_lambda_plaus_validation():
     with pytest.raises(ValueError):
         bf.bf_lambda_plaus(bf.DEFAULT_DATA, 0.0, 1.5, MC)

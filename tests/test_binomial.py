@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from scipy import special, stats
 
 from confbel import distributions as dist
+from confbel.audit import contour_validity_audit
 from confbel.contours import ConfidenceFamily
 from confbel.fusion import EMPTY_REGION, alpha_index, check_nested_support, theta_specific_plaus
 from confbel.mc import MCConfig
@@ -229,8 +230,9 @@ def test_im_contour_costs_log_n_tails_a_theta_column(monkeypatch, n):
         evaluated.clear()
         binomial.im_contour(n, x, thetas)
         assert 0 < sum(evaluated) <= bound * len(thetas), (x, sum(evaluated))
-    # a stack at one theta: one column per outcome
+    # a stack at one theta: one column per outcome, counted on a cold table
     evaluated.clear()
+    binomial._outcome_table.cache_clear()
     binomial.im_contour(n, np.arange(n + 1), 0.3)
     assert 0 < sum(evaluated) <= bound * (n + 1)
 
@@ -390,3 +392,26 @@ def test_contour_at_truth_validity():
     for alpha in (0.05, 0.25):
         se = np.sqrt(alpha * (1 - alpha) / mc.reps)
         assert np.mean(pls <= alpha) <= alpha + 3 * se
+
+
+def test_audit_cell_builds_its_outcome_table_once_per_theta(monkeypatch):
+    # a 100 000-rep cell draws in several row blocks at one theta; the first
+    # block evaluates the 0..n outcome table and the others read it
+    calls = []
+    cdf = binomial.cdf_given_theta
+
+    def counting(n, x, theta):
+        calls.append(np.unique(theta).tolist())
+        return cdf(n, x, theta)
+
+    monkeypatch.setattr(binomial, "cdf_given_theta", counting)
+    binomial._outcome_table.cache_clear()
+    b = REGISTRY["binomial"]()
+    mc = MCConfig(reps=100_000, seed=5)
+    assert len(list(mc.blocks(b.sampling.draws_per_rep))) == 7
+    thetas = b.theta_grid_hint[:3]
+    first = contour_validity_audit(b.sampling, b.contour_at_truth, thetas, mc=mc)
+    assert calls == [[t] for t in thetas]
+    # a second audit reads every table from the cache, to the same rows
+    assert contour_validity_audit(b.sampling, b.contour_at_truth, thetas, mc=mc).rows == first.rows
+    assert len(calls) == len(thetas)

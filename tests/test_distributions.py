@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -134,6 +134,54 @@ def test_binomial_quantile_is_minimal(p):
     assert dist.cdf(spec, k) >= p
     if k > 0:
         assert dist.cdf(spec, k - 1) < p
+
+
+# Keys for the guide-table lookup, resolved against the table and its m
+# cells: ("table", i, s) is the float s steps from table[i], ("edge", j, s)
+# the float s steps from j/m, ("value", v, 0) the float v itself.
+_GUIDE_KEY = st.one_of(
+    st.tuples(st.just("table"), st.integers(0, 100_000), st.integers(-1, 1)),
+    st.tuples(st.just("edge"), st.integers(0, 1 << 16), st.integers(-1, 1)),
+    st.tuples(
+        st.just("value"),
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, -1e-300, -0.5, 1.5, 1e300]),
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.floats(allow_nan=False),
+        ),
+        st.just(0),
+    ),
+)
+
+
+def _step(x: float, steps: int) -> float:
+    return float(np.nextafter(x, np.inf if steps > 0 else -np.inf)) if steps else x
+
+
+@given(
+    n=st.integers(1, 1000),
+    p=st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 0.5]), st.floats(0.0, 1.0)),
+    picks=st.lists(_GUIDE_KEY, min_size=1, max_size=24),
+)
+@example(n=100_000, p=0.5, picks=[("table", 50_000, 1), ("edge", 1 << 15, -1), ("value", np.nan, 0)])
+@settings(max_examples=200, deadline=None)
+def test_binomial_inverse_cdf_is_the_table_search(n, p, picks):
+    table = dist.binom_cdf_table(n, p)
+    m = len(dist._binom_guide(n, p)[1])
+    assert m & (m - 1) == 0 and m <= dist.GUIDE_MAX_CELLS
+    u = np.asarray(
+        [
+            _step(float(table[i % (n + 1)]) if kind == "table" else (i % (m + 1)) / m if kind == "edge" else i, s)
+            for kind, i, s in picks
+        ]
+    )
+    expected = np.searchsorted(table, u, side="left")
+    assert np.array_equal(dist.binom_inverse_cdf(n, p, u), expected)
+    # one route for every shape: 0-d keys give scalars, 2-d keys keep their shape
+    assert [dist.binom_inverse_cdf(n, p, key) for key in u] == expected.tolist()
+    if len(u) % 2 == 0:
+        grid = u.reshape(2, -1)
+        assert np.array_equal(dist.binom_inverse_cdf(n, p, grid), np.searchsorted(table, grid, side="left"))
 
 
 def test_sample_determinism():
