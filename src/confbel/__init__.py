@@ -21,15 +21,12 @@ from .contours import (
     ConfidenceFamily,
     ConsonanceError,
     DegenerateAssertionError,
-    GridRegion,
     GridSpec,
     Interval,
     IntervalUnion,
     NestednessError,
     OutOfRangeError,
     PlausibilityContour,
-    PredicateRegion,
-    Singleton,
     UnsupportedAssertionError,
     belief,
     contour_from_family,

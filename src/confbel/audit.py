@@ -27,9 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .contours import Assertion, ConfidenceFamily, as_alpha
+from .contours import ConfidenceFamily, Region, as_alpha
 from .mc import MCConfig
-from .reportio import write_rows
 
 DEFAULT_ALPHA_GRID = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9)
 DEFAULT_FLAG_SIGMA = 3.0
@@ -103,17 +102,6 @@ class AuditReport:
 
     def flagged(self) -> tuple[AuditRow, ...]:
         return tuple(r for r in self.rows if r.flagged)
-
-    @property
-    def passed(self) -> bool:
-        return not self.flagged()
-
-    def worst_excess(self) -> float:
-        """Largest (exceedance - alpha) over all rows; negative when clean."""
-        return max((r.exceedance - r.alpha) for r in self.rows)
-
-    def write(self, path, fmt: str = "csv") -> None:
-        write_rows(path, [r.as_row() for r in self.rows], dict(self.metadata), fmt)
 
 
 def _label(theta) -> str:
@@ -219,7 +207,7 @@ def contour_validity_audit(
 def assertion_validity_audit(
     sampling: SamplingModel,
     assertion_plaus: Callable[..., np.ndarray],
-    assertion: Assertion,
+    assertion: Region,
     theta_grid: Sequence,
     alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
     mc: MCConfig = MCConfig(reps=10_000),

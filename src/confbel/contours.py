@@ -15,6 +15,9 @@ families; model-specific closed forms live in :mod:`confbel.models`.
 
 Conventions fixed here and relied on throughout the package:
 
+* an assertion or region about a real parameter is an :class:`Interval` or a
+  finite :class:`IntervalUnion`; the point assertion ``{t}`` is the
+  degenerate interval ``Interval(t, t)``;
 * plausibility regions use the strict inequality ``contour > alpha``;
 * suprema over empty sets are 0;
 * complements are taken closed (boundary points carry no mass for the
@@ -95,7 +98,7 @@ class GridSpec:
 
 
 # --------------------------------------------------------------------------
-# Region and assertion representations
+# Regions and assertions: closed intervals and their finite unions
 
 
 @dataclass(frozen=True)
@@ -136,57 +139,7 @@ class IntervalUnion:
         return any(iv.contains(theta) for iv in self.intervals)
 
 
-@dataclass(frozen=True)
-class GridRegion:
-    """Finite point set with inclusion flags (vector parameters welcome)."""
-
-    points: np.ndarray
-    mask: np.ndarray
-
-    def __init__(self, points, mask):
-        points = np.asarray(points)
-        mask = np.asarray(mask, dtype=bool)
-        if len(points) != len(mask):
-            raise ValueError("points and mask must have equal length")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "mask", mask)
-
-    @property
-    def is_empty(self) -> bool:
-        return not bool(self.mask.any())
-
-    def included(self) -> np.ndarray:
-        return self.points[self.mask]
-
-    def contains(self, theta) -> bool:
-        if self.is_empty:
-            return False
-        inc = self.included()
-        return bool(np.any(np.all(np.isclose(inc, theta, rtol=1e-12, atol=1e-12).reshape(len(inc), -1), axis=1)))
-
-
-@dataclass(frozen=True)
-class PredicateRegion:
-    """Region given only by a membership predicate; needs a grid to resolve."""
-
-    predicate: Callable[[Point], bool]
-
-    def contains(self, theta) -> bool:
-        return bool(self.predicate(theta))
-
-
-@dataclass(frozen=True)
-class Singleton:
-    """Assertion that the parameter equals one point."""
-
-    point: Point
-
-    def contains(self, theta) -> bool:
-        return bool(np.all(np.isclose(theta, self.point, rtol=1e-12, atol=1e-12)))
-
-
-Region = Interval | IntervalUnion | GridRegion | PredicateRegion
-Assertion = Region | Singleton
+Region = Interval | IntervalUnion
 
 
 # --------------------------------------------------------------------------
@@ -324,27 +277,16 @@ def _interval_plaus(contour: PlausibilityContour, iv: Interval, grid: GridSpec |
     return max(cand)
 
 
-def plausibility(contour: PlausibilityContour, assertion: Assertion, grid: GridSpec | None = None) -> float:
-    """``pl_x(A)``: supremum of the contour over the assertion."""
-    if isinstance(assertion, Singleton):
-        return float(contour(assertion.point))
+def plausibility(contour: PlausibilityContour, assertion: Region, grid: GridSpec | None = None) -> float:
+    """``pl_x(A)``: supremum of the contour over the assertion.  A point
+    assertion ``{t}`` is the degenerate interval ``Interval(t, t)``, read as
+    ``contour(t)`` on either path."""
     if isinstance(assertion, Interval):
         return _interval_plaus(contour, assertion, grid)
     if isinstance(assertion, IntervalUnion):
         if assertion.is_empty:
             raise DegenerateAssertionError("assertion is an empty union of intervals")
         return max(_interval_plaus(contour, iv, grid) for iv in assertion.intervals)
-    if isinstance(assertion, GridRegion):
-        if assertion.is_empty:
-            raise DegenerateAssertionError("assertion includes no grid points")
-        return max(float(contour(p)) for p in assertion.included())
-    if isinstance(assertion, PredicateRegion):
-        if grid is None:
-            raise UnsupportedAssertionError("predicate assertion needs a grid")
-        pts = [p for p in grid.points() if assertion.predicate(p)]
-        if not pts:
-            raise DegenerateAssertionError("predicate holds at no grid point")
-        return max(float(contour(p)) for p in pts)
     raise UnsupportedAssertionError(f"unsupported assertion type {type(assertion).__name__}")
 
 
@@ -360,44 +302,24 @@ def _merge_intervals(intervals: Sequence[Interval]) -> list[Interval]:
     return merged
 
 
-def _complement(assertion: Assertion, domain: Interval, grid: GridSpec | None) -> Assertion:
-    if isinstance(assertion, Singleton):
-        if grid is None:
-            raise UnsupportedAssertionError("singleton complement needs a grid")
-        pts = grid.points()
-        mask = ~np.all(np.isclose(pts.reshape(len(pts), -1), assertion.point, rtol=1e-12, atol=1e-12), axis=1)
-        mask &= (pts >= domain.lower) & (pts <= domain.upper)
-        return GridRegion(pts, mask)
+def _complement(assertion: Region, domain: Interval) -> IntervalUnion:
     if isinstance(assertion, Interval):
         assertion = IntervalUnion((assertion,))
-    if isinstance(assertion, IntervalUnion):
-        gaps: list[Interval] = []
-        cursor = domain.lower
-        for iv in _merge_intervals(assertion.intervals):
-            lo = max(iv.lower, domain.lower)
-            hi = min(iv.upper, domain.upper)
-            if hi < lo:
-                continue
-            if lo > cursor:
-                gaps.append(Interval(cursor, lo))
-            cursor = max(cursor, hi)
-        if cursor < domain.upper:
-            gaps.append(Interval(cursor, domain.upper))
-        return IntervalUnion(gaps)
-    if isinstance(assertion, GridRegion):
-        mask = ~assertion.mask
-        pts1 = np.asarray(assertion.points)
-        if pts1.ndim == 1:
-            mask &= (pts1 >= domain.lower) & (pts1 <= domain.upper)
-        return GridRegion(assertion.points, mask)
-    if isinstance(assertion, PredicateRegion):
-        if grid is None:
-            raise UnsupportedAssertionError("predicate complement needs a grid")
-        pts = grid.points()
-        mask = np.array([not assertion.predicate(p) for p in pts])
-        mask &= (pts >= domain.lower) & (pts <= domain.upper)
-        return GridRegion(pts, mask)
-    raise UnsupportedAssertionError(f"cannot complement assertion type {type(assertion).__name__}")
+    if not isinstance(assertion, IntervalUnion):
+        raise UnsupportedAssertionError(f"cannot complement assertion type {type(assertion).__name__}")
+    gaps: list[Interval] = []
+    cursor = domain.lower
+    for iv in _merge_intervals(assertion.intervals):
+        lo = max(iv.lower, domain.lower)
+        hi = min(iv.upper, domain.upper)
+        if hi < lo:
+            continue
+        if lo > cursor:
+            gaps.append(Interval(cursor, lo))
+        cursor = max(cursor, hi)
+    if cursor < domain.upper:
+        gaps.append(Interval(cursor, domain.upper))
+    return IntervalUnion(gaps)
 
 
 _FULL_LINE = Interval(-np.inf, np.inf)
@@ -405,13 +327,15 @@ _FULL_LINE = Interval(-np.inf, np.inf)
 
 def belief(
     contour: PlausibilityContour,
-    assertion: Assertion,
+    assertion: Region,
     grid: GridSpec | None = None,
     domain: Interval = _FULL_LINE,
 ) -> float:
-    """``bel_x(A) = 1 - pl_x(A complement)``, complement taken in ``domain``."""
-    comp = _complement(assertion, domain, grid)
-    if isinstance(comp, (IntervalUnion, GridRegion)) and comp.is_empty:
+    """``bel_x(A) = 1 - pl_x(A complement)``, complement taken closed in
+    ``domain``: the complement of a point ``Interval(t, t)`` still holds
+    ``t``, so its belief is 0 under a continuous contour."""
+    comp = _complement(assertion, domain)
+    if comp.is_empty:
         return 1.0
     return 1.0 - plausibility(contour, comp, grid)
 

@@ -1,17 +1,17 @@
-"""Distribution primitives used by the contour and fusion machinery.
+"""Distribution primitives the models share.
 
-A small closed universe of families: standard normal, Student t,
-chi-square, binomial, and Uniform(0, 1).  Each is exposed through one frozen
-spec type and three operations (``cdf``, ``quantile``, ``sample``), alongside
-the binomial tables and the uniform order-statistic sampler the models share.
-The models still evaluate their own closed forms with ``scipy.special``
-directly.
+Two families, the ones the models read: the standard normal, which
+normal_mean samples, and Student t, which behrens_fisher inverts.  Each is
+exposed through one frozen spec type and three operations (``cdf``,
+``quantile``, ``sample``), alongside the binomial tables and the uniform
+order-statistic sampler the models share.  The models still evaluate their
+own closed forms with ``scipy.special`` directly.
 
-Continuous CDFs delegate to scipy.special (double-precision incomplete
-beta/gamma); the binomial CDF is an exact log-space probability-mass summation.
-Quantiles are the exact inverses scipy.special ships for the continuous
-families (``ndtri``, ``stdtrit``, ``gammaincinv``), and the minimal ``k`` with
-``F(k) >= p`` for the binomial.  Samplers are inverse-CDF transforms of Philox
+CDFs and quantiles are the double-precision special functions
+``scipy.special`` ships (``ndtr``/``ndtri``, ``stdtr``/``stdtrit``).  The
+binomial model calls :func:`binom_cdf_table`, an exact log-space
+probability-mass summation, and :func:`binom_inverse_cdf`, the minimal ``k``
+with ``F(k) >= u``, itself.  Samplers are inverse-CDF transforms of Philox
 uniforms (see :mod:`confbel.mc`); the order-statistic sampler draws the
 (min, max) pair from its exact joint law, two uniforms a pair whatever the
 sample size.
@@ -27,48 +27,25 @@ from scipy import special
 
 from .mc import MCConfig
 
-FAMILIES = ("normal", "student_t", "chi_square", "binomial", "uniform01")
+FAMILIES = ("normal", "student_t")
 
 
 @dataclass(frozen=True)
 class DistSpec:
-    """One member of the supported distribution universe.
-
-    Parameters
-    ----------
-    family : str
-        One of ``normal``, ``student_t``, ``chi_square``, ``binomial``,
-        ``uniform01``.
-    df : int, optional
-        Degrees of freedom; required for ``student_t`` and ``chi_square``.
-    n, p : optional
-        Trial count and success probability; required for ``binomial``.
-    """
+    """One member of the supported distribution universe: ``normal``, or
+    ``student_t`` with integer degrees of freedom ``df >= 1``."""
 
     family: str
     df: int | None = None
-    n: int | None = None
-    p: float | None = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.family in ("student_t", "chi_square"):
+        if self.family == "student_t":
             if self.df is None or self.df < 1:
-                raise ValueError(f"{self.family} requires integer df >= 1, got {self.df!r}")
+                raise ValueError(f"student_t requires integer df >= 1, got {self.df!r}")
         elif self.df is not None:
             raise ValueError(f"df is not a parameter of {self.family!r}")
-        if self.family == "binomial":
-            if self.n is None or self.n < 1:
-                raise ValueError(f"binomial requires integer n >= 1, got {self.n!r}")
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError(f"binomial requires p in [0, 1], got {self.p!r}")
-        elif self.n is not None or self.p is not None:
-            raise ValueError(f"n/p are not parameters of {self.family!r}")
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.family == "binomial"
 
 
 def normal() -> DistSpec:
@@ -77,18 +54,6 @@ def normal() -> DistSpec:
 
 def student_t(df: int) -> DistSpec:
     return DistSpec("student_t", df=df)
-
-
-def chi_square(df: int) -> DistSpec:
-    return DistSpec("chi_square", df=df)
-
-
-def binomial(n: int, p: float) -> DistSpec:
-    return DistSpec("binomial", n=n, p=p)
-
-
-def uniform01() -> DistSpec:
-    return DistSpec("uniform01")
 
 
 def binom_log_pmf(n: int, k, p) -> np.ndarray:
@@ -161,64 +126,27 @@ def binom_inverse_cdf(n: int, p: float, u):
 def cdf(spec: DistSpec, x):
     """CDF of ``spec`` at ``x`` (scalar or array; array in, array out)."""
     xs = np.asarray(x, dtype=float)
-    if spec.family == "normal":
-        out = special.ndtr(xs)
-    elif spec.family == "student_t":
-        out = special.stdtr(spec.df, xs)
-    elif spec.family == "chi_square":
-        out = np.where(xs > 0.0, special.gammainc(spec.df / 2.0, np.maximum(xs, 0.0) / 2.0), 0.0)
-    elif spec.family == "uniform01":
-        out = np.clip(xs, 0.0, 1.0)
-    else:
-        table = binom_cdf_table(spec.n, spec.p)
-        k = np.floor(xs).astype(int)
-        out = np.where(k < 0, 0.0, table[np.clip(k, 0, spec.n)])
+    out = special.ndtr(xs) if spec.family == "normal" else special.stdtr(spec.df, xs)
     return out if np.ndim(x) else float(out)
 
 
 def quantile(spec: DistSpec, p):
-    """Inverse CDF.
-
-    Continuous families: scipy.special's inverses of the special functions
-    :func:`cdf` evaluates (``ndtri``; ``stdtrit``; ``2 gammaincinv(df/2, p)``
-    for chi-square), so ``cdf(quantile(p))`` returns ``p`` to within about
-    1e-15.  Binomial: the minimal integer ``k`` with ``F(k) >= p``.  ``p`` must
-    lie strictly inside (0, 1).
-    """
+    """Inverse CDF: scipy.special's inverses of the special functions
+    :func:`cdf` evaluates (``ndtri``, ``stdtrit``), so ``cdf(quantile(p))``
+    returns ``p`` to within about 1e-15.  ``p`` must lie strictly inside
+    (0, 1)."""
     ps = np.asarray(p, dtype=float)
     if np.any((ps <= 0.0) | (ps >= 1.0)):
         raise ValueError("quantile requires 0 < p < 1")
-    scalar = np.ndim(p) == 0
-    ps = np.atleast_1d(ps).astype(float)
-    if spec.family == "uniform01":
-        out = ps.copy()
-    elif spec.family == "binomial":
-        out = binom_inverse_cdf(spec.n, spec.p, ps).astype(float)
-    elif spec.family == "normal":
-        out = special.ndtri(ps)
-    elif spec.family == "student_t":
-        out = special.stdtrit(spec.df, ps)
-    else:
-        out = 2.0 * special.gammaincinv(spec.df / 2.0, ps)
-    return float(out[0]) if scalar else out
+    ps = np.atleast_1d(ps)
+    out = special.ndtri(ps) if spec.family == "normal" else special.stdtrit(spec.df, ps)
+    return float(out[0]) if np.ndim(p) == 0 else out
 
 
 def sample(spec: DistSpec, mc: MCConfig) -> np.ndarray:
     """``mc.reps`` draws from ``spec``, reproducible from the stream key."""
-    if spec.family == "chi_square":
-        # Sum of df squared standard normals; one uniform per normal keeps the
-        # draw count deterministic.
-        u = mc.generator().random((mc.reps, spec.df))
-        z = special.ndtri(u)
-        return np.sum(z * z, axis=1)
     u = mc.uniforms()
-    if spec.family == "normal":
-        return special.ndtri(u)
-    if spec.family == "student_t":
-        return special.stdtrit(spec.df, u)
-    if spec.family == "uniform01":
-        return u
-    return binom_inverse_cdf(spec.n, spec.p, u).astype(float)
+    return special.ndtri(u) if spec.family == "normal" else special.stdtrit(spec.df, u)
 
 
 def sample_uniform_minmax(n: int, mc: MCConfig) -> np.ndarray:

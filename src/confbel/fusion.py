@@ -58,7 +58,6 @@ from .contours import (
     GridSpec,
     IntervalUnion,
     PlausibilityContour,
-    Region,
     as_alpha,
     bisect,
     contour_from_family,
@@ -80,8 +79,11 @@ class Association:
     (:func:`sampling_of`).  ``family.member(x, alpha, theta)`` takes the
     association's full parameter; the supports and the alpha index are
     derived from it (:func:`support_of`, :func:`alpha_index`).
-    ``focal(x, u)`` is the focal set ``{theta : x = forward(theta, u)}`` as
-    a region; return an empty :class:`IntervalUnion` when no parameter fits.
+    ``focal(x, u)`` is the focal set ``{theta : x = forward(theta, u)}``:
+    an interval for a real parameter, :data:`EMPTY_REGION` when no parameter
+    fits, and otherwise one parameter point of the set (behrens_fisher's
+    ``(phi, s1, s2)``, one CDF for dkw), which ``forward`` maps back to
+    ``x``.  The compatibility check only asks whether it is empty.
     ``compat_witness``, when present, maps ``x`` to the auxiliary point most
     capable of explaining it regardless of ``theta`` (used by the
     compatibility check before any sampling).
@@ -89,7 +91,7 @@ class Association:
 
     forward: Callable[..., object]
     family: ConfidenceFamily
-    focal: Callable[..., Region]
+    focal: Callable[..., object]
     compat_witness: Callable[..., np.ndarray] | None = None
 
 
@@ -139,7 +141,7 @@ def sampling_of(name: str, assoc: Association, rs: RandomSetFamily, draws_per_re
     return SamplingModel(name, lambda theta, mc: assoc.forward(theta, rs.aux_sampler(mc)), draws_per_rep)
 
 
-def focal_set(assoc: Association, x, u) -> Region:
+def focal_set(assoc: Association, x, u):
     """The set of parameters mapping ``u`` to the observed ``x``."""
     return assoc.focal(x, u)
 
@@ -245,8 +247,9 @@ class CompatibilityReport:
         return self.status == "compatible"
 
 
-def _region_nonempty(region: Region) -> bool:
-    return not bool(getattr(region, "is_empty", False))
+def _region_nonempty(focal) -> bool:
+    """A region is non-empty unless it says so; a parameter point always is."""
+    return not bool(getattr(focal, "is_empty", False))
 
 
 def check_compatibility(

@@ -46,7 +46,7 @@ from scipy import special
 
 from .. import distributions as dist
 from ..audit import SamplingModel
-from ..contours import ConfidenceFamily, GridRegion, GridSpec, Interval
+from ..contours import ConfidenceFamily, GridSpec
 from ..fusion import Association, RandomSetFamily, support_of
 from ..mc import MCConfig
 
@@ -98,11 +98,6 @@ def _t_quantile(dof: int, p):
     p = np.clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12)
     out = dist.quantile(dist.student_t(dof), p)
     return out
-
-
-def hs_interval(data: BehrensFisherData, alpha: float) -> Interval:
-    tstar = float(_t_quantile(data.dof, 1.0 - alpha / 2.0))
-    return Interval(data.diff - tstar * data.se, data.diff + tstar * data.se)
 
 
 def _summary(x) -> np.ndarray:
@@ -209,12 +204,11 @@ def association(n1: int, n2: int) -> Association:
         d = phi + np.sqrt(s1 / n1 + s2 / n2) * u[..., 0]
         return np.stack([d, np.zeros_like(d), s1 * u[..., 1], s2 * u[..., 2]], axis=-1)
 
-    def focal(x, u):
+    def focal(x, u):  # the one parameter point that maps u to x
         m1, m2, v1, v2 = _summary(x)
         u = np.ravel(np.asarray(u, dtype=float))
         s1, s2 = v1 / u[1], v2 / u[2]
-        phi = m1 - m2 - np.sqrt(s1 / n1 + s2 / n2) * u[0]
-        return GridRegion(np.asarray([[phi, s1, s2]]), [True])
+        return (m1 - m2 - np.sqrt(s1 / n1 + s2 / n2) * u[0], s1, s2)
 
     phi_family = family(n1, n2)
     return Association(

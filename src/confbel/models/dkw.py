@@ -46,7 +46,7 @@ import numpy as np
 from scipy import special
 
 from ..audit import SamplingModel, ks_distances, sup_norms
-from ..contours import ConfidenceFamily, PredicateRegion
+from ..contours import ConfidenceFamily
 from ..fusion import EMPTY_REGION, Association, RandomSetFamily, sampling_of, support_of
 from ..mc import MCConfig
 from ..reportio import read_csv
@@ -76,9 +76,12 @@ class StepFn:
         vals = np.where(idx >= 0, self.ys[np.maximum(idx, 0)], self.y_pre)
         return vals if vals.ndim else float(vals)
 
-    def left_limit(self, t):
-        idx = np.searchsorted(self.xs, np.asarray(t, dtype=float), side="left") - 1
-        vals = np.where(idx >= 0, self.ys[np.maximum(idx, 0)], self.y_pre)
+    def quantile(self, u):
+        """Generalized inverse ``inf{t : F(t) >= u}`` of a nondecreasing step
+        function: -inf at or below ``y_pre``, +inf above the last value."""
+        u = np.asarray(u, dtype=float)
+        at = np.append(self.xs, np.inf)[np.searchsorted(self.ys, u, side="left")]
+        vals = np.where(u <= self.y_pre, -np.inf, at)
         return vals if vals.ndim else float(vals)
 
 
@@ -414,12 +417,17 @@ def association(n: int) -> Association:
         return np.sort(candidate.quantile(np.asarray(u, dtype=float)), axis=-1)
 
     def focal(x, u):
-        # both data forms are sorted, so a fitting u is sorted too
-        values = x.values if isinstance(x, EmpiricalSample) else np.asarray(x, dtype=float)
+        """One CDF of the focal set ``{F : F^{-1}(u_i) = x_(i)}``: the step
+        CDF at the sample's distinct values, each value's last ``u`` (1 at
+        the top).  A CDF fits when ``u`` lies in (0, 1] and rises with the
+        sorted data, strictly where the data do."""
+        values = x.values if isinstance(x, EmpiricalSample) else np.asarray(x, dtype=float)  # sorted
         u = np.ravel(np.asarray(u, dtype=float))
-        if np.any(np.diff(u) < 0.0):
+        last = np.flatnonzero(np.diff(values) > 0.0)  # the last index of each value but the top
+        rises = np.diff(u)
+        if not (u[0] > 0.0 and u[-1] <= 1.0 and np.all(rises >= 0.0) and np.all(rises[last] > 0.0)):
             return EMPTY_REGION
-        return PredicateRegion(lambda f: np.allclose(_on(f, values), u, atol=1e-9))
+        return StepFn(values[np.append(last, -1)], np.append(u[last], 1.0))
 
     return Association(
         forward=forward,

@@ -47,11 +47,6 @@ def fieller_cdf_batch(xs, phi) -> np.ndarray:
     return special.ndtr((phis * xs[:, 1] - xs[:, 0]) / np.hypot(1.0, phis))
 
 
-def fieller_cdf(x, phi: float) -> float:
-    """Scalar ``G_x(phi)``: one row of :func:`fieller_cdf_batch`."""
-    return float(fieller_cdf_batch([x], phi)[0])
-
-
 def mass_at_infinity(x) -> float:
     """The CDF mass ``Phi(-x2)`` stranded beyond each end of the real line."""
     return float(special.ndtr(-float(x[1])))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .. import distributions as dist
 from ..audit import SamplingModel
-from ..contours import ConfidenceFamily, GridSpec, Interval, PlausibilityContour
+from ..contours import ConfidenceFamily, GridSpec, Interval
 from ..fusion import EMPTY_REGION, Association, RandomSetFamily, sampling_of, support_of
 
 
@@ -90,15 +90,6 @@ def alpha_index_exact(x, theta):
     thetas = np.asarray(theta, dtype=float)
     out = _index(x1 - thetas, 1.0 + thetas - x2)
     return out if out.ndim else float(out)
-
-
-def contour(x) -> PlausibilityContour:
-    """Fused plausibility contour; equals the alpha index exactly."""
-    return PlausibilityContour(
-        lambda theta: alpha_index_exact(x, theta),
-        sup_witness=theta_hat(x),
-        unimodal=True,
-    )
 
 
 def association() -> Association:

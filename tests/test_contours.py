@@ -15,15 +15,12 @@ from confbel.contours import (
     ConfidenceFamily,
     ConsonanceError,
     DegenerateAssertionError,
-    GridRegion,
     GridSpec,
     Interval,
     IntervalUnion,
     NestednessError,
     OutOfRangeError,
     PlausibilityContour,
-    PredicateRegion,
-    Singleton,
     UnsupportedAssertionError,
     as_alpha,
     belief,
@@ -86,15 +83,8 @@ def test_region_basics():
     assert union.contains(0.5) and union.contains(3.0) and not union.contains(2.0)
     assert IntervalUnion(()).is_empty
 
-    gr = GridRegion([0.0, 0.5, 1.0], [True, False, True])
-    assert np.array_equal(gr.included(), [0.0, 1.0])
-    assert gr.contains(1.0) and not gr.contains(0.5)
-    assert GridRegion([0.0], [False]).is_empty
-    with pytest.raises(ValueError):
-        GridRegion([0.0, 1.0], [True])
-
-    assert Singleton(0.3).contains(0.3) and not Singleton(0.3).contains(0.4)
-    assert PredicateRegion(lambda t: t > 0).contains(1.0)
+    point = Interval(0.3, 0.3)  # the point assertion {0.3}
+    assert point.contains(0.3) and not point.contains(0.4) and not point.is_empty
 
 
 def test_contour_consonance_enforced():
@@ -258,9 +248,24 @@ def unimodal_contour(x=0.0):
     return PlausibilityContour(lambda t: pivot_closed_form(x, t), sup_witness=x, unimodal=True)
 
 
+def grid_path_contour(x=0.0):
+    """The same contour without the unimodal flag: assertions need a grid."""
+    return PlausibilityContour(lambda t: pivot_closed_form(x, t), sup_witness=x)
+
+
 def test_singleton_plausibility():
     c = unimodal_contour()
-    assert plausibility(c, Singleton(1.0)) == pytest.approx(pivot_closed_form(0, 1.0), abs=1e-12)
+    assert plausibility(c, Interval(1.0, 1.0)) == pytest.approx(pivot_closed_form(0, 1.0), abs=1e-12)
+    # the grid path reads the point itself, not the grid points beside it
+    got = plausibility(grid_path_contour(), Interval(1.0, 1.0), grid=GridSpec(-4, 4, 10))
+    assert got == pivot_closed_form(0, 1.0)
+
+
+def test_point_assertion_has_belief_zero():
+    # the closed complement of {t} still holds t, and the contour's mode
+    for t in (-2.5, 0.0, 1.0):
+        assert belief(unimodal_contour(), Interval(t, t)) == 0.0
+        assert belief(grid_path_contour(), Interval(t, t), grid=GridSpec(-4, 4, 801)) == 0.0
 
 
 def test_interval_plausibility_unimodal():
@@ -285,21 +290,19 @@ def test_union_and_grid_region_plausibility():
     assert plausibility(c, u) == pytest.approx(pivot_closed_form(0, 1.0), abs=1e-12)
     with pytest.raises(DegenerateAssertionError):
         plausibility(c, IntervalUnion(()))
-    gr = GridRegion([0.5, 1.5], [True, True])
-    assert plausibility(c, gr) == pytest.approx(pivot_closed_form(0, 0.5), abs=1e-12)
-    with pytest.raises(DegenerateAssertionError):
-        plausibility(c, GridRegion([0.5], [False]))
+    points = IntervalUnion((Interval(0.5, 0.5), Interval(1.5, 1.5)))  # the finite set {0.5, 1.5}
+    assert plausibility(c, points) == pytest.approx(pivot_closed_form(0, 0.5), abs=1e-12)
 
 
 def test_predicate_region_plausibility():
-    c = unimodal_contour()
-    pr = PredicateRegion(lambda t: t >= 1.0)
+    c = grid_path_contour()
+    at_least_one = Interval(1.0, np.inf)  # {theta >= 1}
     with pytest.raises(UnsupportedAssertionError):
-        plausibility(c, pr)
-    got = plausibility(c, pr, grid=GridSpec(-4, 4, 801))
+        plausibility(c, at_least_one)
+    got = plausibility(c, at_least_one, grid=GridSpec(-4, 4, 801))
     assert got == pytest.approx(pivot_closed_form(0, 1.0), abs=1e-4)
     with pytest.raises(DegenerateAssertionError):
-        plausibility(c, PredicateRegion(lambda t: False), grid=GridSpec(-4, 4, 11))
+        plausibility(c, IntervalUnion(()), grid=GridSpec(-4, 4, 11))
     with pytest.raises(UnsupportedAssertionError):
         plausibility(c, "not an assertion")
 
@@ -469,7 +472,7 @@ def _shifted_pivot(x, span):
 
 
 def _uniform(x):
-    c = uniform_loc.contour(x)
+    c = PlausibilityContour(lambda t: uniform_loc.alpha_index_exact(x, t), uniform_loc.theta_hat(x), unimodal=True)
     pad = 0.02 * (x[0] - x[1] + 1.0)
     return c, (x[1] - 1.0 - pad, x[0] + pad), (abs, normal_mean.abs_fiber, (0.0, 1.0))
 
@@ -548,6 +551,7 @@ def test_marginal_contour_abs_map():
     got = marginal_contour(c, abs, 0.8, normal_mean.abs_fiber)
     want = max(pivot_closed_form(1.3, 0.8), pivot_closed_form(1.3, -0.8))
     assert got == pytest.approx(want, abs=1e-12)
+    assert normal_mean.abs_contour(1.3)(0.8) == pytest.approx(got, abs=1e-12)  # the closed form
     with pytest.raises(OutOfRangeError):
         marginal_contour(c, abs, -0.5, normal_mean.abs_fiber)
 

@@ -195,7 +195,7 @@ def test_binomial_compatibility_by_sampling():
 def _by_hand(name, truth, mc):
     """Each bundle's sampler as it was written beside its association."""
     if name == "binomial":
-        return dist.sample(dist.binomial(25, float(truth)), mc).astype(int)
+        return dist.binom_inverse_cdf(25, float(truth), mc.uniforms())
     if name == "normal_mean":
         return truth + dist.sample(dist.normal(), mc)
     if name == "uniform_loc":

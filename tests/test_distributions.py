@@ -11,6 +11,7 @@ from scipy import stats
 from confbel import distributions as dist
 from confbel.audit import ks_uniform
 from confbel.mc import MCConfig
+from confbel.models import binomial
 
 # High-precision reference values, computed independently of the scipy
 # routines the module wraps (arbitrary-precision erf/betainc/gammainc).
@@ -22,9 +23,6 @@ BINOM_25_03_PMF7 = 0.1711936396919514
 SPECS = {
     "normal": dist.normal(),
     "student_t": dist.student_t(4),
-    "chi_square": dist.chi_square(3),
-    "binomial": dist.binomial(25, 0.3),
-    "uniform01": dist.uniform01(),
 }
 
 
@@ -34,28 +32,25 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         dist.student_t(0)
     with pytest.raises(ValueError):
-        dist.binomial(25, 1.2)
-    with pytest.raises(ValueError):
         dist.DistSpec("normal", df=3)
-    assert dist.binomial(25, 0.3).is_discrete
-    assert not dist.normal().is_discrete
+    # the binomial model reads its tables directly; no spec stands for it
+    for family in ("binomial", "chi_square", "uniform01"):
+        with pytest.raises(ValueError):
+            dist.DistSpec(family)
 
 
 def test_cdf_known_values():
     assert dist.cdf(dist.normal(), 0.0) == 0.5
-    assert dist.cdf(dist.binomial(2, 0.5), 1) == pytest.approx(0.75, abs=1e-14)
+    assert dist.binom_cdf_table(2, 0.5)[1] == pytest.approx(0.75, abs=1e-14)
     assert dist.cdf(dist.student_t(4), 2.776) == pytest.approx(T4_CDF_2776, abs=1e-12)
-    assert dist.cdf(dist.chi_square(3), 7.814727903251179) == pytest.approx(0.95, abs=1e-12)
-    assert dist.cdf(dist.uniform01(), 0.3) == 0.3
     assert dist.cdf(dist.normal(), Z_975) == pytest.approx(0.975, abs=1e-13)
 
 
 def test_quantile_known_values():
     assert dist.quantile(dist.normal(), 0.975) == pytest.approx(Z_975, abs=1e-9)
     assert dist.quantile(dist.student_t(4), 0.975) == pytest.approx(T4_Q_975, abs=1e-8)
-    assert dist.quantile(dist.uniform01(), 0.3) == pytest.approx(0.3, abs=1e-10)
     # support maximum is reached just below p = 1
-    assert dist.quantile(dist.binomial(25, 0.68), 1.0 - 1e-12) == 25
+    assert dist.binom_inverse_cdf(25, 0.68, 1.0 - 1e-12) == 25
 
 
 def test_quantile_endpoint_errors():
@@ -80,23 +75,20 @@ def test_binom_cdf_table_matches_pmf_cumsum():
     assert table[-1] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("name", [*sorted(SPECS), "binomial"])
 def test_cdf_monotone_on_grid(name):
-    spec = SPECS[name]
-    if name == "binomial":
+    if name == "binomial":  # the CDF the binomial model reads: its table at floor(x)
         grid = np.linspace(-1, 26, 1000)
-    elif name == "chi_square":
-        grid = np.linspace(0, 30, 1000)
-    elif name == "uniform01":
-        grid = np.linspace(-0.2, 1.2, 1000)
+        table = dist.binom_cdf_table(25, 0.3)
+        vals = np.where(grid < 0, 0.0, table[np.clip(np.floor(grid).astype(int), 0, 25)])
     else:
         grid = np.linspace(-8, 8, 1000)
-    vals = np.asarray([dist.cdf(spec, x) for x in grid])
+        vals = np.asarray([dist.cdf(SPECS[name], x) for x in grid])
     assert np.all(np.diff(vals) >= 0)
     assert np.all((vals >= 0) & (vals <= 1))
 
 
-@pytest.mark.parametrize("name", ["normal", "student_t", "chi_square", "uniform01"])
+@pytest.mark.parametrize("name", sorted(SPECS))
 def test_continuous_round_trips(name):
     spec = SPECS[name]
     ps = np.linspace(0.001, 0.999, 41)
@@ -107,7 +99,7 @@ def test_continuous_round_trips(name):
 
 
 @given(
-    family=st.sampled_from(["normal", "student_t", "chi_square"]),
+    family=st.sampled_from(["normal", "student_t"]),
     df=st.integers(min_value=1, max_value=30),
     ps=st.lists(
         st.one_of(st.sampled_from([1e-12, 1.0 - 1e-12]), st.floats(min_value=1e-12, max_value=1.0 - 1e-12)),
@@ -129,11 +121,11 @@ def test_continuous_quantile_round_trip_to_clip_edges(family, df, ps):
 @given(p=st.floats(min_value=1e-6, max_value=1 - 1e-6))
 @settings(max_examples=60, deadline=None)
 def test_binomial_quantile_is_minimal(p):
-    spec = dist.binomial(25, 0.3)
-    k = dist.quantile(spec, p)
-    assert dist.cdf(spec, k) >= p
+    table = dist.binom_cdf_table(25, 0.3)
+    k = dist.binom_inverse_cdf(25, 0.3, p)
+    assert table[k] >= p
     if k > 0:
-        assert dist.cdf(spec, k - 1) < p
+        assert table[k - 1] < p
 
 
 # Keys for the guide-table lookup, resolved against the table and its m
@@ -193,7 +185,7 @@ def test_sample_determinism():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("name", ["normal", "student_t", "chi_square", "uniform01"])
+@pytest.mark.parametrize("name", sorted(SPECS))
 def test_sampler_goodness(name):
     # 1% KS critical value for the cdf-transformed stream
     spec = SPECS[name]
@@ -210,11 +202,10 @@ def test_normal_sample_mean():
 
 
 def test_binomial_sample_matches_inversion():
-    spec = dist.binomial(25, 0.3)
     mc = MCConfig(reps=2000, seed=9)
-    draws = dist.sample(spec, mc)
+    draws = binomial.sampling(25).sample(0.3, mc)
     u = mc.uniforms(2000)
-    expected = np.asarray([dist.quantile(spec, ui) for ui in u])
+    expected = np.asarray([dist.binom_inverse_cdf(25, 0.3, ui) for ui in u])
     assert np.array_equal(draws, expected)
     assert draws.min() >= 0 and draws.max() <= 25
 

@@ -26,14 +26,26 @@ def unit_exp() -> dkw.ParametricCDF:
     )
 
 
+def left_limit(f: dkw.StepFn, t):
+    """``f(t-)``: the value on the last jump strictly before ``t``."""
+    idx = np.searchsorted(f.xs, np.asarray(t, dtype=float), side="left") - 1
+    vals = np.where(idx >= 0, f.ys[np.maximum(idx, 0)], f.y_pre)
+    return vals if vals.ndim else float(vals)
+
+
 def test_step_fn_evaluation():
     f = dkw.StepFn([1.0, 2.0], [0.4, 1.0], y_pre=0.1)
     assert f(0.5) == 0.1
     assert f(1.0) == 0.4  # right-continuous
-    assert f.left_limit(1.0) == 0.1
+    assert left_limit(f, 1.0) == 0.1
     assert f(1.7) == 0.4
     assert f(2.0) == 1.0
-    assert f.left_limit(2.0) == 0.4
+    assert left_limit(f, 2.0) == 0.4
+    # the generalized inverse inf{t : f(t) >= u}
+    assert f.quantile(0.1) == -np.inf and f.quantile(0.0) == -np.inf
+    assert f.quantile(0.2) == 1.0 and f.quantile(0.4) == 1.0
+    assert f.quantile(np.nextafter(0.4, 1.0)) == 2.0 and f.quantile(1.0) == 2.0
+    assert np.array_equal(dkw.StepFn([1.0], [0.5]).quantile([0.5, 0.75]), [1.0, np.inf])
     assert np.array_equal(f(np.asarray([0.0, 1.0, 3.0])), [0.1, 0.4, 1.0])
     with pytest.raises(ValueError):
         dkw.StepFn([2.0, 1.0], [0.1, 0.2])
@@ -120,11 +132,11 @@ def sup_norm_reference(sample, candidate) -> float:
     if isinstance(candidate, dkw.StepFn):
         ts = np.union1d(ts, candidate.xs)
         f_right = np.asarray(candidate(ts), dtype=float)
-        f_left = np.asarray(candidate.left_limit(ts), dtype=float)
+        f_left = np.asarray(left_limit(candidate, ts), dtype=float)
     else:
         f_right = f_left = np.asarray(candidate(ts), dtype=float)
     e_right = np.asarray(ehat(ts), dtype=float)
-    e_left = np.asarray(ehat.left_limit(ts), dtype=float)
+    e_left = np.asarray(left_limit(ehat, ts), dtype=float)
     return float(max(np.max(np.abs(e_right - f_right)), np.max(np.abs(e_left - f_left))))
 
 
@@ -309,12 +321,28 @@ def test_association_round_trip():
     assert np.allclose(xs, truth.quantile(u))
     for x, row in zip(xs, u):
         assert np.array_equal(assoc.forward(truth, row), x)
-        assert assoc.focal(x, row).contains(truth)
-        assert assoc.focal(dkw.EmpiricalSample(x), row).contains(truth)
+        # the truth and the focal CDF both lie in {F : F^{-1}(u_i) = x_(i)}
+        for data in (x, dkw.EmpiricalSample(x)):
+            focal = assoc.focal(data, row)
+            assert isinstance(focal, dkw.StepFn)
+            assert np.array_equal(focal.xs, x) and np.array_equal(assoc.forward(focal, row), x)
     # an auxiliary out of order with the sorted data fits no monotone CDF
     assert assoc.focal(xs[0], np.asarray([0.9, 0.1, 0.3, 0.5, 0.7])).is_empty
     with pytest.raises(TypeError):
         assoc.forward(lambda t: t, u)
+
+
+def test_focal_cdf_of_a_tied_sample():
+    # {F : F^{-1}(u_i) = x_(i)}: tied data take every u of their run, so the
+    # set is not {F : F(x_i) = u_i}, which no CDF meets at a tie
+    focal = dkw.association(3).focal
+    cdf = focal(np.asarray([1.0, 1.0, 2.0]), np.asarray([0.2, 0.3, 0.9]))
+    assert np.array_equal(cdf.xs, [1.0, 2.0]) and np.array_equal(cdf.ys, [0.3, 1.0]) and cdf.y_pre == 0.0
+    assert np.array_equal(cdf.quantile([0.2, 0.3, 0.9]), [1.0, 1.0, 2.0])
+    # no CDF sends one u to two values, u = 0 to a finite value, or u past 1
+    x = np.asarray([1.0, 2.0, 2.0])
+    for u in ([0.4, 0.4, 0.6], [0.0, 0.5, 0.6], [0.2, 0.5, 1.5]):
+        assert focal(x, np.asarray(u)).is_empty
 
 
 def test_sampling_and_synthetic_sample():

@@ -55,6 +55,11 @@ def g_quadrature(x, phi: float) -> float:
     return val
 
 
+def fieller_g(x, phi) -> float:
+    """``G_x(phi)`` of one pair: a stack of one through the batch evaluator."""
+    return float(fieller.fieller_cdf_batch([x], phi)[0])
+
+
 XS = [(1.0, 20.0), (1.0, 0.5), (-0.7, 2.3), (1.0, -1.5)]
 PHIS = [-2.0, -0.02, 0.0, 0.05, 0.1, 0.8, 3.0]
 
@@ -62,19 +67,20 @@ PHIS = [-2.0, -0.02, 0.0, 0.05, 0.1, 0.8, 3.0]
 def test_cdf_matches_single_normal_reduction():
     for x in XS:
         for phi in PHIS:
-            assert fieller.fieller_cdf(x, phi) == pytest.approx(g_closed_form(x, phi), abs=1e-14)
+            assert fieller_g(x, phi) == pytest.approx(g_closed_form(x, phi), abs=1e-14)
 
 
 def test_cdf_matches_quadrature_of_the_definition():
     for x in XS:
         for phi in PHIS:
-            assert fieller.fieller_cdf(x, phi) == pytest.approx(g_quadrature(x, phi), abs=1e-9)
+            assert fieller_g(x, phi) == pytest.approx(g_quadrature(x, phi), abs=1e-9)
 
 
 def test_cdf_scalar_is_one_row_of_batch():
-    for x in XS:
-        for phi in PHIS:
-            assert fieller.fieller_cdf(x, phi) == fieller.fieller_cdf_batch([x], phi)[0]
+    for phi in PHIS:
+        stacked = fieller.fieller_cdf_batch(XS, phi)
+        for k, x in enumerate(XS):
+            assert fieller_g(x, phi) == stacked[k]
 
 
 def test_cdf_batch_matches_closed_form():
@@ -96,15 +102,15 @@ def test_cdf_batch_per_row_phi_and_shapes():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-3.0, 3.0), st.floats(-5.0, 5.0), st.floats(-4.0, 4.0))
 def test_cdf_reduction_property(x1, x2, phi):
-    assert fieller.fieller_cdf((x1, x2), phi) == pytest.approx(
+    assert fieller_g((x1, x2), phi) == pytest.approx(
         g_closed_form((x1, x2), phi), abs=1e-14
     )
 
 
 def test_cdf_frozen_values():
-    assert fieller.fieller_cdf((1.0, 20.0), 0.05) == pytest.approx(0.5, abs=1e-10)
-    assert fieller.fieller_cdf((1.0, 20.0), 0.1) == pytest.approx(G_120_AT_010, abs=1e-10)
-    assert fieller.fieller_cdf((1.0, 20.0), -0.02) == pytest.approx(G_120_AT_M002, abs=1e-10)
+    assert fieller_g((1.0, 20.0), 0.05) == pytest.approx(0.5, abs=1e-10)
+    assert fieller_g((1.0, 20.0), 0.1) == pytest.approx(G_120_AT_010, abs=1e-10)
+    assert fieller_g((1.0, 20.0), -0.02) == pytest.approx(G_120_AT_M002, abs=1e-10)
 
 
 def test_cdf_monotone_when_denominator_is_solid():
@@ -117,10 +123,10 @@ def test_cdf_monotone_when_denominator_is_solid():
 def test_dip_when_denominator_is_weak():
     # Global minimum at phi = -x2/x1 with value Phi(-sqrt(x1^2 + x2^2)).
     x = (1.0, 0.1)
-    dip = fieller.fieller_cdf(x, -0.1)
+    dip = fieller_g(x, -0.1)
     assert dip == pytest.approx(_phi(-math.hypot(1.0, 0.1)), abs=1e-9)
-    assert fieller.fieller_cdf(x, -0.6) > dip
-    assert fieller.fieller_cdf(x, 0.4) > dip
+    assert fieller_g(x, -0.6) > dip
+    assert fieller_g(x, 0.4) > dip
 
 
 def test_runs_backwards_for_negative_denominator():
@@ -145,8 +151,8 @@ def test_interval_frozen_endpoints():
 @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.32])
 def test_interval_quantile_round_trip(alpha):
     iv = fieller.fieller_interval((1.0, 20.0), alpha)
-    assert fieller.fieller_cdf((1.0, 20.0), iv.lower) == pytest.approx(alpha / 2, abs=1e-8)
-    assert fieller.fieller_cdf((1.0, 20.0), iv.upper) == pytest.approx(1 - alpha / 2, abs=1e-8)
+    assert fieller_g((1.0, 20.0), iv.lower) == pytest.approx(alpha / 2, abs=1e-8)
+    assert fieller_g((1.0, 20.0), iv.upper) == pytest.approx(1 - alpha / 2, abs=1e-8)
 
 
 def test_intervals_nest():
@@ -176,7 +182,7 @@ def test_quantile_through_the_dip_is_finite():
     assert iv.lower == pytest.approx(6.1147, abs=1e-4)
     assert iv.upper == pytest.approx(26.8458, abs=1e-4)
     for end, level in ((iv.lower, 0.475), (iv.upper, 0.525)):
-        assert fieller.fieller_cdf((1.0, 0.1), end) == pytest.approx(level, abs=1e-12)
+        assert fieller_g((1.0, 0.1), end) == pytest.approx(level, abs=1e-12)
         assert g_quadrature((1.0, 0.1), end) == pytest.approx(level, abs=1e-9)
 
 
@@ -207,7 +213,7 @@ def test_g_inverse_is_the_unique_solution(x1, x2, where):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         phi = fieller._g_inverse(x, p)
-    assert abs(fieller.fieller_cdf(x, phi) - p) <= 1e-12
+    assert abs(fieller_g(x, phi) - p) <= 1e-12
     t = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 2001)[1:-1]
     d = fieller.fieller_cdf_batch(x, np.tan(t)) - p
     signs = np.sign(np.concatenate([[tail - p], d[np.abs(d) > 1e-13], [1.0 - tail - p]]))

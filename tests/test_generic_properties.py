@@ -16,9 +16,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from numpy.testing import assert_allclose
 
-from confbel.contours import ALPHA_BISECT_TOL, NORMALIZATION_TOL, contour_from_family
-from confbel.fusion import check_nested_support, theta_specific_plaus
+from confbel.contours import ALPHA_BISECT_TOL, NORMALIZATION_TOL, Interval, contour_from_family
+from confbel.fusion import EMPTY_REGION, check_nested_support, theta_specific_plaus
 from confbel.mc import MCConfig
 from confbel.models import REGISTRY, behrens_fisher, binomial, dkw, normal_mean, uniform_loc
 
@@ -113,3 +114,64 @@ def test_contours_attain_one_at_the_family_center(name, data):
         assert 1.0 - NORMALIZATION_TOL <= pl <= 1.0
     else:
         assert pl == 1.0
+
+
+def _step_cdf(data):
+    """A step CDF with 1 to 5 jumps, 0 before the first and 1 from the last:
+    its quantile takes few values, so the data it draws are tied."""
+    xs = sorted(data.draw(st.sets(st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=5), label="jumps"))
+    weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(xs), max_size=len(xs)), label="weights")
+    ys = np.cumsum(weights) / np.sum(weights)
+    ys[-1] = 1.0
+    return dkw.StepFn(xs, ys)
+
+
+def _exp_cdf(scale: float) -> dkw.ParametricCDF:
+    return dkw.ParametricCDF(
+        cdf=lambda t: -np.expm1(-np.maximum(np.asarray(t, dtype=float), 0.0) / scale),
+        quantile=lambda u: -scale * np.log1p(-u),
+        name=f"Exp(mean={scale})",
+    )
+
+
+TRUTHS = {
+    "binomial": lambda data: data.draw(st.floats(0.0, 1.0), label="theta"),
+    "normal_mean": lambda data: data.draw(st.floats(-10.0, 10.0), label="theta"),
+    "uniform_loc": lambda data: data.draw(st.floats(-10.0, 10.0), label="theta"),
+    "behrens_fisher": lambda data: (
+        data.draw(st.floats(-5.0, 5.0), label="phi"),
+        data.draw(st.floats(0.05, 10.0), label="s1"),
+        data.draw(st.floats(0.05, 10.0), label="s2"),
+    ),
+    "dkw": lambda data: (
+        _step_cdf(data) if data.draw(st.booleans(), label="tied") else _exp_cdf(data.draw(st.floats(0.1, 10.0)))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSOCIATIONS))
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), seed=seeds)
+def test_focal_set_round_trip(name, data, seed):
+    # x = forward(truth, u) for u from the random set's auxiliary law; the
+    # focal set of (x, u) is non-empty and forward maps its point back to x
+    assoc = ASSOCIATIONS[name]
+    truth = TRUTHS[name](data)
+    u = BUNDLES[name].random_set.aux_sampler(MCConfig(reps=1, seed=seed))[0]
+    if name == "dkw":
+        u = np.sort(u)  # the association reads the order statistics
+    x = assoc.forward(truth, u)
+    focal = assoc.focal(x, u)
+    assert not getattr(focal, "is_empty", False)
+    if isinstance(focal, Interval):
+        assert focal.lower - 1e-12 <= truth <= focal.upper + 1e-12
+        # an inner point: at binomial's ends the rounding of betaincinv picks the outcome
+        point = focal.lower + data.draw(st.floats(0.001, 0.999), label="fraction") * (focal.upper - focal.lower)
+        assert_allclose(assoc.forward(point, u), x, rtol=0.0, atol=1e-12 if name != "binomial" else 0)
+    elif name == "behrens_fisher":
+        reduced = lambda rows: (rows[..., 0] - rows[..., 1], rows[..., 2], rows[..., 3])  # (m1 - m2, v1, v2)
+        assert_allclose(reduced(assoc.forward(focal, u)), reduced(x), rtol=1e-12, atol=1e-12)
+    else:
+        assert isinstance(focal, dkw.StepFn)
+        assert np.array_equal(assoc.forward(focal, u), x)  # the sorted sample
+        assert assoc.focal(x, u[::-1]) is EMPTY_REGION  # a decreasing u fits no CDF

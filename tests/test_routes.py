@@ -29,7 +29,7 @@ N1, N2 = 5, 11
 
 
 def _fieller_contour(x, phi):
-    g = fieller.fieller_cdf(x, phi)
+    g = float(fieller.fieller_cdf_batch([x], phi)[0])
     return min(2.0 * g, 2.0 * (1.0 - g))
 
 
@@ -51,6 +51,11 @@ def _interval_endpoints(interval):
 def _normal_endpoints(x, alpha):
     z = float(special.ndtri(1.0 - alpha / 2.0))
     return x - z, x + z
+
+
+def _hs_endpoints(x, alpha):
+    t = float(special.stdtrit(x.dof, 1.0 - alpha / 2.0))
+    return x.diff - t * x.se, x.diff + t * x.se
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -95,7 +100,7 @@ MODELS = {
         ).map(lambda r: behrens_fisher.BehrensFisherData(N1, r[0], r[2], N2, r[1], r[3])),
         lambda x: (x.m1, x.m2, x.v1, x.v2),
         lambda x, t: float(behrens_fisher.hs_contour(x, t)),
-        _interval_endpoints(behrens_fisher.hs_interval),
+        _hs_endpoints,
         False,
     ),
     "fieller": (

@@ -8,13 +8,19 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from confbel.audit import contour_validity_audit, coverage_probability
-from confbel.contours import Interval, contour_from_family, plausibility_region
+from confbel.contours import Interval, PlausibilityContour, contour_from_family, plausibility_region
 from confbel.fusion import check_compatibility, check_nested_support
 from confbel.mc import MCConfig
 from confbel.models import uniform_loc
 
 X = (0.2, 0.9)
 MC = MCConfig(reps=20_000, seed=19)
+
+
+def uniform_contour(x) -> PlausibilityContour:
+    """The fused contour as a consonance-checked contour: the alpha index,
+    unimodal about theta_hat."""
+    return PlausibilityContour(lambda t: uniform_loc.alpha_index_exact(x, t), uniform_loc.theta_hat(x), unimodal=True)
 
 
 def test_theta_hat_and_interval():
@@ -31,7 +37,7 @@ def test_theta_hat_and_interval():
 
 
 def test_interval_is_level_set_of_contour():
-    contour = uniform_loc.contour(X)
+    contour = uniform_contour(X)
     for alpha in (0.05, 0.1, 0.5):
         region = plausibility_region(contour, alpha, uniform_loc.default_grid(X))
         iv = uniform_loc.interval(X, alpha)
@@ -66,7 +72,7 @@ def test_member_iff_index_at_least_alpha(theta):
 
 
 def test_contour_peaks_at_theta_hat():
-    contour = uniform_loc.contour(X)
+    contour = uniform_contour(X)
     # the midpoint is not exactly representable; 1 is reached up to rounding
     assert contour(uniform_loc.theta_hat(X)) == pytest.approx(1.0, abs=1e-12)
     th = np.linspace(-0.2, 0.3, 201)
@@ -142,7 +148,7 @@ def test_validity_audit_clean():
         theta_grid=(0.0, 0.37),
         mc=MCConfig(reps=10_000, seed=29),
     )
-    assert report.passed
+    assert not report.flagged()
     # the index is exactly uniform at the truth here, so exceedance ~ alpha
     for row in report.rows:
         assert row.exceedance == pytest.approx(row.alpha, abs=4 * row.se)
