@@ -4,8 +4,10 @@ Two families, the ones the models read: the standard normal, which
 normal_mean samples, and Student t, which behrens_fisher inverts.  Each is
 exposed through one frozen spec type and three operations (``cdf``,
 ``quantile``, ``sample``), alongside the binomial tables and the uniform
-order-statistic sampler the models share.  The models still evaluate their
-own closed forms with ``scipy.special`` directly.
+order-statistic sampler the models share.  The models evaluate their own
+closed forms with the same special functions, each module reading them
+through :mod:`confbel._special`, which imports ``scipy.special`` on first
+use.
 
 CDFs and quantiles are the double-precision special functions
 ``scipy.special`` ships (``ndtr``/``ndtri``, ``stdtr``/``stdtrit``).  The
@@ -23,8 +25,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .mc import MCConfig
 
 FAMILIES = ("normal", "student_t")

@@ -42,8 +42,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from .. import _special as special
 from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridSpec

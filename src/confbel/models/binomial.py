@@ -41,8 +41,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import special
 
+from .. import _special as special
 from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridSpec, Interval

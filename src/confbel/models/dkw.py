@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
+from .. import _special as special
 from ..audit import SamplingModel, ks_distances, sup_norms
 from ..contours import ConfidenceFamily
 from ..fusion import EMPTY_REGION, Association, RandomSetFamily, sampling_of, support_of
@@ -417,15 +417,16 @@ def association(n: int) -> Association:
         return np.sort(candidate.quantile(np.asarray(u, dtype=float)), axis=-1)
 
     def focal(x, u):
-        """One CDF of the focal set ``{F : F^{-1}(u_i) = x_(i)}``: the step
-        CDF at the sample's distinct values, each value's last ``u`` (1 at
-        the top).  A CDF fits when ``u`` lies in (0, 1] and rises with the
-        sorted data, strictly where the data do."""
+        """One CDF of the focal set ``{F : F^{-1}(u_(i)) = x_(i)}``: the step
+        CDF at the sample's distinct values, each value's last sorted ``u``
+        (1 at the top).  ``forward`` reads ``u`` only through its order
+        statistics, so any order of ``u`` has the sorted ``u``'s focal set.  A
+        CDF fits when ``u`` lies in (0, 1] and rises strictly where the data
+        do."""
         values = x.values if isinstance(x, EmpiricalSample) else np.asarray(x, dtype=float)  # sorted
-        u = np.ravel(np.asarray(u, dtype=float))
+        u = np.sort(np.ravel(np.asarray(u, dtype=float)))
         last = np.flatnonzero(np.diff(values) > 0.0)  # the last index of each value but the top
-        rises = np.diff(u)
-        if not (u[0] > 0.0 and u[-1] <= 1.0 and np.all(rises >= 0.0) and np.all(rises[last] > 0.0)):
+        if not (u[0] > 0.0 and u[-1] <= 1.0 and np.all(np.diff(u)[last] > 0.0)):
             return EMPTY_REGION
         return StepFn(values[np.append(last, -1)], np.append(u[last], 1.0))
 

@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
+from .. import _special as special
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, Interval, as_alpha
 from ..mc import MCConfig

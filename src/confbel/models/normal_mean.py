@@ -15,8 +15,8 @@ whereas the consonant marginal plausibility for ``|theta|`` stays valid.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
+from .. import _special as special
 from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridSpec, Interval, PlausibilityContour

@@ -534,13 +534,41 @@ def test_json_format(tmp_path):
     assert len(doc["rows"]) == 80
 
 
-def test_cli_import_loads_no_optimize_or_integrate():
-    mods = "('scipy.optimize', 'scipy.integrate', 'scipy.stats')"
-    code = f"import sys, confbel.cli; print(sorted(m for m in {mods} if m in sys.modules))"
+def test_cli_loads_scipy_special_only_when_a_command_evaluates_it(tmp_path):
+    # one cold process, read after each step: importing the cli, --version and
+    # a usage error load no scipy at all; the five commands that evaluate no
+    # special function finish without scipy.special; binom evaluates one
+    out = str(tmp_path / "o.csv")
+    quiet = ["dkw", "uniform", "audit --model uniform_loc", "coverage --model uniform_loc", "coverage --model dkw"]
+    steps = ["--version", "binom --grid-points 1", *quiet, "binom"]
+    code = "\n".join([
+        "import json, sys",
+        "import confbel.cli",
+        "def state(code):",
+        "    return [code, any(m.split('.')[0] == 'scipy' for m in sys.modules), 'scipy.special' in sys.modules]",
+        "heavy = sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats') if m in sys.modules)",
+        "seen = {'import': state(0)}",
+        f"for step in {steps!r}:",
+        f"    argv = step.split() + ([] if step.startswith('-') else ['--out', {out!r}])",
+        "    try:",
+        "        code = confbel.cli.main(argv)",
+        "    except SystemExit as exc:",
+        "        code = exc.code",
+        "    seen[step] = state(code)",
+        "print(json.dumps([heavy, seen]))",
+    ])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confbel.__file__)))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300,
+                          cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    heavy, seen = json.loads(done.stdout.strip().splitlines()[-1])
+    assert heavy == []
+    assert seen["import"] == [0, False, False]
+    assert seen["--version"] == [0, False, False]
+    assert seen["binom --grid-points 1"] == [2, False, False]
+    for step in quiet:
+        assert seen[step][0] == 0 and seen[step][2] is False, step
+    assert seen["binom"] == [0, True, True]
 
 
 def test_dkw_exact_law_loads_no_scipy_stats(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from confbel.fusion import check_nested_support
+from confbel.fusion import check_compatibility, check_nested_support
 from confbel.mc import MCConfig
 from confbel.models import dkw, dkw_bundle
 from confbel.reportio import write_rows
@@ -326,10 +326,25 @@ def test_association_round_trip():
             focal = assoc.focal(data, row)
             assert isinstance(focal, dkw.StepFn)
             assert np.array_equal(focal.xs, x) and np.array_equal(assoc.forward(focal, row), x)
-    # an auxiliary out of order with the sorted data fits no monotone CDF
-    assert assoc.focal(xs[0], np.asarray([0.9, 0.1, 0.3, 0.5, 0.7])).is_empty
+    # forward reads u through its order statistics, so a permuted u has the
+    # sorted u's focal set; a u with a 0 entry fits no CDF
+    permuted = u[0][[4, 0, 2, 1, 3]]
+    focal = assoc.focal(xs[0], permuted)
+    assert np.array_equal(focal.xs, xs[0]) and np.array_equal(assoc.forward(focal, permuted), xs[0])
+    assert assoc.focal(xs[0], np.asarray([0.9, 0.0, 0.3, 0.5, 0.7])).is_empty
     with pytest.raises(TypeError):
         assoc.forward(lambda t: t, u)
+
+
+def test_sampled_compatibility_check_finds_a_fitting_draw():
+    # the sampled path alone: the random set's rows are unsorted, and each
+    # one's focal set is the sorted row's, which fits the sample
+    n = 40
+    sample = dkw.EmpiricalSample(unit_exp().quantile(MCConfig(reps=n, seed=3).uniforms()))
+    assoc = dataclasses.replace(dkw.association(n), compat_witness=None)
+    report = check_compatibility(assoc, dkw.random_set(n), sample, unit_exp(), 0.05, MCConfig(reps=2_000, seed=4))
+    assert report.compatible and report.checked >= 1
+    assert not np.array_equal(report.witness, np.sort(report.witness))  # an unsorted draw fitted
 
 
 def test_focal_cdf_of_a_tied_sample():

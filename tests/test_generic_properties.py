@@ -158,8 +158,6 @@ def test_focal_set_round_trip(name, data, seed):
     assoc = ASSOCIATIONS[name]
     truth = TRUTHS[name](data)
     u = BUNDLES[name].random_set.aux_sampler(MCConfig(reps=1, seed=seed))[0]
-    if name == "dkw":
-        u = np.sort(u)  # the association reads the order statistics
     x = assoc.forward(truth, u)
     focal = assoc.focal(x, u)
     assert not getattr(focal, "is_empty", False)
@@ -174,4 +172,6 @@ def test_focal_set_round_trip(name, data, seed):
     else:
         assert isinstance(focal, dkw.StepFn)
         assert np.array_equal(assoc.forward(focal, u), x)  # the sorted sample
-        assert assoc.focal(x, u[::-1]) is EMPTY_REGION  # a decreasing u fits no CDF
+        # forward reads u's order statistics, so a permuted u round-trips too
+        assert np.array_equal(assoc.forward(assoc.focal(x, u[::-1]), u[::-1]), x)
+        assert assoc.focal(x, np.append(u[1:], 0.0)) is EMPTY_REGION  # no CDF sends u = 0 to a value
