@@ -138,7 +138,7 @@ def quantile(spec: DistSpec, p):
     returns ``p`` to within about 1e-15.  ``p`` must lie strictly inside
     (0, 1)."""
     ps = np.asarray(p, dtype=float)
-    if np.any((ps <= 0.0) | (ps >= 1.0)):
+    if not np.all((ps > 0.0) & (ps < 1.0)):  # also rejects NaN
         raise ValueError("quantile requires 0 < p < 1")
     ps = np.atleast_1d(ps)
     out = special.ndtri(ps) if spec.family == "normal" else special.stdtrit(spec.df, ps)

@@ -125,7 +125,10 @@ def _cached_draws(rs: RandomSetFamily, mc: MCConfig) -> np.ndarray:
     # alpha by construction and nudges cannot flip signs.  The cache holds the
     # family itself, not its id: the strong reference keeps a collected
     # sampler's id from being reused by another family while the entry lives.
-    return rs.aux_sampler(mc)
+    # Read-only, as every cached table is: a write would reach later callers.
+    draws = rs.aux_sampler(mc)
+    draws.flags.writeable = False
+    return draws
 
 
 def support_of(assoc: Association) -> Callable[..., np.ndarray]:

@@ -133,12 +133,16 @@ CONTOUR_MC = MCConfig(reps=100_000, seed=11)
 
 @functools.lru_cache(maxsize=8)
 def pivotal_draws(n1: int, n2: int, mc: MCConfig) -> np.ndarray:
-    """(reps, 3) table of (U1, U21, U22) draws, cached per configuration."""
-    z = special.ndtri(mc.generator().random((mc.reps, 1 + (n1 - 1) + (n2 - 1))))
-    u1 = z[:, 0]
-    u21 = np.mean(z[:, 1:n1] ** 2, axis=1)
-    u22 = np.mean(z[:, n1:] ** 2, axis=1)
-    return np.column_stack([u1, u21, u22])
+    """(reps, 3) table of (U1, U21, U22) draws, cached per configuration and
+    read-only.  The uniform draw becomes the normals and then their squares
+    in its own buffer, so the build holds one ``reps x (n1 + n2 - 1)`` array,
+    not two (docs/decisions.md, "The pivot table is built in one buffer")."""
+    z = mc.generator().random((mc.reps, 1 + (n1 - 1) + (n2 - 1)))
+    special.ndtri(z, out=z)
+    np.square(z[:, 1:], out=z[:, 1:])
+    table = np.column_stack([z[:, 0], np.mean(z[:, 1:n1], axis=1), np.mean(z[:, n1:], axis=1)])
+    table.flags.writeable = False
+    return table
 
 
 def t_lambda(u: np.ndarray, lam: float) -> np.ndarray:

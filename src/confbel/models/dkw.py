@@ -201,7 +201,8 @@ def _index(n: int, d):
 
 @functools.lru_cache(maxsize=4)
 def ks_null_sample(n: int, mc: MCConfig) -> np.ndarray:
-    """Sorted Monte Carlo sample of the distribution-free K_n law (cached).
+    """Sorted Monte Carlo sample of the distribution-free K_n law (cached,
+    read-only).
     No package path reads it; it is the tests' independent oracle of
     :func:`ks_sf`."""
     gen = mc.generator()
@@ -211,7 +212,9 @@ def ks_null_sample(n: int, mc: MCConfig) -> np.ndarray:
         block = min(remaining, max(1, 2_000_000 // max(n, 1)))
         chunks.append(ks_distances(gen.random((block, n))))
         remaining -= block
-    return np.sort(np.concatenate(chunks))
+    out = np.sort(np.concatenate(chunks))
+    out.flags.writeable = False
+    return out
 
 
 # The floats one chunk of the Birnbaum-Tingey sum may hold.

@@ -318,3 +318,12 @@ def test_streamed_audits_stay_within_16_mb():
         "binomial audit": _traced_peak_mb(cold_binomial_cell),
     }
     assert max(peaks.values()) < 16.0, peaks
+
+
+def test_pivot_table_build_stays_within_16_mb():
+    # the uniform draw and its normals in two buffers peak at 22.9 MiB; the
+    # build in one buffer at 15.3 MiB
+    behrens_fisher.pivotal_draws(5, 11, MCConfig(reps=1, seed=1))  # imports scipy.special outside the peak
+    behrens_fisher.pivotal_draws.cache_clear()
+    peak = _traced_peak_mb(lambda: behrens_fisher.pivotal_draws(5, 11, behrens_fisher.CONTOUR_MC))
+    assert peak < 16.0, peak

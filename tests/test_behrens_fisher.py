@@ -81,6 +81,33 @@ def test_pivotal_draws_cached_and_shaped():
     assert a[:, 2].mean() == pytest.approx(1.0, abs=0.02)
 
 
+def _two_buffer_pivot_table(n1: int, n2: int, mc: MCConfig) -> np.ndarray:
+    """The pivot table with the normals and each group's squares in arrays
+    of their own beside the uniform draw: the oracle of the in-place build."""
+    z = special.ndtri(mc.generator().random((mc.reps, 1 + (n1 - 1) + (n2 - 1))))
+    return np.column_stack([z[:, 0], np.mean(z[:, 1:n1] ** 2, axis=1), np.mean(z[:, n1:] ** 2, axis=1)])
+
+
+def test_pivotal_draws_equal_the_two_buffer_build():
+    # bit for bit: the same ufuncs on the same elements, summed along the same
+    # axis in the same order; groups of 8 or more normals take numpy's
+    # pairwise sum
+    assert np.array_equal(bf.pivotal_draws(5, 11, bf.CONTOUR_MC), _two_buffer_pivot_table(5, 11, bf.CONTOUR_MC))
+    for n1, n2 in ((2, 2), (9, 9), (12, 40), (2, 300)):
+        for reps in (1, 7, 20_000):
+            mc = MCConfig(reps=reps, seed=23)
+            assert np.array_equal(bf.pivotal_draws(n1, n2, mc), _two_buffer_pivot_table(n1, n2, mc)), (n1, n2, reps)
+
+
+def test_cached_pivot_table_is_read_only():
+    # random_set's aux_sampler hands out the cached table itself; a write
+    # would move every later slice, contour_at_truth and bf column
+    u = bf.random_set(5, 11).aux_sampler(MC)
+    assert u is bf.pivotal_draws(5, 11, MC)
+    with pytest.raises(ValueError):
+        u[:, 0] *= 2.0
+
+
 def test_t_lambda_edges():
     u = np.asarray([[1.0, 4.0, 0.25]])
     assert bf.t_lambda(u, 1.0)[0] == pytest.approx(0.5)

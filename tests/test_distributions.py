@@ -59,6 +59,13 @@ def test_quantile_endpoint_errors():
             dist.quantile(dist.normal(), p)
 
 
+def test_quantile_rejects_nan():
+    for spec in (dist.normal(), dist.student_t(4)):
+        for p in (np.nan, [0.5, np.nan, 0.975]):
+            with pytest.raises(ValueError):
+                dist.quantile(spec, p)
+
+
 def test_binom_log_pmf_exact():
     assert np.exp(dist.binom_log_pmf(25, 7, 0.3)) == pytest.approx(BINOM_25_03_PMF7, rel=1e-13)
     # degenerate p: point masses at the support edges

@@ -252,6 +252,8 @@ def test_ks_null_sample_against_exact_law():
     assert len(table) == mc.reps
     assert np.all(np.diff(table) >= 0)
     assert dkw.ks_null_sample(60, mc) is table  # cached
+    with pytest.raises(ValueError):  # read-only, as it is shared
+        table[0] = 1.0
     for x in (0.08, 0.12, 0.2):
         want = stats.kstwo.cdf(x, 60)
         got = np.searchsorted(table, x, side="right") / len(table)

@@ -244,3 +244,10 @@ def test_draw_cache_never_serves_another_familys_draws():
         wrong += not np.array_equal(fusion._cached_draws(rs, mc), rs.aux_sampler(mc))
         del rs
     assert wrong == 0
+
+
+def test_cached_draws_are_read_only():
+    # the cache serves the same array to every later caller in the process
+    draws = fusion._cached_draws(binomial.random_set(5), MCConfig(reps=50, seed=3))
+    with pytest.raises(ValueError):
+        draws[0] = 0.5
