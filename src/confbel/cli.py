@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .audit import DEFAULT_ALPHA_GRID, contour_validity_audit, coverage_probability, ks_uniform
+from .audit import DEFAULT_ALPHA_GRID, contour_validity_audit, coverage_probability
 from .contours import ConsonanceError, GridSpec, NestednessError, as_alpha
 from .fusion import check_compatibility
 from .mc import MCConfig
@@ -182,12 +182,11 @@ def _emit(args, rows: list[dict], meta: dict, note: str = "") -> None:
 
 
 def cmd_fig1(args, seed: int, seed_source: str) -> None:
-    mc = MCConfig(reps=args.reps, seed=seed)
-    draws = np.sort(normal_mean.cd_abs_draws(mc, theta=args.theta))
-    ks = ks_uniform(draws)
-    pos = (np.arange(1, len(draws) + 1) - 0.5) / len(draws)
-    rows = [{"cd_value": f"{v:.10g}", "uniform_position": f"{p:.10g}"} for v, p in zip(draws, pos)]
-    _emit(args, rows, _metadata(args, seed, seed_source, ks_uniform=f"{ks:.6f}"))
+    # 5 000 rows, c falling from |theta| + 9 (P{|X| >= c} < 1e-18) to 0, where
+    # the gap law - value is largest (docs/decisions.md)
+    values, law = normal_mean.cd_abs_law(args.theta, np.linspace(abs(args.theta) + 9.0, 0.0, 5000))
+    rows = [{"cd_value": f"{v:.10g}", "uniform_position": f"{p:.10g}"} for v, p in zip(values, law)]
+    _emit(args, rows, _metadata(args, seed, seed_source, ks_uniform=f"{np.max(law - values):.6f}"))
 
 
 def cmd_binom(args, seed: int, seed_source: str) -> None:
@@ -398,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key=value defaults file (flags win)")
 
     p = sub.add_parser("fig1", help="calibration failure of the |theta| confidence distribution")
-    common(p, "confbel_fig1.csv", 5000)
+    common(p, "confbel_fig1.csv", None)
     p.add_argument("--theta", type=_finite_float, default=0.5)
     p.set_defaults(func=cmd_fig1)
 

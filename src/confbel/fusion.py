@@ -32,13 +32,14 @@ whose level sets sit inside the original confidence regions whenever those
 regions have their nominal coverage.
 
 The supremum over ``alpha`` above the index is the right limit of the support
-mass at the index.  :func:`theta_specific_plaus` cuts the index's last
-bracket into ``ALPHA_SPLIT`` cells, in one more membership call, and reads the
-mass at most ``1.5 tol / ALPHA_SPLIT`` (4.7e-8) past the index, so a model
-with atoms loses one only to a threshold that close above it.  An index of 1
-means every support meets the observation, and the plausibility is exactly 1;
-an index of 0 reads the mass at ``2 tol``.  Here ``tol`` is
-``ALPHA_BISECT_TOL``.
+mass at the index, which every random set carries (in closed form, or
+behrens_fisher's pivot table).  :func:`theta_specific_plaus` cuts the index's
+last bracket into ``ALPHA_SPLIT`` cells, in one more membership call, and
+reads the mass at most ``1.5 tol / ALPHA_SPLIT`` (4.7e-8) past the index, so
+a model with atoms loses one only to a threshold that close above it.  An
+index of 1 means every support meets the observation, and the plausibility
+is exactly 1; an index of 0 searches all of ``(0, tol)`` in 12 calls, ``tol``
+being ``ALPHA_BISECT_TOL``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .audit import SamplingModel
 from .contours import (
     ALPHA_BISECT_TOL,
     ALPHA_SPLIT,
+    _SPLIT_MAX_CALLS,
     ConfidenceFamily,
     ConsonanceError,
     GridSpec,
@@ -102,29 +104,21 @@ class RandomSetFamily:
     ``support_member(u, alpha, theta)`` evaluates the closed support
     ``S_alpha(theta)`` at each row of ``u`` (non-strict inequalities; the
     closure convention matters for the containment law).  Every shipped model
-    passes :func:`support_of` of its association.  ``mass`` returns
-    ``P_U(S_alpha(theta))``; leave it None to estimate by Monte Carlo through
-    ``aux_sampler``, which is also what the structural checks draw from.
+    passes :func:`support_of` of its association.  ``mass(alpha, theta, mc)``
+    returns ``P_U(S_alpha(theta))``, in closed form or from a pivot table;
+    ``aux_sampler`` draws ``U`` for the data and the structural checks.
     """
 
     support_member: Callable[..., np.ndarray]
     aux_sampler: Callable[[MCConfig], np.ndarray]
-    mass: Callable[..., float] | None = None
-
-    def mass_at(self, alpha: float, theta, mc: MCConfig) -> float:
-        if self.mass is not None:
-            return float(self.mass(alpha, theta, mc))
-        draws = _cached_draws(self, mc)
-        return float(np.mean(self.support_member(draws, alpha, theta)))
+    mass: Callable[..., float]
 
 
 @functools.lru_cache(maxsize=8)
 def _cached_draws(rs: RandomSetFamily, mc: MCConfig) -> np.ndarray:
-    # Common random numbers: every alpha (and every theta) inside one contour
-    # evaluation sees the same auxiliary draws, so masses are monotone in
-    # alpha by construction and nudges cannot flip signs.  The cache holds the
-    # family itself, not its id: the strong reference keeps a collected
-    # sampler's id from being reused by another family while the entry lives.
+    # The structural checks probe every alpha of a family on the same draws.
+    # The cache holds the family itself, not its id: the strong reference keeps
+    # a collected sampler's id from being reused while the entry lives.
     # Read-only, as every cached table is: a write would reach later callers.
     draws = rs.aux_sampler(mc)
     draws.flags.writeable = False
@@ -150,8 +144,8 @@ def focal_set(assoc: Association, x, u):
 
 
 def support_mass(rs: RandomSetFamily, alpha, theta, mc: MCConfig) -> float:
-    """``P_U(S_alpha(theta))``, exact when the family carries a closed form."""
-    return rs.mass_at(as_alpha(alpha), theta, mc)
+    """``P_U(S_alpha(theta))``: the family's own mass at a checked level."""
+    return float(rs.mass(as_alpha(alpha), theta, mc))
 
 
 def alpha_index(assoc: Association, x, theta) -> float:
@@ -171,14 +165,14 @@ def theta_specific_plaus(assoc: Association, rs: RandomSetFamily, x, theta, mc: 
     if a >= 1.0:
         return 1.0
     tol = ALPHA_BISECT_TOL
-    level = 2.0 * tol
-    if a > 0.0:
-        # the index's last bracket lies inside a -+ tol/2, and a stop at
-        # 1.5 fine ends the search after its first cut into cells of width fine
-        fine = tol / ALPHA_SPLIT
-        member = assoc.family.member
-        level = fine + bisect(lambda al: member(x, al, theta), a - tol / 2.0, a + tol / 2.0, 1.5 * fine)
-    return float(max(0.0, 1.0 - rs.mass_at(level, theta, mc)))
+    # a bracket tol wide: the index's last, a -+ tol/2, cut once, or below the
+    # clamp all of (0, tol), cut 12 times; the search ends in a cell of width
+    # fine, and the mass is read just above it
+    lo, hi, calls = (a - tol / 2.0, a + tol / 2.0, 1) if a > 0.0 else (0.0, tol, _SPLIT_MAX_CALLS)
+    fine = tol / ALPHA_SPLIT**calls
+    member = assoc.family.member
+    level = fine + bisect(lambda al: member(x, al, theta), lo, hi, 1.5 * fine)
+    return float(max(0.0, 1.0 - rs.mass(level, theta, mc)))
 
 
 def fused_contour(

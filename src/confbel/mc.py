@@ -78,6 +78,6 @@ class MCConfig:
     def with_reps(self, reps: int) -> "MCConfig":
         return replace(self, reps=reps)
 
-    def uniforms(self, n: int | None = None) -> np.ndarray:
-        """``n`` (default ``reps``) uniforms from the start of the stream."""
-        return self.generator().random(self.reps if n is None else n)
+    def uniforms(self) -> np.ndarray:
+        """``reps`` uniforms from the start of the stream."""
+        return self.generator().random(self.reps)

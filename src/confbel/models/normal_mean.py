@@ -21,7 +21,6 @@ from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridSpec, Interval, PlausibilityContour
 from ..fusion import Association, RandomSetFamily, sampling_of, support_of
-from ..mc import MCConfig
 
 
 def pivot_contour(x, theta):
@@ -100,10 +99,17 @@ def cd_abs_value(x, phi):
     return out if out.ndim else float(out)
 
 
-def cd_abs_draws(mc: MCConfig, theta: float = 0.5) -> np.ndarray:
-    """Values of ``H_X(|theta|)`` under repeated sampling at the truth.
+def cd_abs_law(theta, c):
+    """The law of ``H_X(|theta|)`` at the truth: ``(v, F)`` with ``v = H_c(|theta|)``
+    and ``F = P_theta{H_X(|theta|) <= v}``, for ``c >= 0``.
 
-    Were the confidence distribution calibrated, these would be uniform on
-    (0, 1); they are not, which a KS statistic against uniformity exposes.
+    ``H_x(a)`` is even and, for ``a = |theta| > 0``, falls in ``|x|``, so the
+    event is ``{|X| >= c}`` and ``F = v + 2 Phi(-c - a)``; were the confidence
+    distribution calibrated, ``F`` would be ``v``.  At ``theta = 0``, ``H`` is 0
+    and ``F`` is 1.
     """
-    return cd_abs_value(sampling().sample(theta, mc), abs(theta))
+    a = abs(float(theta))
+    v = cd_abs_value(c, a)
+    if a == 0.0:
+        return v, np.ones_like(v)
+    return v, v + 2.0 * special.ndtr(-np.asarray(c, dtype=float) - a)

@@ -31,6 +31,7 @@ from confbel.models import (
 )
 from test_binomial import binom_g
 from test_generic_properties import containment_violations
+from test_normal_mean import cd_abs_draws
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -69,7 +70,7 @@ def test_criterion_1_ratio_interval_coverage():
 
 def test_criterion_2_cd_draws_nonuniform_but_lawful():
     mc = MCConfig(reps=5000, seed=1)
-    draws = np.sort(normal_mean.cd_abs_draws(mc, theta=0.5))
+    draws = np.sort(cd_abs_draws(mc, theta=0.5))
     ks = ks_uniform(draws)
 
     # Independent oracle for the exact law of the drawn values: the profile

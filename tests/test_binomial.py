@@ -291,8 +291,9 @@ def test_right_limit_costs_one_membership_call():
         probes = len(calls)
         calls.clear()
         theta_specific_plaus(assoc, rs, x, theta, mc)
-        # an index of 0 or 1 reads its mass without refining
-        assert len(calls) == probes + (0.0 < index < 1.0)
+        # an index inside (0, 1) refines its last bracket in one call, an
+        # index of 0 searches (0, tol) in all 12, and an index of 1 reads 1
+        assert len(calls) == probes + {0.0: 12, 1.0: 0}.get(index, 1)
 
 
 def test_tails_scalar_calls_are_the_array_call_and_exact_off_the_support():

@@ -29,22 +29,26 @@ def _clean_env(monkeypatch):
 
 
 def test_fig1_artifact(tmp_path):
+    # the exact law of H_X(|theta|) on a fixed 5 000-point grid; nothing is drawn
     out = tmp_path / "fig1.csv"
-    assert main(["fig1", "--out", str(out), "--reps", "300", "--seed", "5"]) == 0
+    assert main(["fig1", "--out", str(out), "--seed", "5"]) == 0
     meta, rows = read_csv(out)
     assert meta["command"] == "fig1"
     assert meta["seed"] == "5"
     assert meta["seed_source"] == "flag"
-    assert meta["opt_reps"] == "300"
+    assert "opt_reps" not in meta
     assert meta["opt_theta"] == "0.5"
-    assert 0.0 < float(meta["ks_uniform"]) < 1.0
-    assert len(rows) == 300
+    assert meta["ks_uniform"] == "0.617075"  # 2 Phi(-0.5)
+    assert len(rows) == 5000
     assert set(rows[0]) == {"cd_value", "uniform_position"}
+    values = [float(r["cd_value"]) for r in rows]
+    assert values == sorted(values)
+    assert float(rows[-1]["uniform_position"]) == 1.0
 
 
 def test_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["fig1", "--reps", "200", "--seed", "8"]
+    argv = ["uniform", "--reps", "200", "--seed", "8"]
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -52,7 +56,7 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_seed_source_default(tmp_path):
     out = tmp_path / "o.csv"
-    assert main(["fig1", "--out", str(out), "--reps", "50"]) == 0
+    assert main(["uniform", "--out", str(out), "--reps", "50"]) == 0
     meta, _ = read_csv(out)
     assert meta["seed"] == "0"
     assert meta["seed_source"] == "default"
@@ -61,7 +65,7 @@ def test_seed_source_default(tmp_path):
 def test_seed_source_env(tmp_path, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "42")
     out = tmp_path / "o.csv"
-    assert main(["fig1", "--out", str(out), "--reps", "50"]) == 0
+    assert main(["uniform", "--out", str(out), "--reps", "50"]) == 0
     meta, _ = read_csv(out)
     assert meta["seed"] == "42"
     assert meta["seed_source"] == "env"
@@ -69,25 +73,25 @@ def test_seed_source_env(tmp_path, monkeypatch):
 
 def test_env_seed_must_be_integer(tmp_path, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "abc")
-    assert main(["fig1", "--out", str(tmp_path / "o.csv"), "--reps", "50"]) == 2
+    assert main(["uniform", "--out", str(tmp_path / "o.csv"), "--reps", "50"]) == 2
 
 
 def test_config_supplies_defaults_and_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 9\nreps = 123  # comment survives\n")
     out = tmp_path / "o.csv"
-    assert main(["fig1", "--out", str(out), "--config", str(cfg)]) == 0
-    meta, rows = read_csv(out)
+    assert main(["uniform", "--out", str(out), "--config", str(cfg)]) == 0
+    meta, _ = read_csv(out)
     assert meta["seed"] == "9"
     assert meta["seed_source"] == "config"
-    assert len(rows) == 123
+    assert meta["opt_reps"] == "123"
 
     out2 = tmp_path / "o2.csv"
-    assert main(["fig1", "--out", str(out2), "--config", str(cfg), "--seed", "3", "--reps", "50"]) == 0
-    meta2, rows2 = read_csv(out2)
+    assert main(["uniform", "--out", str(out2), "--config", str(cfg), "--seed", "3", "--reps", "50"]) == 0
+    meta2, _ = read_csv(out2)
     assert meta2["seed"] == "3"
     assert meta2["seed_source"] == "flag"
-    assert len(rows2) == 50
+    assert meta2["opt_reps"] == "50"
 
 
 def test_config_file_errors(tmp_path):
@@ -334,10 +338,11 @@ def _exit_code(argv) -> int:
         (["dkw", "--data", "{tmp}/short.csv"], "--data: row 2 of '{tmp}/short.csv' has no number in column 'value'"),
         (["binom", "--grid-points", "1"], "argument --grid-points: expected an integer of at least 2, got '1'"),
         (["fieller", "--grid-points", "0"], "--grid-points: expected an integer of at least 2, got '0'"),
-        (["fig1", "--reps", "0"], "argument --reps: expected an integer of at least 1, got '0'"),
+        (["fig1", "--reps", "5"], "unrecognized arguments: --reps 5"),
+        (["uniform", "--reps", "0"], "argument --reps: expected an integer of at least 1, got '0'"),
         (["bf", "--n1", "1"], "argument --n1: expected an integer of at least 2, got '1'"),
         (["bf", "--n2", "0"], "argument --n2: expected an integer of at least 2, got '0'"),
-        (["fig1", "--seed", "-1", "--reps", "50"], "argument --seed: expected an integer of at least 0, got '-1'"),
+        (["uniform", "--seed", "-1", "--reps", "50"], "argument --seed: expected an integer of at least 0, got '-1'"),
         (["dkw", "--sample-seed", "-1"], "argument --sample-seed: expected an integer of at least 0, got '-1'"),
         (["uniform", "--alpha", "1.5"], "argument --alpha: alpha must lie strictly in (0, 1), got 1.5"),
         (["fieller", "--alpha", "0", "--reps", "50"], "argument --alpha: alpha must lie strictly in (0, 1), got 0.0"),
@@ -352,15 +357,15 @@ def _exit_code(argv) -> int:
         (["fieller", "--theta2", "0", "--reps", "50"], "--theta2: theta_2 = 0 has no defined ratio"),
         (["coverage", "--theta", "1,0", "--reps", "50"], "--theta: theta_2 = 0 has no defined ratio"),
         (["fieller", "--curve", "--phi-lo", "1", "--phi-hi", "0"], "--phi-hi must exceed --phi-lo, got 0.0 <= 1.0"),
-        (["fig1", "--seed", str(2**64), "--reps", "50"], "argument --seed: expected an integer below 2**64"),
+        (["uniform", "--seed", str(2**64), "--reps", "50"], "argument --seed: expected an integer below 2**64"),
     ],
     ids=[
         "dkw_alpha", "coverage_nan_truth", "coverage_negative_variance", "dkw_n", "binom_n", "uniform_n",
         "out_in_missing_directory", "out_is_a_directory", "data_missing", "data_is_a_directory", "data_short_row",
-        "binom_grid_points", "fieller_grid_points_without_curve", "fig1_reps", "bf_n1", "bf_n2", "negative_seed",
-        "negative_sample_seed", "uniform_alpha", "fieller_alpha", "coverage_alpha", "binom_x", "uniform_x2_below_x1",
-        "uniform_range_above_1", "audit_alphas", "bf_lambda_cols", "bf_v1", "coverage_binomial_p",
-        "fieller_theta2_zero", "coverage_fieller_theta2_zero", "fieller_phi_range", "seed_above_64_bits",
+        "binom_grid_points", "fieller_grid_points_without_curve", "fig1_reps", "uniform_reps", "bf_n1", "bf_n2",
+        "negative_seed", "negative_sample_seed", "uniform_alpha", "fieller_alpha", "coverage_alpha", "binom_x",
+        "uniform_x2_below_x1", "uniform_range_above_1", "audit_alphas", "bf_lambda_cols", "bf_v1",
+        "coverage_binomial_p", "fieller_theta2_zero", "coverage_fieller_theta2_zero", "fieller_phi_range", "seed_above_64_bits",
     ],
 )
 def test_out_of_domain_value_exits_2_without_artifact(argv, message, tmp_path, capsys):
@@ -407,7 +412,7 @@ def test_failed_write_exits_2_naming_out(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("where", ["config", "env"])
 def test_negative_seed_from_config_or_env_exits_2(where, tmp_path, monkeypatch, capsys):
     out = tmp_path / "o.csv"
-    argv = ["fig1", "--reps", "50", "--out", str(out)]
+    argv = ["uniform", "--reps", "50", "--out", str(out)]
     if where == "config":
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = -3\n")
@@ -422,17 +427,17 @@ def test_negative_seed_from_config_or_env_exits_2(where, tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "argv, config, code, rows",
+    "argv, config, code, rows, want",
     [
-        (["fig1", "--rep", "7"], "reps = 20\n", 0, 7),
-        (["fig1", "--se", "5", "--reps", "10"], None, 0, 10),
-        (["fig1"], "reps = 1e3\n", 2, None),
-        (["fieller", "--reps", "50"], "curve = false\n", 0, 1),
-        (["fig1", "--theta", "nan", "--reps", "50"], None, 2, None),
-        (["fieller", "--x1", "inf", "--reps", "50"], None, 2, None),
-        (["fig1", "--reps", "50"], "theta = -inf\n", 2, None),
-        (["fieller", "--curve", "--grid-points", "0", "--reps", "50"], None, 2, None),
-        (["bf", "--reps", "100", "--grid-points", "5"], "lambda-cols = 0.5\n", 0, 5),
+        (["uniform", "--rep", "7"], "reps = 20\n", 0, 512, {"opt_reps": "7"}),
+        (["uniform", "--se", "5", "--reps", "10"], None, 0, 512, {"seed": "5", "seed_source": "flag"}),
+        (["uniform"], "reps = 1e3\n", 2, None, None),
+        (["fieller", "--reps", "50"], "curve = false\n", 0, 1, {}),
+        (["fig1", "--theta", "nan"], None, 2, None, None),
+        (["fieller", "--x1", "inf", "--reps", "50"], None, 2, None, None),
+        (["fig1"], "theta = -inf\n", 2, None, None),
+        (["fieller", "--curve", "--grid-points", "0", "--reps", "50"], None, 2, None, None),
+        (["bf", "--reps", "100", "--grid-points", "5"], "lambda-cols = 0.5\n", 0, 5, {}),
     ],
     ids=[
         "abbreviated_flag_beats_config", "abbreviated_seed_flag", "config_int_written_as_float",
@@ -440,7 +445,7 @@ def test_negative_seed_from_config_or_env_exits_2(where, tmp_path, monkeypatch, 
         "config_csv_option_of_one_number",
     ],
 )
-def test_options_parse_alike_from_flags_and_config(argv, config, code, rows, tmp_path, capsys):
+def test_options_parse_alike_from_flags_and_config(argv, config, code, rows, want, tmp_path, capsys):
     out = tmp_path / "o.csv"
     argv = argv + ["--out", str(out)]
     if config is not None:
@@ -454,8 +459,7 @@ def test_options_parse_alike_from_flags_and_config(argv, config, code, rows, tmp
         return
     meta, got = read_csv(out)
     assert len(got) == rows
-    if "--se" in argv:
-        assert (meta["seed"], meta["seed_source"]) == ("5", "flag")
+    assert {key: meta[key] for key in want} == want
 
 
 def test_config_switch_values(tmp_path, capsys):
@@ -483,13 +487,14 @@ def test_config_value_outside_choices_exits_2(command, dest, value, tmp_path, ca
     cfg.write_text(f"{dest} = {value}\n")
     out = tmp_path / "o.csv"
     option, choices = f"--{dest}", _model_choices(command, dest)
-    assert _exit_code([command, "--reps", "20", "--config", str(cfg), "--out", str(out)]) == 2
+    draws = [] if command == "fig1" else ["--reps", "20"]  # fig1 draws nothing
+    assert _exit_code([command, *draws, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"argument {option}: invalid choice: {value!r}" in err
     assert all(c in err.partition("choose from")[2] for c in choices)
     assert not out.exists()
     # a flag still wins over the file's value
-    assert _exit_code([command, "--reps", "20", "--config", str(cfg), option, choices[0], "--out", str(out)]) == 0
+    assert _exit_code([command, *draws, "--config", str(cfg), option, choices[0], "--out", str(out)]) == 0
 
 
 def test_coverage_truth_from_config_file(tmp_path):
@@ -526,12 +531,13 @@ def test_coverage_unknown_model_exits_2(tmp_path):
 
 
 def test_json_format(tmp_path):
-    out = tmp_path / "fig1.json"
-    assert main(["fig1", "--out", str(out), "--format", "json", "--reps", "80", "--seed", "1"]) == 0
+    out = tmp_path / "uniform.json"
+    assert main(["uniform", "--out", str(out), "--format", "json", "--reps", "80", "--seed", "1"]) == 0
     doc = json.loads(out.read_text())
     assert set(doc) == {"metadata", "rows"}
-    assert doc["metadata"]["command"] == "fig1"
-    assert len(doc["rows"]) == 80
+    assert doc["metadata"]["command"] == "uniform"
+    assert doc["metadata"]["opt_reps"] == 80
+    assert len(doc["rows"]) == 512
 
 
 def test_cli_loads_scipy_special_only_when_a_command_evaluates_it(tmp_path):

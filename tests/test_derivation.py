@@ -143,7 +143,7 @@ def test_binomial_deep_tail_reads_its_contour():
     mc = MCConfig(reps=1_000, seed=3)
     assert alpha_index(binomial.association(25), 17, 0.037) == 0.0
     pl = theta_specific_plaus(binomial.association(25), binomial.random_set(25), 17, 0.037, mc)
-    assert abs(pl - binomial.im_contour(25, 17, 0.037)) <= 1e-5
+    assert abs(pl - binomial.im_contour(25, 17, 0.037)) <= 1e-15
 
 
 @pytest.mark.parametrize("x", [(0.2, 0.9), (0.05, 0.5)])

@@ -211,7 +211,7 @@ def test_normal_sample_mean():
 def test_binomial_sample_matches_inversion():
     mc = MCConfig(reps=2000, seed=9)
     draws = binomial.sampling(25).sample(0.3, mc)
-    u = mc.uniforms(2000)
+    u = mc.uniforms()
     expected = np.asarray([dist.binom_inverse_cdf(25, 0.3, ui) for ui in u])
     assert np.array_equal(draws, expected)
     assert draws.min() >= 0 and draws.max() <= 25

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from confbel.fusion import check_compatibility, check_nested_support
+from confbel.fusion import check_compatibility, check_nested_support, support_mass
 from confbel.mc import MCConfig
 from confbel.models import dkw, dkw_bundle
 from confbel.reportio import write_rows
@@ -200,7 +200,7 @@ def test_dkw_paths_never_build_the_null_table(monkeypatch):
         assert bundle.contour_at_truth(bundle.sampling.sample(truth, MCConfig(reps=50, seed=4)), truth).shape == (50,)
         _, lower, _ = dkw.dkw_band(x, 0.05)
         assert 0.0 <= dkw.dkw_contour(x, lower)[1] <= 1.0
-        assert 0.95 <= bundle.random_set.mass_at(0.05, None, MC) <= 1.0
+        assert 0.95 <= support_mass(bundle.random_set, 0.05, None, MC) <= 1.0
 
 
 def test_sup_norm_rejects_non_cdf():
@@ -275,7 +275,7 @@ def test_support_mass_respects_band_bound():
         rs = dkw.random_set(n)
         for alpha in (0.001, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.9):
             delta = dkw.dkw_delta(n, alpha)
-            mass = rs.mass_at(alpha, None, MC)
+            mass = support_mass(rs, alpha, None, MC)
             assert mass >= 1.0 - alpha
             assert mass == pytest.approx(1.0 - stats.kstwo.sf(delta, n), abs=1e-10)
             # For n > 140 and 2.2 <= n delta^2 < 18 scipy's cdf takes Pelz-Good

@@ -25,7 +25,7 @@ from confbel.fusion import (
     theta_specific_plaus,
 )
 from confbel.mc import MCConfig
-from confbel.models import binomial, normal_mean, uniform_loc
+from confbel.models import REGISTRY, binomial, normal_mean, uniform_loc
 
 MC = MCConfig(reps=20_000, seed=31)
 X_PAIR = (0.2, 0.9)  # observed (min, max) of the uniform-location model
@@ -121,17 +121,41 @@ def test_generic_route_reads_the_closed_forms(model):
         assert abs(theta_specific_plaus(assoc, rs, x, theta, mc) - fused(x, theta)) <= 1e-5, (x, theta)
 
 
+def sampled_mass(rs: RandomSetFamily, alpha, theta, mc: MCConfig) -> float:
+    """Monte Carlo ``P_U(S_alpha(theta))``: the share of ``rs``'s own draws
+    inside the support, the oracle of every random set's ``mass``."""
+    return float(np.mean(rs.support_member(rs.aux_sampler(mc), alpha, theta)))
+
+
 def test_support_mass_exact_vs_sampled():
-    exact = uniform_loc.random_set(10)
-    sampled = RandomSetFamily(
-        support_member=exact.support_member,
-        aux_sampler=exact.aux_sampler,
-    )
+    rs = uniform_loc.random_set(10)
     for alpha in (0.05, 0.25, 0.5):
-        assert support_mass(exact, alpha, 0.0, MC) == 1.0 - alpha
+        assert support_mass(rs, alpha, 0.0, MC) == 1.0 - alpha
         se = np.sqrt(alpha * (1 - alpha) / MC.reps)
-        got = support_mass(sampled, alpha, 0.0, MC)
+        got = sampled_mass(rs, alpha, 0.0, MC)
         assert got == pytest.approx(1.0 - alpha, abs=4 * se)
+
+
+SUPPORT_ALPHAS = (0.05, 0.25, 0.5)
+SUPPORT_CELLS = [(name, truth) for name in sorted(REGISTRY) for truth in REGISTRY[name]().theta_grid_hint]
+
+
+@pytest.mark.parametrize("name, truth", SUPPORT_CELLS, ids=[f"{n}-{getattr(t, 'name', t)}" for n, t in SUPPORT_CELLS])
+def test_every_support_mass_is_the_share_of_draws_in_its_support(name, truth):
+    # Two-sided, Bonferroni over every (model, truth, alpha) cell at a
+    # family-wise level of 1e-3, fixed before any run: each cell's sampled
+    # share lies within z se of the mass, z = Phi^-1(1 - 1e-3 / (2 cells)).
+    # behrens_fisher's mass is itself the share of its pivot table below a
+    # quantile, drawn from the same stream, so its cells test that the
+    # support is that event.
+    cells = len(SUPPORT_CELLS) * len(SUPPORT_ALPHAS)
+    z = special.ndtri(1.0 - 1e-3 / (2 * cells))
+    rs = REGISTRY[name]().random_set
+    mc = MCConfig(reps=2_000, seed=61)
+    for alpha in SUPPORT_ALPHAS:
+        mass = support_mass(rs, alpha, truth, mc)
+        se = np.sqrt(mass * (1.0 - mass) / mc.reps)
+        assert abs(sampled_mass(rs, alpha, truth, mc) - mass) <= z * se, (alpha, mass)
 
 
 def test_focal_sets():
@@ -200,6 +224,7 @@ def test_check_nested_support():
     flipped = RandomSetFamily(
         support_member=lambda u, alpha, theta: rs.support_member(u, 1.0 - alpha, theta),
         aux_sampler=rs.aux_sampler,
+        mass=rs.mass,
     )
     bad = check_nested_support(flipped, 0.0, (0.05, 0.5), MC)
     assert not bad.passed

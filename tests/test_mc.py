@@ -62,8 +62,8 @@ def test_uniforms():
     u = mc.uniforms()
     assert u.shape == (100,)
     assert np.all((u >= 0.0) & (u < 1.0))
-    assert np.array_equal(mc.uniforms(100), u)
-    assert np.array_equal(mc.uniforms(10), u[:10])
+    assert np.array_equal(mc.generator().random(100), u)
+    assert np.array_equal(mc.with_reps(10).uniforms(), u[:10])
 
 
 def test_offset_continues_the_stream():

@@ -58,10 +58,16 @@ def test_cd_abs_value_closed_form():
     assert vals[-1] == pytest.approx(1.0, abs=1e-12)
 
 
+def cd_abs_draws(mc: MCConfig, theta: float = 0.5) -> np.ndarray:
+    """Values of ``H_X(|theta|)`` under repeated sampling at the truth: the
+    Monte Carlo oracle of ``normal_mean.cd_abs_law``."""
+    return normal_mean.cd_abs_value(normal_mean.sampling().sample(theta, mc), abs(theta))
+
+
 def test_cd_abs_draws_deterministic_and_bounded():
     mc = MCConfig(reps=2000, seed=41)
-    draws = normal_mean.cd_abs_draws(mc)
-    assert np.array_equal(draws, normal_mean.cd_abs_draws(mc))
+    draws = cd_abs_draws(mc)
+    assert np.array_equal(draws, cd_abs_draws(mc))
     assert draws.shape == (2000,)
     assert np.all(draws > 0.0)
     assert np.all(draws <= W_MAX + 1e-12)
@@ -80,7 +86,7 @@ def cd_abs_exact_cdf(t: float, theta: float = 0.5) -> float:
 
 def test_cd_abs_draws_far_from_uniform_but_match_their_law():
     mc = MCConfig(reps=5000, seed=1)
-    draws = np.sort(normal_mean.cd_abs_draws(mc))
+    draws = np.sort(cd_abs_draws(mc))
     # nowhere near Uniform(0, 1)
     assert ks_uniform(draws) > 0.10
     # yet exactly as predicted by the closed-form law of the assignment
@@ -88,6 +94,52 @@ def test_cd_abs_draws_far_from_uniform_but_match_their_law():
     exact = np.asarray([cd_abs_exact_cdf(t) for t in grid])
     empirical = np.searchsorted(draws, grid, side="right") / len(draws)
     assert np.max(np.abs(empirical - exact)) < 0.02
+
+
+def _fig1_grid(theta: float) -> np.ndarray:
+    """``confbel fig1``'s c-grid: from past ``|theta| + 9`` down to 0."""
+    return np.linspace(abs(theta) + 9.0, 0.0, 5000)
+
+
+@pytest.mark.parametrize("theta", [0.5, -1.3, 2.0, 0.05])
+def test_cd_abs_law_is_the_brentq_oracle(theta):
+    # the inversion behind the oracle is ill-conditioned where H is flat, at
+    # c = 0, so the grid starts at 0.05 (c = 0 is the oracle's 1 exactly)
+    cs = np.linspace(0.05, abs(theta) + 9.0, 400)
+    v, law = normal_mean.cd_abs_law(theta, cs)
+    want = [cd_abs_exact_cdf(t, abs(theta)) for t in v]
+    assert_allclose(law, want, rtol=0, atol=1e-12)
+    v0, law0 = normal_mean.cd_abs_law(theta, 0.0)
+    assert law0 == 1.0 and v0 == normal_mean.cd_abs_value(0.0, abs(theta))
+
+
+def test_cd_abs_law_is_the_law_of_the_draws():
+    # DKW: the ECDF of n draws is within eps of the law everywhere with
+    # probability >= 1 - 2 exp(-2 n eps^2) = 1 - 1e-3
+    n = 200_000
+    eps = np.sqrt(np.log(2 / 1e-3) / (2 * n))
+    draws = np.sort(cd_abs_draws(MCConfig(reps=n, seed=53), theta=0.5))
+    v, law = normal_mean.cd_abs_law(0.5, _fig1_grid(0.5))
+    ecdf = np.searchsorted(draws, v, side="right") / n
+    assert np.max(np.abs(ecdf - law)) <= eps
+
+
+@pytest.mark.parametrize("theta", [0.5, -1.3, 2.0, 0.05])
+def test_cd_abs_law_ks_gap_is_two_tails_at_c_zero(theta):
+    cs = _fig1_grid(theta)
+    v, law = normal_mean.cd_abs_law(theta, cs)
+    assert np.all(np.diff(v) >= 0.0) and np.all(np.diff(law) >= 0.0)
+    gap = law - v
+    assert np.argmax(gap) == len(cs) - 1  # c = 0
+    assert abs(np.max(gap) - 2.0 * special.ndtr(-abs(theta))) <= 1e-15
+    # the grid reaches past the c where P{|X| >= c} falls below 1e-15
+    assert law[0] < 1e-15
+
+
+def test_cd_abs_law_at_zero_is_a_point_mass():
+    v, law = normal_mean.cd_abs_law(0.0, _fig1_grid(0.0))
+    assert np.all(v == 0.0) and np.all(law == 1.0)
+    assert np.max(law - v) == 1.0
 
 
 def test_abs_plausibility_remains_valid_at_truth():

@@ -45,6 +45,7 @@ LEDGER = {
     # sets and marginals; the fused random set; each model's random-set mass
     # and focal set; the containment candidates
     "audit.assertion_validity_audit": ORACLE,
+    "audit.ks_distances": ORACLE,
     "contours.Interval.contains": ORACLE,
     "contours.IntervalUnion.is_empty": ORACLE,
     "contours.IntervalUnion.contains": ORACLE,
@@ -66,7 +67,6 @@ LEDGER = {
     "contours.marginal_contour": ORACLE,
     "contours.marginal_region": ORACLE,
     "contours.marginal_region.marg": ORACLE,
-    "fusion.RandomSetFamily.mass_at": ORACLE,
     "fusion._cached_draws": ORACLE,
     "fusion.alpha_index": ORACLE,
     "fusion.theta_specific_plaus": ORACLE,
@@ -90,6 +90,7 @@ LEDGER = {
     "models.normal_mean.abs_contour": ORACLE,
     "models.normal_mean.abs_contour.fn": ORACLE,
     # names perfbench/tracer.py patches or perfbench/workloads.py reads
+    "audit.ks_uniform": PERFBENCH,
     "distributions.cdf": PERFBENCH,
     "fusion.focal_set": PERFBENCH,
     "fusion.support_mass": PERFBENCH,

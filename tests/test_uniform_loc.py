@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from confbel.audit import contour_validity_audit, coverage_probability
 from confbel.contours import Interval, PlausibilityContour, contour_from_family, plausibility_region
-from confbel.fusion import check_compatibility, check_nested_support
+from confbel.fusion import check_compatibility, check_nested_support, support_mass
 from confbel.mc import MCConfig
 from confbel.models import uniform_loc
 
@@ -123,7 +123,7 @@ def test_batch_and_scalar_routes_agree_on_edges(x, theta, want):
 def test_support_mass_closed_form():
     rs = uniform_loc.random_set(10)
     for alpha in (0.05, 0.3, 0.7):
-        assert rs.mass_at(alpha, 0.0, MC) == 1.0 - alpha
+        assert support_mass(rs, alpha, 0.0, MC) == 1.0 - alpha
     report = check_nested_support(rs, 0.0, (0.05, 0.1, 0.25, 0.5, 0.9), MC)
     assert report.passed
 
