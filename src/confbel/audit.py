@@ -14,10 +14,10 @@ results are reproducible bit for bit from the Monte Carlo configuration.
 
 Replicates are drawn and reduced in row blocks of one stream
 (:meth:`MCConfig.blocks`), keeping one hit or one plausibility per replicate,
-so memory stays bounded by the block size whatever ``reps`` is.  The stream is
-counter-based and every sampler transforms each replicate's own uniforms, so
-the blocks are the whole draw bit for bit and every estimate is the float a
-single draw would give.
+so memory stays bounded by the block size whatever ``reps`` is.  A block's
+generator is advanced to its first uniform and every sampler transforms each
+replicate's own uniforms, so the blocks are the whole draw bit for bit and
+every estimate is the float a single draw would give.
 """
 
 from __future__ import annotations

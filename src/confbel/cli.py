@@ -1,9 +1,10 @@
 """Batch command line: model demonstrations, audits, and coverage checks.
 
 Every subcommand writes one CSV (or JSON) artifact with a metadata header
-sufficient to reproduce it: the effective option values, the seed and where it
-came from, and the package version.  Writes are atomic.  Exit codes: 0 on
-success, 2 for configuration problems, 3 when a numerical routine fails.
+sufficient to reproduce it: the effective option values, the package version
+and, for the commands that draw, the seed and where it came from.  Writes are
+atomic.  Exit codes: 0 on success, 2 for configuration problems, 3 when a
+numerical routine fails.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ def _count_at_least(minimum: int):
 
 
 def _seed(text: str) -> int:
-    """argparse type of ``--seed``: a key of the 64-bit Philox stream."""
+    """argparse type of ``--seed``: the ``SeedSequence`` entropy of every
+    PCG64DXSM stream a command draws, a 64-bit non-negative integer."""
     value = _count_at_least(0)(text)
     if value >= 2**64:
         raise argparse.ArgumentTypeError(f"expected an integer below 2**64, got {text!r}")
@@ -152,14 +154,11 @@ def _check_truth(option: str, sampling, interest, theta) -> None:
         raise UsageError(f"{option}: {exc}") from exc
 
 
-def _metadata(args, seed: int, seed_source: str, **extra) -> dict:
-    meta = {
-        "tool": f"confbel {__version__}",
-        "command": args.command,
-        "seed": seed,
-        "seed_source": seed_source,
-    }
-    skip = {"command", "func", "out", "format", "config", "seed"}
+def _metadata(args, **extra) -> dict:
+    meta = {"tool": f"confbel {__version__}", "command": args.command}
+    if "seed" in vars(args):  # only the commands that draw take a seed
+        meta.update(seed=args.seed, seed_source=args.seed_source)
+    skip = {"command", "func", "out", "format", "config", "seed", "seed_source"}
     for key, value in sorted(vars(args).items()):
         if key in skip or callable(value):
             continue
@@ -181,15 +180,15 @@ def _emit(args, rows: list[dict], meta: dict, note: str = "") -> None:
 # Subcommands
 
 
-def cmd_fig1(args, seed: int, seed_source: str) -> None:
+def cmd_fig1(args) -> None:
     # 5 000 rows, c falling from |theta| + 9 (P{|X| >= c} < 1e-18) to 0, where
     # the gap law - value is largest (docs/decisions.md)
     values, law = normal_mean.cd_abs_law(args.theta, np.linspace(abs(args.theta) + 9.0, 0.0, 5000))
     rows = [{"cd_value": f"{v:.10g}", "uniform_position": f"{p:.10g}"} for v, p in zip(values, law)]
-    _emit(args, rows, _metadata(args, seed, seed_source, ks_uniform=f"{np.max(law - values):.6f}"))
+    _emit(args, rows, _metadata(args, ks_uniform=f"{np.max(law - values):.6f}"))
 
 
-def cmd_binom(args, seed: int, seed_source: str) -> None:
+def cmd_binom(args) -> None:
     if not 0 <= args.x <= args.n:
         raise UsageError(f"--x must lie in 0..{args.n}, got {args.x}")
     thetas = binomial.default_grid(args.grid_points).points()
@@ -199,15 +198,15 @@ def cmd_binom(args, seed: int, seed_source: str) -> None:
         {"theta": f"{t:.10g}", "cp_contour": f"{c:.10g}", "im_contour": f"{i:.10g}"}
         for t, c, i in zip(thetas, cp, im)
     ]
-    _emit(args, rows, _metadata(args, seed, seed_source, max_gap=f"{np.max(cp - im):.6f}"))
+    _emit(args, rows, _metadata(args, max_gap=f"{np.max(cp - im):.6f}"))
 
 
-def cmd_bf(args, seed: int, seed_source: str) -> None:
+def cmd_bf(args) -> None:
     lam_cols = _csv_floats("--lambda-cols", args.lambda_cols)
     if not all(0.0 <= lam <= 1.0 for lam in lam_cols):
         raise UsageError(f"--lambda-cols: each lambda must lie in [0, 1], got {args.lambda_cols!r}")
     data = behrens_fisher.BehrensFisherData(args.n1, args.m1, args.v1, args.n2, args.m2, args.v2)
-    mc = MCConfig(reps=args.reps, seed=seed)
+    mc = MCConfig(reps=args.reps, seed=args.seed)
     phis = behrens_fisher.default_grid(data, args.grid_points).points()
     hs = behrens_fisher.hs_contour(data, phis)
     col_values = {lam: behrens_fisher.bf_lambda_plaus(data, phis, lam, mc) for lam in lam_cols}
@@ -220,10 +219,10 @@ def cmd_bf(args, seed: int, seed_source: str) -> None:
         # interval contour itself (docs/decisions.md)
         row["marginal"] = row["hs_contour"]
         rows.append(row)
-    _emit(args, rows, _metadata(args, seed, seed_source, max_abs_gap="0.000000"))
+    _emit(args, rows, _metadata(args, max_abs_gap="0.000000"))
 
 
-def cmd_dkw(args, seed: int, seed_source: str) -> None:
+def cmd_dkw(args) -> None:
     if args.data is not None:
         try:
             sample = dkw.EmpiricalSample.from_csv(args.data, column=args.column)
@@ -245,8 +244,6 @@ def cmd_dkw(args, seed: int, seed_source: str) -> None:
     ]
     meta = _metadata(
         args,
-        seed,
-        seed_source,
         n=sample.n,
         delta=f"{delta:.8f}",
         lower_band_alpha_index=f"{idx:.6f}",
@@ -256,9 +253,9 @@ def cmd_dkw(args, seed: int, seed_source: str) -> None:
     _emit(args, rows, meta)
 
 
-def cmd_fieller(args, seed: int, seed_source: str) -> None:
+def cmd_fieller(args) -> None:
     x = (args.x1, args.x2)
-    mc = MCConfig(reps=args.reps, seed=seed)
+    mc = MCConfig(reps=args.reps, seed=args.seed)
     iv = fieller.fieller_interval(x, args.alpha)
     if args.curve and not args.phi_lo < args.phi_hi:
         raise UsageError(f"--phi-hi must exceed --phi-lo, got {args.phi_hi} <= {args.phi_lo}")
@@ -279,8 +276,6 @@ def cmd_fieller(args, seed: int, seed_source: str) -> None:
         rows = [est.as_row()]
     meta = _metadata(
         args,
-        seed,
-        seed_source,
         interval_lower=f"{iv.lower:.8g}",
         interval_upper=f"{iv.upper:.8g}",
         mass_at_infinity=f"{fieller.mass_at_infinity(x):.3e}",
@@ -290,13 +285,13 @@ def cmd_fieller(args, seed: int, seed_source: str) -> None:
     _emit(args, rows, meta)
 
 
-def cmd_uniform(args, seed: int, seed_source: str) -> None:
+def cmd_uniform(args) -> None:
     x = (args.x1, args.x2)
     if x[1] < x[0]:
         raise UsageError(f"--x2 must be at least --x1, got {args.x2} < {args.x1}")
     if x[1] - x[0] > 1.0:  # Unif(theta, theta + 1) data lie within 1 of each other
         raise UsageError(f"--x2 must be at most --x1 + 1, got {args.x2} > {args.x1} + 1")
-    mc = MCConfig(reps=args.reps, seed=seed)
+    mc = MCConfig(reps=args.reps, seed=args.seed)
     grid = uniform_loc.default_grid(x, args.grid_points)
     thetas = grid.points()
     contour = uniform_loc.alpha_index_exact(x, thetas)
@@ -312,8 +307,6 @@ def cmd_uniform(args, seed: int, seed_source: str) -> None:
     est = coverage_probability(uniform_loc.sampling(args.n), uniform_loc.family(), args.theta, args.alpha, mc)
     meta = _metadata(
         args,
-        seed,
-        seed_source,
         interval_lower=f"{iv.lower:.8g}",
         interval_upper=f"{iv.upper:.8g}",
         compatibility=compat.status,
@@ -323,9 +316,9 @@ def cmd_uniform(args, seed: int, seed_source: str) -> None:
     _emit(args, rows, meta)
 
 
-def cmd_audit(args, seed: int, seed_source: str) -> None:
+def cmd_audit(args) -> None:
     bundle = REGISTRY[args.model]()
-    mc = MCConfig(reps=args.reps, seed=seed)
+    mc = MCConfig(reps=args.reps, seed=args.seed)
     try:
         alphas = tuple(as_alpha(a) for a in _csv_floats("--alphas", args.alphas))
     except ValueError as exc:
@@ -358,8 +351,8 @@ def _truth(model: str, text: str, hints: tuple):
     return theta[0] if size == 1 else theta
 
 
-def cmd_coverage(args, seed: int, seed_source: str) -> None:
-    mc = MCConfig(reps=args.reps, seed=seed)
+def cmd_coverage(args) -> None:
+    mc = MCConfig(reps=args.reps, seed=args.seed)
     if args.model == "fieller":
         sampling, family, interest, hints = fieller.sampling(), fieller.family(), fieller.interest, ((1.0, 20.0),)
     else:
@@ -371,7 +364,7 @@ def cmd_coverage(args, seed: int, seed_source: str) -> None:
     t = _truth(args.model, str(args.theta), hints)
     _check_truth("--theta", sampling, interest, t)
     est = coverage_probability(sampling, family, t, args.alpha, mc, interest=interest)
-    _emit(args, [est.as_row()], _metadata(args, seed, seed_source))
+    _emit(args, [est.as_row()], _metadata(args))
 
 
 # --------------------------------------------------------------------------
@@ -389,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, default_out: str, reps: int | None):
         p.add_argument("--out", default=default_out, help="output path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument(
-            "--seed", type=_seed, help=f"RNG seed (else the config file's, ${SEED_ENV_VAR}, then 0)"
-        )
         if reps is not None:  # None: the subcommand draws nothing
+            p.add_argument(
+                "--seed", type=_seed, help=f"Monte Carlo seed (else the config file's, ${SEED_ENV_VAR}, then 0)"
+            )
             p.add_argument("--reps", type=_count_at_least(1), default=reps, help="Monte Carlo replications")
         p.add_argument("--config", default=None, help="key=value defaults file (flags win)")
 
@@ -484,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         unknown = sorted(set(config) - (set(vars(args)) - {"command", "func"}))
         if unknown:
             raise UsageError(f"{args.config}: {args.command} has no option {', '.join(unknown)}")
-        seed, seed_source = _resolve_seed(args, config)
+        resolved = _resolve_seed(args, config) if "seed" in vars(args) else None
         if config:
             # the file's values become defaults: argparse types them, and flags win
             sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -498,8 +491,10 @@ def main(argv: list[str] | None = None) -> int:
                         command._check_value(action, getattr(args, action.dest))
                     except argparse.ArgumentError as exc:
                         command.error(str(exc))
+        if resolved is not None:
+            args.seed, args.seed_source = resolved
         _check_out(args.out)
-        args.func(args, seed, seed_source)
+        args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,10 +13,10 @@ CDFs and quantiles are the double-precision special functions
 ``scipy.special`` ships (``ndtr``/``ndtri``, ``stdtr``/``stdtrit``).  The
 binomial model calls :func:`binom_cdf_table`, an exact log-space
 probability-mass summation, and :func:`binom_inverse_cdf`, the minimal ``k``
-with ``F(k) >= u``, itself.  Samplers are inverse-CDF transforms of Philox
-uniforms (see :mod:`confbel.mc`); the order-statistic sampler draws the
-(min, max) pair from its exact joint law, two uniforms a pair whatever the
-sample size.
+with ``F(k) >= u``, itself.  Samplers are inverse-CDF transforms of
+PCG64DXSM uniforms (see :mod:`confbel.mc`); the order-statistic sampler draws
+the (min, max) pair from its exact joint law, two uniforms a pair whatever
+the sample size.
 """
 
 from __future__ import annotations

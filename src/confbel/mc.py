@@ -1,14 +1,17 @@
 """Reproducible Monte Carlo configuration.
 
 Every stochastic routine in this package draws through an :class:`MCConfig`.
-The generator is counter-based (Philox), keyed by ``seed`` and ``stream_id``,
-so identical configurations give bit-identical draws on every platform and
-distinct stream ids give independent streams without coordination.
+The generator is numpy's ``PCG64DXSM``, seeded by ``SeedSequence(seed,
+spawn_key=(stream_id,))``, which is child ``stream_id`` of
+``SeedSequence(seed).spawn``; so identical configurations give bit-identical
+draws on every platform and distinct stream ids give independent streams
+without coordination.
 
-Because the generator is counter-based, any stretch of a stream can be drawn
-on its own: ``offset`` skips that many 64-bit outputs (one per double), and
-:meth:`MCConfig.blocks` splits a stream into row blocks whose draws, taken in
-order, are the draws of the whole stream bit for bit.
+Each double reads one 64-bit output, and ``PCG64DXSM.advance`` jumps any
+number of outputs in O(log) steps, so any stretch of a stream can be drawn on
+its own: ``offset`` skips that many doubles, and :meth:`MCConfig.blocks`
+splits a stream into row blocks whose draws, taken in order, are the draws of
+the whole stream bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-_KEY_STRIDE = 1 << 64
-# Philox turns its 256-bit counter into four 64-bit outputs per step.
-_OUTPUTS_PER_COUNTER = 4
 # Uniforms per row block of :meth:`MCConfig.blocks` (2 MB of doubles), a row
 # counting as at least MIN_ROW_DRAWS, since its contour's temporaries cost
 # memory however few it reads; docs/decisions.md has the measurements.
@@ -41,7 +41,7 @@ class MCConfig:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
-        if not 0 <= int(self.seed) < _KEY_STRIDE:
+        if not 0 <= int(self.seed) < 1 << 64:
             raise ValueError("seed must be a 64-bit non-negative integer")
         if self.stream_id < 0:
             raise ValueError("stream_id must be non-negative")
@@ -50,11 +50,9 @@ class MCConfig:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned ``offset`` outputs into this stream."""
-        key = int(self.seed) + _KEY_STRIDE * int(self.stream_id)
-        steps, skip = divmod(int(self.offset), _OUTPUTS_PER_COUNTER)
-        bits = np.random.Philox(key=key, counter=steps)
-        if skip:
-            bits.random_raw(skip)
+        bits = np.random.PCG64DXSM(np.random.SeedSequence(int(self.seed), spawn_key=(int(self.stream_id),)))
+        if self.offset:
+            bits.advance(int(self.offset))
         return np.random.Generator(bits)
 
     def blocks(self, draws_per_rep: int) -> Iterator["MCConfig"]:

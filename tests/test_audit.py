@@ -244,7 +244,7 @@ def test_blocks_reproduce_one_draw(name, monkeypatch):
     def stitched(s, mc):
         return np.concatenate([s.sample(truth, block) for block in mc.blocks(s.draws_per_rep)])
 
-    for offset in (5, 6, 7, 8):  # every residue mod 4 of the first block's start
+    for offset in (5, 6, 7, 8):  # four consecutive starts of the first block
         mc = MCConfig(reps=2 * size + 1, seed=9, stream_id=3, offset=offset)
         whole = sampling.sample(truth, mc)
         assert len(list(mc.blocks(sampling.draws_per_rep))) == 3

@@ -31,12 +31,10 @@ def _clean_env(monkeypatch):
 def test_fig1_artifact(tmp_path):
     # the exact law of H_X(|theta|) on a fixed 5 000-point grid; nothing is drawn
     out = tmp_path / "fig1.csv"
-    assert main(["fig1", "--out", str(out), "--seed", "5"]) == 0
+    assert main(["fig1", "--out", str(out)]) == 0
     meta, rows = read_csv(out)
     assert meta["command"] == "fig1"
-    assert meta["seed"] == "5"
-    assert meta["seed_source"] == "flag"
-    assert "opt_reps" not in meta
+    assert not {"seed", "seed_source", "opt_reps"} & set(meta)
     assert meta["opt_theta"] == "0.5"
     assert meta["ks_uniform"] == "0.617075"  # 2 Phi(-0.5)
     assert len(rows) == 5000
@@ -128,6 +126,25 @@ def test_reps_is_no_option_of_exact_commands(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fig1", "binom", "dkw"])
+def test_seed_is_no_option_of_exact_commands(tmp_path, capsys, monkeypatch, command):
+    # fig1, binom and dkw draw nothing: --seed and a config file's seed exit 2,
+    # the environment's seed is not read, and the artifact records no seed
+    out = tmp_path / "o.csv"
+    assert _exit_code([command, "--seed", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 5" in err and "Traceback" not in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\n")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}: {command} has no option seed" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setenv(SEED_ENV_VAR, "not a seed")
+    assert main([command, "--out", str(out)]) == 0
+    meta, _ = read_csv(out)
+    assert not {"seed", "seed_source"} & set(meta)
+
+
 def test_binom_artifact(tmp_path):
     out = tmp_path / "binom.csv"
     assert main(["binom", "--out", str(out)]) == 0
@@ -178,7 +195,7 @@ def test_bf_artifact(tmp_path):
 
 def test_dkw_artifact(tmp_path):
     out = tmp_path / "dkw.csv"
-    assert main(["dkw", "--out", str(out), "--n", "60", "--seed", "3"]) == 0
+    assert main(["dkw", "--out", str(out), "--n", "60"]) == 0
     meta, rows = read_csv(out)
     assert len(rows) == 60
     assert set(rows[0]) == {"x", "ecdf", "lower", "upper"}

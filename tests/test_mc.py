@@ -1,4 +1,4 @@
-"""Seeded counter-based streams: determinism and substream independence."""
+"""Seeded PCG64DXSM streams: determinism, positioning and substream independence."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confbel import mc as mc_module
 from confbel.mc import MCConfig
@@ -67,12 +68,44 @@ def test_uniforms():
 
 
 def test_offset_continues_the_stream():
-    # offset k skips k doubles: counter k // 4 steps, then k % 4 raw outputs
+    # offset k skips k doubles: advance(k) jumps k 64-bit outputs, one per double
     base = MCConfig(reps=4, seed=42, stream_id=3)
     stream = base.generator().random(40)
     for k in range(10):
         at = dataclasses.replace(base, offset=k)
         assert np.array_equal(at.generator().random(30), stream[k : k + 30]), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), j=st.integers(0, 64), k=st.integers(1, 64))
+def test_far_offsets_continue_the_stream(data, j, k):
+    # advance jumps in O(log offset) steps, so any offset up to 2**62 positions
+    # a stream where drawing up to it is out of reach
+    o = data.draw(st.integers(j, 2**62))
+    at = MCConfig(seed=42, stream_id=3, offset=o).generator().random(k)
+    before = MCConfig(seed=42, stream_id=3, offset=o - j).generator().random(j + k)
+    assert np.array_equal(at, before[j:])
+
+
+def test_dkw_cell_offset_is_the_tail_of_one_draw():
+    # 4 000 003 doubles: a 5 000 x 799 dkw cell and three more
+    o = 4_000_003
+    assert np.array_equal(MCConfig(offset=o).generator().random(16), MCConfig().generator().random(o + 16)[o:])
+
+
+@pytest.mark.parametrize("seed, stream_id", [(0, 0), (0, 1), (1, 0), (42, 3), (2**64 - 1, 0), (2**64 - 1, 5)])
+def test_stream_is_child_stream_id_of_the_seed_sequence(seed, stream_id):
+    # SeedSequence(seed, spawn_key=(i,)) is SeedSequence(seed).spawn(i + 1)[i],
+    # so distinct stream ids are spawned siblings, independent as numpy spawns them
+    child = np.random.SeedSequence(seed).spawn(stream_id + 1)[stream_id]
+    want = np.random.Generator(np.random.PCG64DXSM(child)).random(8)
+    assert np.array_equal(MCConfig(seed=seed, stream_id=stream_id).generator().random(8), want)
+
+
+def test_seed_and_stream_id_do_not_commute():
+    a = MCConfig(seed=0, stream_id=1).generator().random()
+    b = MCConfig(seed=1, stream_id=0).generator().random()
+    assert a != b
 
 
 @pytest.mark.parametrize("draws_per_rep", [1, 3, 799, mc_module.BLOCK_DRAWS + 1])
