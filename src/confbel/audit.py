@@ -22,7 +22,7 @@ every estimate is the float a single draw would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,14 +82,7 @@ class AuditRow:
     reps: int
 
     def as_row(self) -> dict:
-        return {
-            "label": self.label,
-            "alpha": self.alpha,
-            "exceedance": self.exceedance,
-            "se": self.se,
-            "flagged": self.flagged,
-            "reps": self.reps,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -209,17 +209,14 @@ def cmd_bf(args) -> None:
     mc = MCConfig(reps=args.reps, seed=args.seed)
     phis = behrens_fisher.default_grid(data, args.grid_points).points()
     hs = behrens_fisher.hs_contour(data, phis)
-    col_values = {lam: behrens_fisher.bf_lambda_plaus(data, phis, lam, mc) for lam in lam_cols}
+    col_values = {lam: behrens_fisher.slice_plaus(data.n1, data.n2, data, lam, phis, mc) for lam in lam_cols}
     rows = []
     for i, phi in enumerate(phis):
         row = {"phi": f"{phi:.10g}", "hs_contour": f"{hs[i]:.10g}"}
         for lam in lam_cols:
             row[f"lambda_{lam:g}"] = f"{col_values[lam][i]:.10g}"
-        # the fused marginal, the sup over lambda of the slices, is the
-        # interval contour itself (docs/decisions.md)
-        row["marginal"] = row["hs_contour"]
         rows.append(row)
-    _emit(args, rows, _metadata(args, max_abs_gap="0.000000"))
+    _emit(args, rows, _metadata(args))
 
 
 def cmd_dkw(args) -> None:
@@ -260,12 +257,10 @@ def cmd_fieller(args) -> None:
     if args.curve and not args.phi_lo < args.phi_hi:
         raise UsageError(f"--phi-hi must exceed --phi-lo, got {args.phi_hi} <= {args.phi_lo}")
     phis = GridSpec(args.phi_lo, args.phi_hi, args.grid_points).points() if args.curve else None
-    theta = (args.theta1, args.theta2)
-    if args.theta is not None:
-        theta = _csv_floats("--theta", args.theta)
-        if len(theta) != 2:
-            raise UsageError(f"--theta takes two components, got {args.theta!r}")
-    _check_truth("--theta" if args.theta is not None else "--theta2", fieller.sampling(), fieller.interest, theta)
+    theta = _csv_floats("--theta", args.theta)
+    if len(theta) != 2:
+        raise UsageError(f"--theta takes two components, got {args.theta!r}")
+    _check_truth("--theta", fieller.sampling(), fieller.interest, theta)
     est = coverage_probability(
         fieller.sampling(), fieller.family(), theta, args.alpha, mc, interest=fieller.interest
     )
@@ -427,9 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "confbel_fieller.csv", 10_000)
     p.add_argument("--x1", type=_finite_float, default=1.0)
     p.add_argument("--x2", type=_finite_float, default=20.0)
-    p.add_argument("--theta1", type=_finite_float, default=1.0)
-    p.add_argument("--theta2", type=_finite_float, default=20.0)
-    p.add_argument("--theta", default=None, help="comma form of the truth, overrides --theta1/--theta2")
+    p.add_argument("--theta", default="1,20", help="comma-separated truth for the coverage estimate")
     p.add_argument("--alpha", type=_alpha, default=0.05)
     curve = p.add_argument("--curve", action="store_true", help="emit the CDF curve instead of the coverage row")
     curve.type = _switch  # converts a config file's `curve = ...`; the flag takes no value

@@ -26,8 +26,8 @@ Conventions fixed here and relied on throughout the package:
   search guided by the contour values (:func:`_crossing`), never by
   model-specific root-finding;
 * the alpha index of a generic family is read by :func:`bisect`, which cuts
-  its bracket into ``ALPHA_SPLIT`` equal cells per membership call and
-  lands within ``ALPHA_BISECT_TOL / 2`` of the supremum.
+  its bracket into ``ALPHA_SPLIT`` equal cells per membership call; its final
+  cell's midpoint lands within ``ALPHA_BISECT_TOL / 2`` of the supremum.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class GridSpec:
 
     lower: float
     upper: float
-    n: int = 512
+    n: int
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.lower) or not np.isfinite(self.upper):
@@ -201,15 +201,16 @@ class PlausibilityContour:
         return self.fn(theta)
 
 
-def bisect(pred: Callable[[np.ndarray], object], lo: float, hi: float, tol: float) -> float:
-    """Midpoint of the bracket from ``lo`` (``pred`` true) to ``hi`` (false),
-    in either order, cut into ``ALPHA_SPLIT`` equal cells a call until
-    ``|hi - lo| <= tol`` or 12 calls (60 halvings' worth).
+def bisect(pred: Callable[[np.ndarray], object], lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """The final cell ``(true end, false end)`` of the bracket from ``lo``
+    (``pred`` true) to ``hi`` (false), in either order, cut into
+    ``ALPHA_SPLIT`` equal cells a call until ``|hi - lo| <= tol`` or 12 calls
+    (60 halvings' worth).
 
     ``pred`` answers elementwise on the 1-d array of the 31 inner cut points
     ``lo + (hi - lo) * k / 32``; the search keeps the cell where the answers
     first turn false, so each end of the final cell is an asked point or a
-    starting end, true at one and false at the other.
+    starting end, true at the first and false at the second.
     """
     for _ in range(_SPLIT_MAX_CALLS):
         cuts = lo + (hi - lo) * _SPLIT_FRACTIONS
@@ -218,7 +219,7 @@ def bisect(pred: Callable[[np.ndarray], object], lo: float, hi: float, tol: floa
         lo, hi = [lo, *cuts.tolist(), hi][k : k + 2]  # the cell that ends at it
         if abs(hi - lo) <= tol:
             break
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def contour_from_family(family: ConfidenceFamily, x, theta) -> float:
@@ -229,7 +230,7 @@ def contour_from_family(family: ConfidenceFamily, x, theta) -> float:
     the narrowest means 1 (provided membership is consistent; a point inside
     at ``1 - tol`` but outside at ``tol`` witnesses a nestedness violation and
     raises).  :func:`bisect` then takes 4 calls down to width ``tol``, and the
-    result lies within ``tol / 2`` of the supremum.
+    result, the final cell's midpoint, lies within ``tol / 2`` of the supremum.
     """
     lo, hi = ALPHA_BISECT_TOL, 1.0 - ALPHA_BISECT_TOL
     in_lo, in_hi = np.asarray(family.member(x, np.array([lo, hi]), theta), dtype=bool).tolist()
@@ -242,7 +243,8 @@ def contour_from_family(family: ConfidenceFamily, x, theta) -> float:
         return 1.0
     if not in_lo:
         return 0.0
-    return bisect(lambda a: family.member(x, a, theta), lo, hi, ALPHA_BISECT_TOL)
+    lo, hi = bisect(lambda a: family.member(x, a, theta), lo, hi, ALPHA_BISECT_TOL)
+    return 0.5 * (lo + hi)
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +452,7 @@ def plausibility_region(contour: PlausibilityContour, alpha, grid: GridSpec) -> 
 
 def marginal_contour(
     contour: PlausibilityContour,
-    phi_map: Callable[[Point], float] | None,
+    phi_map: Callable[[Point], float],
     phi,
     fiber: Callable[[float], Sequence[Point]],
 ) -> float:
@@ -462,16 +464,15 @@ def marginal_contour(
     pts = list(fiber(phi))
     if not pts:
         raise OutOfRangeError(f"interest value {phi!r} has an empty fiber")
-    if phi_map is not None:
-        mapped = phi_map(pts[0])
-        if not abs(mapped - phi) <= 1e-9 + 1e-9 * abs(phi):  # np.isclose's test, without its overhead
-            raise OutOfRangeError(f"fiber point {pts[0]!r} maps to {mapped!r}, not {phi!r}")
+    mapped = phi_map(pts[0])
+    if not abs(mapped - phi) <= 1e-9 + 1e-9 * abs(phi):  # np.isclose's test, without its overhead
+        raise OutOfRangeError(f"fiber point {pts[0]!r} maps to {mapped!r}, not {phi!r}")
     return max(float(contour(p)) for p in pts)
 
 
 def marginal_region(
     contour: PlausibilityContour,
-    phi_map: Callable[[Point], float] | None,
+    phi_map: Callable[[Point], float],
     alpha,
     grid: GridSpec,
     fiber: Callable[[float], Sequence[Point]],

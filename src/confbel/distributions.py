@@ -1,13 +1,13 @@
 """Distribution primitives the models share.
 
-Two families, the ones the models read: the standard normal, which
-normal_mean samples, and Student t, which behrens_fisher inverts.  Each is
-exposed through one frozen spec type and three operations (``cdf``,
-``quantile``, ``sample``), alongside the binomial tables and the uniform
-order-statistic sampler the models share.  The models evaluate their own
-closed forms with the same special functions, each module reading them
-through :mod:`confbel._special`, which imports ``scipy.special`` on first
-use.
+Two laws, the ones the models read: the standard normal, which normal_mean
+samples, and Student t, which behrens_fisher inverts.  :func:`cdf` and
+:func:`quantile` take Student t's degrees of freedom as ``df`` and read
+``df=None`` as the standard normal; :func:`sample` draws the standard normal.
+Alongside them sit the binomial tables and the uniform order-statistic
+sampler the models share.  The models evaluate their own closed forms with
+the same special functions, each module reading them through
+:mod:`confbel._special`, which imports ``scipy.special`` on first use.
 
 CDFs and quantiles are the double-precision special functions
 ``scipy.special`` ships (``ndtr``/``ndtri``, ``stdtr``/``stdtrit``).  The
@@ -22,40 +22,17 @@ the sample size.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _special as special
 from .mc import MCConfig
 
-FAMILIES = ("normal", "student_t")
 
-
-@dataclass(frozen=True)
-class DistSpec:
-    """One member of the supported distribution universe: ``normal``, or
-    ``student_t`` with integer degrees of freedom ``df >= 1``."""
-
-    family: str
-    df: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.family == "student_t":
-            if self.df is None or self.df < 1:
-                raise ValueError(f"student_t requires integer df >= 1, got {self.df!r}")
-        elif self.df is not None:
-            raise ValueError(f"df is not a parameter of {self.family!r}")
-
-
-def normal() -> DistSpec:
-    return DistSpec("normal")
-
-
-def student_t(df: int) -> DistSpec:
-    return DistSpec("student_t", df=df)
+def _check_df(df) -> None:
+    """``None`` (the standard normal), or Student t's integer ``df >= 1``."""
+    if df is not None and not (df >= 1 and float(df).is_integer()):
+        raise ValueError(f"Student t requires integer df >= 1, got {df!r}")
 
 
 def binom_log_pmf(n: int, k, p) -> np.ndarray:
@@ -125,30 +102,32 @@ def binom_inverse_cdf(n: int, p: float, u):
     return out if out.ndim else out[()]
 
 
-def cdf(spec: DistSpec, x):
-    """CDF of ``spec`` at ``x`` (scalar or array; array in, array out)."""
+def cdf(x, df=None):
+    """CDF at ``x`` (scalar or array; array in, array out) of the standard
+    normal, or of Student t with ``df`` degrees of freedom."""
+    _check_df(df)
     xs = np.asarray(x, dtype=float)
-    out = special.ndtr(xs) if spec.family == "normal" else special.stdtr(spec.df, xs)
+    out = special.ndtr(xs) if df is None else special.stdtr(df, xs)
     return out if np.ndim(x) else float(out)
 
 
-def quantile(spec: DistSpec, p):
+def quantile(p, df=None):
     """Inverse CDF: scipy.special's inverses of the special functions
     :func:`cdf` evaluates (``ndtri``, ``stdtrit``), so ``cdf(quantile(p))``
     returns ``p`` to within about 1e-15.  ``p`` must lie strictly inside
     (0, 1)."""
+    _check_df(df)
     ps = np.asarray(p, dtype=float)
     if not np.all((ps > 0.0) & (ps < 1.0)):  # also rejects NaN
         raise ValueError("quantile requires 0 < p < 1")
     ps = np.atleast_1d(ps)
-    out = special.ndtri(ps) if spec.family == "normal" else special.stdtrit(spec.df, ps)
+    out = special.ndtri(ps) if df is None else special.stdtrit(df, ps)
     return float(out[0]) if np.ndim(p) == 0 else out
 
 
-def sample(spec: DistSpec, mc: MCConfig) -> np.ndarray:
-    """``mc.reps`` draws from ``spec``, reproducible from the stream key."""
-    u = mc.uniforms()
-    return special.ndtri(u) if spec.family == "normal" else special.stdtrit(spec.df, u)
+def sample(mc: MCConfig) -> np.ndarray:
+    """``mc.reps`` standard normal draws, reproducible from the stream key."""
+    return special.ndtri(mc.uniforms())
 
 
 def sample_uniform_minmax(n: int, mc: MCConfig) -> np.ndarray:

@@ -35,11 +35,11 @@ The supremum over ``alpha`` above the index is the right limit of the support
 mass at the index, which every random set carries (in closed form, or
 behrens_fisher's pivot table).  :func:`theta_specific_plaus` cuts the index's
 last bracket into ``ALPHA_SPLIT`` cells, in one more membership call, and
-reads the mass at most ``1.5 tol / ALPHA_SPLIT`` (4.7e-8) past the index, so
-a model with atoms loses one only to a threshold that close above it.  An
-index of 1 means every support meets the observation, and the plausibility
-is exactly 1; an index of 0 searches all of ``(0, tol)`` in 12 calls, ``tol``
-being ``ALPHA_BISECT_TOL``.
+reads the mass at the false end of the cell it keeps, at most ``tol/32`` past
+the index, so a model with atoms loses one only to a threshold that close
+above it.  An index of 1 means every support meets the observation, and the
+plausibility is exactly 1; an index of 0 searches all of ``(0, tol)`` in 12
+calls, ``tol`` being ``ALPHA_BISECT_TOL``.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ import numpy as np
 from .audit import SamplingModel
 from .contours import (
     ALPHA_BISECT_TOL,
-    ALPHA_SPLIT,
-    _SPLIT_MAX_CALLS,
     ConfidenceFamily,
     ConsonanceError,
     GridSpec,
@@ -165,13 +163,12 @@ def theta_specific_plaus(assoc: Association, rs: RandomSetFamily, x, theta, mc: 
     if a >= 1.0:
         return 1.0
     tol = ALPHA_BISECT_TOL
-    # a bracket tol wide: the index's last, a -+ tol/2, cut once, or below the
-    # clamp all of (0, tol), cut 12 times; the search ends in a cell of width
-    # fine, and the mass is read just above it
-    lo, hi, calls = (a - tol / 2.0, a + tol / 2.0, 1) if a > 0.0 else (0.0, tol, _SPLIT_MAX_CALLS)
-    fine = tol / ALPHA_SPLIT**calls
+    # the index's last bracket, a -+ tol/2, cut once, or below the clamp all
+    # of (0, tol), cut down to bisect's floor; the mass is read at the false
+    # end of the cell the search keeps
+    lo, hi, width = (a - tol / 2.0, a + tol / 2.0, tol) if a > 0.0 else (0.0, tol, 0.0)
     member = assoc.family.member
-    level = fine + bisect(lambda al: member(x, al, theta), lo, hi, 1.5 * fine)
+    _, level = bisect(lambda al: member(x, al, theta), lo, hi, width)
     return float(max(0.0, 1.0 - rs.mass(level, theta, mc)))
 
 

@@ -96,8 +96,7 @@ def hs_contour(data: BehrensFisherData, phi):
 
 def _t_quantile(dof: int, p):
     p = np.clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12)
-    out = dist.quantile(dist.student_t(dof), p)
-    return out
+    return dist.quantile(p, df=dof)
 
 
 def _summary(x) -> np.ndarray:
@@ -187,12 +186,6 @@ def slice_plaus(n1: int, n2: int, x, lam: float, phi, mc: MCConfig) -> np.ndarra
     return 1.0 - counts / len(t_sorted)
 
 
-def bf_lambda_plaus(data: BehrensFisherData, phi, lam: float, mc: MCConfig) -> np.ndarray:
-    """Theta-specific fused plausibility along a fixed-lambda slice."""
-    out = slice_plaus(data.n1, data.n2, data, lam, np.atleast_1d(np.asarray(phi, dtype=float)), mc)
-    return out if np.ndim(phi) else float(out[0])
-
-
 # --------------------------------------------------------------------------
 # Association and random set on theta = (phi, s1, s2)
 
@@ -230,9 +223,9 @@ def random_set(n1: int, n2: int) -> RandomSetFamily:
     dof = min(n1, n2) - 1
 
     def mass(alpha, theta, mc):
-        lam = lambda_of(theta, n1, n2)
-        t = t_lambda(pivotal_draws(n1, n2, mc), lam)
-        return float(np.mean(t <= float(_t_quantile(dof, 1.0 - alpha / 2.0))))
+        t_sorted = _sorted_t_lambda(n1, n2, mc, lambda_of(theta, n1, n2))
+        q = float(_t_quantile(dof, 1.0 - alpha / 2.0))
+        return float(np.searchsorted(t_sorted, q, side="right") / len(t_sorted))
 
     return RandomSetFamily(
         support_member=support_of(association(n1, n2)),
@@ -286,5 +279,6 @@ def contour_at_truth(n1: int, n2: int):
     return fn
 
 
-def default_grid(data: BehrensFisherData, n_points: int = 201, half_width_se: float = 6.0) -> GridSpec:
-    return GridSpec(data.diff - half_width_se * data.se, data.diff + half_width_se * data.se, n_points)
+def default_grid(data: BehrensFisherData, n_points: int = 201) -> GridSpec:
+    """``n_points`` phis spanning 6 standard errors either side of ``d``."""
+    return GridSpec(data.diff - 6.0 * data.se, data.diff + 6.0 * data.se, n_points)

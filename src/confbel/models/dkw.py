@@ -446,7 +446,7 @@ def sampling(n: int) -> SamplingModel:
     return sampling_of(f"dkw(n={n})", association(n), random_set(n), n)
 
 
-def synthetic_sample(n: int = 799, seed: int = 1404, scale: float = 0.22) -> EmpiricalSample:
-    """Fixed seeded stand-in data: exponential-ish positive waiting times."""
+def synthetic_sample(n: int = 799, seed: int = 1404) -> EmpiricalSample:
+    """Fixed seeded stand-in data: exponential waiting times of mean 0.22."""
     u = MCConfig(reps=n, seed=seed).uniforms()
-    return EmpiricalSample(-scale * np.log1p(-u))
+    return EmpiricalSample(-0.22 * np.log1p(-u))

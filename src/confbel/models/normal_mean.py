@@ -51,7 +51,7 @@ def association() -> Association:
 def random_set() -> RandomSetFamily:
     return RandomSetFamily(
         support_member=support_of(association()),
-        aux_sampler=lambda mc: dist.sample(dist.normal(), mc),
+        aux_sampler=lambda mc: dist.sample(mc),
         mass=lambda alpha, theta, mc: 1.0 - alpha,
     )
 

@@ -127,7 +127,7 @@ def test_lambda_one_slice_is_exact_t():
     # interval family, so the sampled slice must match the closed form
     d = bf.DEFAULT_DATA
     phis = np.linspace(d.diff - 4 * d.se, d.diff + 4 * d.se, 21)
-    got = bf.bf_lambda_plaus(d, phis, 1.0, MC)
+    got = bf.slice_plaus(d.n1, d.n2, d, 1.0, phis, MC)
     want = bf.hs_contour(d, phis)
     assert np.max(np.abs(got - want)) < 0.01
 
@@ -149,18 +149,19 @@ def test_slice_plaus_is_the_plain_column_search():
 
 def test_lambda_plaus_validation():
     with pytest.raises(ValueError):
-        bf.bf_lambda_plaus(bf.DEFAULT_DATA, 0.0, 1.5, MC)
+        bf.slice_plaus(5, 11, bf.DEFAULT_DATA, 1.5, 0.0, MC)
 
 
 def test_support_mass_is_the_pivot_law_at_the_interval_level():
     # support mass at (alpha, theta) is P{T_lambda <= t*_alpha} over the pivot
-    # table, and the sorted column slice_plaus reads gives the same count,
-    # also once slice_plaus has filled that column's 8-entry cache
+    # table, bit for bit, at the bundle's hint truth and beside it; the mass
+    # reads the sorted column slice_plaus reads, also once slice_plaus has
+    # filled that column's 8-entry cache
     rs = bf.random_set(5, 11)
     u = bf.pivotal_draws(5, 11, MC)
     for lam in np.linspace(0.05, 0.95, 9):
         bf.slice_plaus(5, 11, bf.DEFAULT_DATA, float(lam), 0.0, MC)
-    for theta in ((0.3, 4.0, 1.0), (0.0, 1.0, 1.0), (-2.0, 0.01, 9.0), (1.0, 9.0, 0.01)):
+    for theta in ((0.0, 0.0, 4.0, 1.0), (0.3, 4.0, 1.0), (0.0, 1.0, 1.0), (-2.0, 0.01, 9.0), (1.0, 9.0, 0.01)):
         lam = bf.lambda_of(theta, 5, 11)
         t_sorted = bf._sorted_t_lambda(5, 11, MC, lam)
         for alpha in (0.01, 0.05, 0.2, 0.5, 0.9):
@@ -196,11 +197,11 @@ def test_marginal_is_max_of_lambda_slices(data):
     # the Monte Carlo slices track the exact ones within K_SE standard
     # errors, and the max of the exact slices over lambda is hs_contour; a
     # slice sees the data only through t, so the datasets exercise
-    # bf_lambda_plaus's phi-to-t mapping
+    # slice_plaus's phi-to-t mapping
     phis = np.linspace(data.diff - 3 * data.se, data.diff + 3 * data.se, 21)
     ts = np.abs(data.diff - phis) / data.se
     exact = np.asarray([[slice_exact(data.n1, data.n2, lam, t) for t in ts] for lam in SLICE_LAMBDAS])
-    mc = np.asarray([bf.bf_lambda_plaus(data, phis, float(lam), MC) for lam in SLICE_LAMBDAS])
+    mc = np.asarray([bf.slice_plaus(data.n1, data.n2, data, float(lam), phis, MC) for lam in SLICE_LAMBDAS])
     se = np.sqrt(exact * (1.0 - exact) / MC.reps)
     assert np.all(np.abs(mc - exact) <= K_SE * se + 1e-12)
     assert_allclose(exact.max(axis=0), bf.hs_contour(data, phis), rtol=0.0, atol=1e-12)

@@ -193,17 +193,16 @@ def test_split_search_keeps_the_first_false_cell(lo, width, frac, flipped, wavy)
         asked.update(zip(ts.tolist(), np.asarray(answers, dtype=bool).tolist()))
         return answers
 
-    got = bisect(counted, *start, tol)
+    true_end, false_end = bisect(counted, *start, tol)
+    assert asked[true_end] and not asked[false_end]
+    got = 0.5 * (true_end + false_end)
     assert sizes == [ALPHA_SPLIT - 1] * len(sizes)
     span = abs(start[1] - start[0])
     # the least count reaching tol, up to rounding at an exact power of 32
     assert span / ALPHA_SPLIT**len(sizes) <= tol * (1 + 1e-9)
     assert span / ALPHA_SPLIT ** (len(sizes) - 1) > tol * (1 - 1e-9)
-    if wavy:
-        ins = np.array([t for t, v in asked.items() if v])
-        outs = np.array([t for t, v in asked.items() if not v])
-        cells = (0.5 * (ins[:, None] + outs[None, :]) == got) & (np.abs(ins[:, None] - outs[None, :]) <= tol)
-        assert cells.any()
+    if wavy:  # the cell's ends disagree, and it is tol wide at most
+        assert abs(false_end - true_end) <= tol
     else:
         assert abs(got - c) <= tol / 2
 
@@ -225,7 +224,8 @@ def test_bisect_finds_threshold(lo, width, frac, flipped, tol):
         pred, start = (lambda t: t >= c), (hi, lo)
     else:
         pred, start = (lambda t: t <= c), (lo, hi)
-    got = bisect(pred, *start, tol)
+    true_end, false_end = bisect(pred, *start, tol)
+    got = 0.5 * (true_end + false_end)
     if tol:
         assert abs(got - c) <= tol
     else:

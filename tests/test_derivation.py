@@ -32,7 +32,7 @@ ALPHAS = (0.01, 0.05, 0.2, 0.5, 0.9)
 
 
 def normal_support(u, alpha, theta):
-    return np.abs(np.asarray(u, dtype=float)) <= dist.quantile(dist.normal(), 1.0 - alpha / 2.0)
+    return np.abs(np.asarray(u, dtype=float)) <= dist.quantile(1.0 - alpha / 2.0)
 
 
 def uniform_support(u, alpha, theta):
@@ -45,7 +45,7 @@ def uniform_support(u, alpha, theta):
 
 def bf_support(n1, n2):
     def member(u, alpha, theta):
-        tstar = dist.quantile(dist.student_t(min(n1, n2) - 1), 1.0 - alpha / 2.0)
+        tstar = dist.quantile(1.0 - alpha / 2.0, df=min(n1, n2) - 1)
         return bf.t_lambda(u, bf.lambda_of(theta, n1, n2)) <= tstar
 
     return member
@@ -197,7 +197,7 @@ def _by_hand(name, truth, mc):
     if name == "binomial":
         return dist.binom_inverse_cdf(25, float(truth), mc.uniforms())
     if name == "normal_mean":
-        return truth + dist.sample(dist.normal(), mc)
+        return truth + dist.sample(mc)
     if name == "uniform_loc":
         return truth + dist.sample_uniform_minmax(10, mc)
     u = mc.generator().random((mc.reps, 799))

@@ -20,35 +20,32 @@ T4_CDF_2776 = 0.9749886108400118
 T4_Q_975 = 2.7764451051977944
 BINOM_25_03_PMF7 = 0.1711936396919514
 
-SPECS = {
-    "normal": dist.normal(),
-    "student_t": dist.student_t(4),
+# the df argument of each continuous law: None is the standard normal
+DFS = {
+    "normal": None,
+    "student_t": 4,
 }
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        dist.DistSpec("cauchy")
-    with pytest.raises(ValueError):
-        dist.student_t(0)
-    with pytest.raises(ValueError):
-        dist.DistSpec("normal", df=3)
-    # the binomial model reads its tables directly; no spec stands for it
-    for family in ("binomial", "chi_square", "uniform01"):
+def test_df_validation():
+    # Student t takes integer df >= 1 and nothing else
+    for df in (0, -1, 2.5, np.nan):
         with pytest.raises(ValueError):
-            dist.DistSpec(family)
+            dist.cdf(0.5, df=df)
+        with pytest.raises(ValueError):
+            dist.quantile(0.5, df=df)
 
 
 def test_cdf_known_values():
-    assert dist.cdf(dist.normal(), 0.0) == 0.5
+    assert dist.cdf(0.0) == 0.5
     assert dist.binom_cdf_table(2, 0.5)[1] == pytest.approx(0.75, abs=1e-14)
-    assert dist.cdf(dist.student_t(4), 2.776) == pytest.approx(T4_CDF_2776, abs=1e-12)
-    assert dist.cdf(dist.normal(), Z_975) == pytest.approx(0.975, abs=1e-13)
+    assert dist.cdf(2.776, df=4) == pytest.approx(T4_CDF_2776, abs=1e-12)
+    assert dist.cdf(Z_975) == pytest.approx(0.975, abs=1e-13)
 
 
 def test_quantile_known_values():
-    assert dist.quantile(dist.normal(), 0.975) == pytest.approx(Z_975, abs=1e-9)
-    assert dist.quantile(dist.student_t(4), 0.975) == pytest.approx(T4_Q_975, abs=1e-8)
+    assert dist.quantile(0.975) == pytest.approx(Z_975, abs=1e-9)
+    assert dist.quantile(0.975, df=4) == pytest.approx(T4_Q_975, abs=1e-8)
     # support maximum is reached just below p = 1
     assert dist.binom_inverse_cdf(25, 0.68, 1.0 - 1e-12) == 25
 
@@ -56,14 +53,14 @@ def test_quantile_known_values():
 def test_quantile_endpoint_errors():
     for p in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
-            dist.quantile(dist.normal(), p)
+            dist.quantile(p)
 
 
 def test_quantile_rejects_nan():
-    for spec in (dist.normal(), dist.student_t(4)):
+    for df in DFS.values():
         for p in (np.nan, [0.5, np.nan, 0.975]):
             with pytest.raises(ValueError):
-                dist.quantile(spec, p)
+                dist.quantile(p, df=df)
 
 
 def test_binom_log_pmf_exact():
@@ -82,7 +79,7 @@ def test_binom_cdf_table_matches_pmf_cumsum():
     assert table[-1] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("name", [*sorted(SPECS), "binomial"])
+@pytest.mark.parametrize("name", [*sorted(DFS), "binomial"])
 def test_cdf_monotone_on_grid(name):
     if name == "binomial":  # the CDF the binomial model reads: its table at floor(x)
         grid = np.linspace(-1, 26, 1000)
@@ -90,19 +87,19 @@ def test_cdf_monotone_on_grid(name):
         vals = np.where(grid < 0, 0.0, table[np.clip(np.floor(grid).astype(int), 0, 25)])
     else:
         grid = np.linspace(-8, 8, 1000)
-        vals = np.asarray([dist.cdf(SPECS[name], x) for x in grid])
+        vals = np.asarray([dist.cdf(x, df=DFS[name]) for x in grid])
     assert np.all(np.diff(vals) >= 0)
     assert np.all((vals >= 0) & (vals <= 1))
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("name", sorted(DFS))
 def test_continuous_round_trips(name):
-    spec = SPECS[name]
+    df = DFS[name]
     ps = np.linspace(0.001, 0.999, 41)
-    qs = dist.quantile(spec, ps)
-    assert_allclose(dist.cdf(spec, qs), ps, atol=1e-9)
+    qs = dist.quantile(ps, df=df)
+    assert_allclose(dist.cdf(qs, df=df), ps, atol=1e-9)
     xs = qs[::4]
-    assert_allclose(dist.quantile(spec, dist.cdf(spec, xs)), xs, atol=1e-7, rtol=1e-7)
+    assert_allclose(dist.quantile(dist.cdf(xs, df=df), df=df), xs, atol=1e-7, rtol=1e-7)
 
 
 @given(
@@ -118,11 +115,11 @@ def test_continuous_round_trips(name):
 def test_continuous_quantile_round_trip_to_clip_edges(family, df, ps):
     # [1e-12, 1 - 1e-12] is the range the two-sample model clips its
     # t-quantile requests to
-    spec = dist.normal() if family == "normal" else dist.DistSpec(family, df=df)
+    df = None if family == "normal" else df
     ps = np.asarray(ps)
-    qs = dist.quantile(spec, ps)
-    assert np.all(np.abs(dist.cdf(spec, qs) - ps) <= 1e-10)
-    assert np.array_equal(qs, [dist.quantile(spec, float(p)) for p in ps])
+    qs = dist.quantile(ps, df=df)
+    assert np.all(np.abs(dist.cdf(qs, df=df) - ps) <= 1e-10)
+    assert np.array_equal(qs, [dist.quantile(float(p), df=df) for p in ps])
 
 
 @given(p=st.floats(min_value=1e-6, max_value=1 - 1e-6))
@@ -185,26 +182,25 @@ def test_binomial_inverse_cdf_is_the_table_search(n, p, picks):
 
 def test_sample_determinism():
     mc = MCConfig(reps=10, seed=7)
-    a = dist.sample(dist.normal(), mc)
-    b = dist.sample(dist.normal(), MCConfig(reps=10, seed=7))
+    a = dist.sample(mc)
+    b = dist.sample(MCConfig(reps=10, seed=7))
     assert np.array_equal(a, b)
-    c = dist.sample(dist.normal(), MCConfig(reps=10, seed=7, stream_id=1))
+    c = dist.sample(MCConfig(reps=10, seed=7, stream_id=1))
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("name", ["normal"])
 def test_sampler_goodness(name):
     # 1% KS critical value for the cdf-transformed stream
-    spec = SPECS[name]
     reps = 100_000
-    draws = dist.sample(spec, MCConfig(reps=reps, seed=3))
-    u = dist.cdf(spec, draws)
+    draws = dist.sample(MCConfig(reps=reps, seed=3))
+    u = dist.cdf(draws, df=DFS[name])
     assert ks_uniform(np.clip(u, 0.0, 1.0)) <= 1.63 / np.sqrt(reps)
 
 
 def test_normal_sample_mean():
     reps = 100_000
-    draws = dist.sample(dist.normal(), MCConfig(reps=reps, seed=5))
+    draws = dist.sample(MCConfig(reps=reps, seed=5))
     assert abs(draws.mean()) <= 3.0 / np.sqrt(reps)
 
 

@@ -205,7 +205,7 @@ def test_fused_contour_detects_normalization_failure():
     # a family whose intervals shrink below zero width at high alpha: the
     # index, and with it the fused contour, peaks at about 0.69
     def member(x, alpha, theta):
-        return np.abs(x - theta) <= 0.5 * dist.quantile(dist.normal(), 1.0 - alpha / 2.0) - 0.2
+        return np.abs(x - theta) <= 0.5 * dist.quantile(1.0 - alpha / 2.0) - 0.2
 
     assoc = replace(normal_mean.association(), family=ConfidenceFamily(member=member, center=lambda x: x))
     rs = replace(normal_mean.random_set(), support_member=support_of(assoc))
