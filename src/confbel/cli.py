@@ -206,10 +206,9 @@ def cmd_bf(args) -> None:
     if not all(0.0 <= lam <= 1.0 for lam in lam_cols):
         raise UsageError(f"--lambda-cols: each lambda must lie in [0, 1], got {args.lambda_cols!r}")
     data = behrens_fisher.BehrensFisherData(args.n1, args.m1, args.v1, args.n2, args.m2, args.v2)
-    mc = MCConfig(reps=args.reps, seed=args.seed)
     phis = behrens_fisher.default_grid(data, args.grid_points).points()
     hs = behrens_fisher.hs_contour(data, phis)
-    col_values = {lam: behrens_fisher.slice_plaus(data.n1, data.n2, data, lam, phis, mc) for lam in lam_cols}
+    col_values = {lam: behrens_fisher.slice_plaus(data.n1, data.n2, data, lam, phis) for lam in lam_cols}
     rows = []
     for i, phi in enumerate(phis):
         row = {"phi": f"{phi:.10g}", "hs_contour": f"{hs[i]:.10g}"}
@@ -397,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_binom)
 
     p = sub.add_parser("bf", help="two-sample contours: the interval contour (= fused marginal) and lambda slices")
-    common(p, "confbel_bf.csv", 100_000)
+    common(p, "confbel_bf.csv", None)
     d = behrens_fisher.DEFAULT_DATA
     p.add_argument("--n1", type=_count_at_least(2), default=d.n1)
     p.add_argument("--m1", type=_finite_float, default=d.m1)

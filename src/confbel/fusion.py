@@ -32,8 +32,8 @@ whose level sets sit inside the original confidence regions whenever those
 regions have their nominal coverage.
 
 The supremum over ``alpha`` above the index is the right limit of the support
-mass at the index, which every random set carries (in closed form, or
-behrens_fisher's pivot table).  :func:`theta_specific_plaus` cuts the index's
+mass at the index, which every random set carries in closed form or, for
+behrens_fisher, by quadrature.  :func:`theta_specific_plaus` cuts the index's
 last bracket into ``ALPHA_SPLIT`` cells, in one more membership call, and
 reads the mass at the false end of the cell it keeps, at most ``tol/32`` past
 the index, so a model with atoms loses one only to a threshold that close
@@ -103,7 +103,7 @@ class RandomSetFamily:
     ``S_alpha(theta)`` at each row of ``u`` (non-strict inequalities; the
     closure convention matters for the containment law).  Every shipped model
     passes :func:`support_of` of its association.  ``mass(alpha, theta, mc)``
-    returns ``P_U(S_alpha(theta))``, in closed form or from a pivot table;
+    returns ``P_U(S_alpha(theta))``, in closed form or by quadrature;
     ``aux_sampler`` draws ``U`` for the data and the structural checks.
     """
 

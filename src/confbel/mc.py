@@ -16,6 +16,7 @@ the whole stream bit for bit.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -26,6 +27,14 @@ import numpy as np
 # memory however few it reads; docs/decisions.md has the measurements.
 BLOCK_DRAWS = 1 << 18
 MIN_ROW_DRAWS = 16
+
+
+@functools.cache
+def _free_a_large_chunk() -> None:
+    """Allocate and free one untouched 12 MB array, once per process: that raises
+    glibc's mmap and trim thresholds, so row blocks keep their heap pages, not
+    fault them in anew (docs/decisions.md, "The two-sample slices are exact")."""
+    np.empty(3 << 19)
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,7 @@ class MCConfig:
         gives the same rows block by block as at once."""
         if draws_per_rep < 1:
             raise ValueError(f"draws_per_rep must be a positive integer, got {draws_per_rep!r}")
+        _free_a_large_chunk()
         size = max(1, BLOCK_DRAWS // max(draws_per_rep, MIN_ROW_DRAWS))
         for start in range(0, self.reps, size):
             yield replace(self, reps=min(size, self.reps - start), offset=self.offset + start * draws_per_rep)

@@ -31,9 +31,9 @@ weight on the smaller group, where ``T_lambda`` is exactly ``|t_dof|`` (Mickey
 & Brown 1966; the proof is in ``docs/decisions.md``).  The marginal
 plausibility for phi, the sup over lambda, is therefore :func:`hs_contour`
 itself.  The conservatism of the interval family lives only in the slices
-away from that endpoint.  :func:`slice_plaus` estimates them by Monte Carlo
-from one shared pivotal draw table per configuration (common random numbers
-across alpha, lambda, and phi).
+away from that endpoint.  :func:`slice_plaus` reads them exactly, from one
+table of Craig's integral for the normal tail per (n1, n2, lambda)
+(docs/decisions.md, "The two-sample slices are exact").
 """
 
 from __future__ import annotations
@@ -126,9 +126,6 @@ def family(n1: int, n2: int) -> ConfidenceFamily:
 # --------------------------------------------------------------------------
 # Pivotal machinery
 
-# The pivot table that :func:`contour_at_truth` reads.
-CONTOUR_MC = MCConfig(reps=100_000, seed=11)
-
 
 @functools.lru_cache(maxsize=8)
 def pivotal_draws(n1: int, n2: int, mc: MCConfig) -> np.ndarray:
@@ -144,13 +141,6 @@ def pivotal_draws(n1: int, n2: int, mc: MCConfig) -> np.ndarray:
     return table
 
 
-def t_lambda(u: np.ndarray, lam: float) -> np.ndarray:
-    """``|u1| / sqrt(lam u21 + (1 - lam) u22)`` row-wise."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    denom = lam * u[:, 1] + (1.0 - lam) * u[:, 2]
-    return np.abs(u[:, 0]) / np.sqrt(denom)
-
-
 def lambda_of(theta, n1: int, n2: int) -> float:
     """Variance-split weight; theta's last two entries are the variances."""
     s1, s2 = float(theta[-2]), float(theta[-1])
@@ -160,30 +150,55 @@ def lambda_of(theta, n1: int, n2: int) -> float:
     return a / (a + b)
 
 
+# Gauss-Legendre nodes per panel; table nodes, equally spaced in t / (1 + t)
+_PANEL_NODES, _TABLE_NODES = 96, 2048
+
+
+def _craig_rule(n1: int, n2: int, lam: float, t) -> np.ndarray:
+    """Craig's ``S_lambda(t) = (2/pi) int_0^{pi/2} (1 + lam q/m)^(-m/2) (1 +
+    (1 - lam) q/k)^(-k/2) dth``, ``q = t^2 / sin^2 th``, at t = 0 or t >= 4e-4
+    (1-d): Gauss-Legendre on [0, c] and [c, pi/2], c = min(pi/4, 8t), 128 t at a time."""
+    from numpy.polynomial.legendre import leggauss  # costs 1.8 MB, so not at module load
+
+    nodes, weights = leggauss(_PANEL_NODES)
+    m, k, t = n1 - 1, n2 - 1, np.asarray(t, dtype=float)
+    out = []
+    for tc in np.split(t[:, None, None], range(128, len(t), 128)):
+        c = np.minimum(np.pi / 4.0, 8.0 * tc)
+        half = np.concatenate([c, np.pi / 2.0 - c], axis=1) / 2.0
+        th = np.concatenate([np.zeros_like(c), c], axis=1) + half * (nodes + 1.0)
+        q = np.divide(tc, np.sin(th), out=np.zeros_like(th), where=th > 0.0) ** 2  # t = 0 leaves q = 0
+        f = np.exp(-m / 2.0 * np.log1p(lam / m * q) - k / 2.0 * np.log1p((1.0 - lam) / k * q))
+        out.append(2.0 / np.pi * np.sum((f @ weights) * half[..., 0], axis=1))
+    return np.concatenate(out)
+
+
 @functools.lru_cache(maxsize=8)
-def _sorted_t_lambda(n1: int, n2: int, mc: MCConfig, lam: float) -> np.ndarray:
-    """The pivot table's ``T_lambda`` column, sorted once per configuration
-    and shared read-only, so a slice evaluated block by block sorts it once."""
+def _slice_table(n1: int, n2: int, lam: float) -> np.ndarray:
+    """``S_lambda`` at the table nodes (0 at s = 1), read-only."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
-    t_sorted = np.sort(t_lambda(pivotal_draws(n1, n2, mc), lam))
-    t_sorted.flags.writeable = False
-    return t_sorted
+    s = np.arange(_TABLE_NODES - 1) / (_TABLE_NODES - 1)
+    table = np.append(_craig_rule(n1, n2, lam, s / (1.0 - s)), 0.0)
+    table.flags.writeable = False
+    return table
 
 
-def slice_plaus(n1: int, n2: int, x, lam: float, phi, mc: MCConfig) -> np.ndarray:
-    """Fixed-lambda slice ``P{T_lambda > |t|}`` at ``t = (d - phi) / f``, one
-    minus the pivot table's empirical CDF; broadcasts over a stack of summary
-    rows and over phi.  The keys are searched in sorted order, so each search
-    starts where the last one ended, and the counts go back to the keys'
-    places."""
+def _slice(n1: int, n2: int, lam: float, t) -> np.ndarray:
+    """``P{T_lambda > t}``, t >= 0 (inf, NaN read 0): 4-point Lagrange in the table."""
+    table = _slice_table(n1, n2, float(lam))
+    x = np.fmin(1.0 - 1.0 / (1.0 + np.asarray(t, dtype=float)), 1.0) * (_TABLE_NODES - 1)
+    i = np.clip(x.astype(np.intp) - 1, 0, _TABLE_NODES - 4)
+    y0, y1, y2, y3 = table[i], table[i + 1], table[i + 2], table[i + 3]
+    a, b, c, d = x - i, x - i - 1.0, x - i - 2.0, x - i - 3.0
+    return np.clip((a * b * c * y3 - b * c * d * y0 + 3.0 * a * d * (c * y1 - b * y2)) / 6.0, 0.0, 1.0)
+
+
+def slice_plaus(n1: int, n2: int, x, lam: float, phi) -> np.ndarray:
+    """Fixed-lambda slice ``P{T_lambda > |t|}`` at ``t = (d - phi) / f``;
+    broadcasts over a stack of summary rows and over phi."""
     d, f = _diff_se(x, n1, n2)
-    t_sorted = _sorted_t_lambda(n1, n2, mc, lam)
-    keys = np.asarray(np.abs(d - phi) / f)
-    order = np.argsort(keys, axis=None)
-    counts = np.empty(keys.shape, dtype=np.intp)
-    counts.flat[order] = np.searchsorted(t_sorted, keys.flat[order], side="right")
-    return 1.0 - counts / len(t_sorted)
+    return _slice(n1, n2, lam, np.abs(d - phi) / f)
 
 
 # --------------------------------------------------------------------------
@@ -222,10 +237,8 @@ def association(n1: int, n2: int) -> Association:
 def random_set(n1: int, n2: int) -> RandomSetFamily:
     dof = min(n1, n2) - 1
 
-    def mass(alpha, theta, mc):
-        t_sorted = _sorted_t_lambda(n1, n2, mc, lambda_of(theta, n1, n2))
-        q = float(_t_quantile(dof, 1.0 - alpha / 2.0))
-        return float(np.searchsorted(t_sorted, q, side="right") / len(t_sorted))
+    def mass(alpha, theta, mc):  # P{T_lambda <= t*_alpha}; draws nothing
+        return float(1.0 - _slice(n1, n2, lambda_of(theta, n1, n2), _t_quantile(dof, 1.0 - alpha / 2.0)))
 
     return RandomSetFamily(
         support_member=support_of(association(n1, n2)),
@@ -269,12 +282,12 @@ def sampling(n1: int, n2: int) -> SamplingModel:
 
 def contour_at_truth(n1: int, n2: int):
     """Vectorized pl of the true theta over sampled summaries: the slice at
-    the truth's own lambda, from :data:`CONTOUR_MC`'s pivot table."""
+    the truth's own lambda, exact, so uniform under the truth."""
 
     def fn(xs, theta):
         theta = np.asarray(theta, dtype=float)
         phi = theta[0] - theta[1] if len(theta) == 4 else theta[0]
-        return slice_plaus(n1, n2, xs, lambda_of(theta, n1, n2), phi, CONTOUR_MC)
+        return slice_plaus(n1, n2, xs, lambda_of(theta, n1, n2), phi)
 
     return fn
 

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import confbel
 from confbel import distributions as dist, mc as mc_module
 from confbel.audit import (
     DEFAULT_ALPHA_GRID,
@@ -287,7 +292,7 @@ def test_streamed_audits_stay_within_16_mb():
     # 4.1 MB, and a cold binomial cell at 1.5 MB
     dkw_b, bf_b, binom_b = REGISTRY["dkw"](), REGISTRY["behrens_fisher"](), REGISTRY["binomial"]()
     exp1, bf_truth, binom_truth = dkw_b.theta_grid_hint[0], bf_b.theta_grid_hint[0], binom_b.theta_grid_hint[0]
-    # warm the cached pivot table and K_n terms: the peaks measure the replicates
+    # warm the cached slice table and K_n terms: the peaks measure the replicates
     contour_validity_audit(bf_b.sampling, bf_b.contour_at_truth, (bf_truth,), mc=MCConfig(reps=10, seed=1))
     contour_validity_audit(dkw_b.sampling, dkw_b.contour_at_truth, (exp1,), mc=MCConfig(reps=10, seed=1))
 
@@ -325,5 +330,40 @@ def test_pivot_table_build_stays_within_16_mb():
     # build in one buffer at 15.3 MiB
     behrens_fisher.pivotal_draws(5, 11, MCConfig(reps=1, seed=1))  # imports scipy.special outside the peak
     behrens_fisher.pivotal_draws.cache_clear()
-    peak = _traced_peak_mb(lambda: behrens_fisher.pivotal_draws(5, 11, behrens_fisher.CONTOUR_MC))
+    peak = _traced_peak_mb(lambda: behrens_fisher.pivotal_draws(5, 11, MCConfig(reps=100_000, seed=11)))
     assert peak < 16.0, peak
+
+
+# One 10-rep dkw cell, then two 5 000 x 799 cells, in a fresh process; prints
+# the minor page faults of each of the two.
+_FAULTS_AFTER_WARM_UP = """
+import resource
+from confbel.audit import contour_validity_audit
+from confbel.mc import MCConfig
+from confbel.models import dkw_bundle
+
+b = dkw_bundle()
+truth = b.theta_grid_hint[0]
+def faults(reps):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    contour_validity_audit(b.sampling, b.contour_at_truth, (truth,), mc=MCConfig(reps=reps, seed=1))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+faults(10)
+print(faults(5_000), faults(5_000))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_audit_blocks_reuse_their_heap_pages():
+    # MCConfig.blocks frees one untouched 12 MB array on its first call, which
+    # raises glibc's mmap and trim thresholds, so the 2 MB row blocks come
+    # from the heap and keep their pages: the first big cell grows the heap
+    # once and the next reuses it.  In a fresh heap each block is mmapped and
+    # faults its pages in again.  Measured: 6 800-7 300 then 0-500 faults with
+    # the free, 22 450-22 520 then 15 100-15 600 without
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confbel.__file__)))
+    done = subprocess.run([sys.executable, "-c", _FAULTS_AFTER_WARM_UP], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    first, second = (int(v) for v in done.stdout.split())
+    assert first < 12_000 and second < 5_000, (first, second)

@@ -112,9 +112,9 @@ def test_config_key_naming_no_option_exits_2(tmp_path, capsys, text, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["binom", "dkw"])
+@pytest.mark.parametrize("command", ["binom", "dkw", "bf"])
 def test_reps_is_no_option_of_exact_commands(tmp_path, capsys, command):
-    # binom and dkw draw nothing, so neither takes --reps, on the command line or in a config file
+    # binom, dkw and bf draw nothing, so none takes --reps, on the command line or in a config file
     out = tmp_path / "o.csv"
     with pytest.raises(SystemExit) as exc:
         main([command, "--reps", "5", "--out", str(out)])
@@ -126,9 +126,9 @@ def test_reps_is_no_option_of_exact_commands(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["fig1", "binom", "dkw"])
+@pytest.mark.parametrize("command", ["fig1", "binom", "dkw", "bf"])
 def test_seed_is_no_option_of_exact_commands(tmp_path, capsys, monkeypatch, command):
-    # fig1, binom and dkw draw nothing: --seed and a config file's seed exit 2,
+    # fig1, binom, dkw and bf draw nothing: --seed and a config file's seed exit 2,
     # the environment's seed is not read, and the artifact records no seed
     out = tmp_path / "o.csv"
     assert _exit_code([command, "--seed", "5", "--out", str(out)]) == 2
@@ -179,7 +179,7 @@ def test_binom_x_out_of_range(tmp_path):
 def test_bf_artifact(tmp_path):
     out = tmp_path / "bf.csv"
     argv = [
-        "bf", "--out", str(out), "--reps", "400", "--grid-points", "21", "--seed", "2",
+        "bf", "--out", str(out), "--grid-points", "21",
     ]
     assert main(argv) == 0
     meta, rows = read_csv(out)
@@ -189,8 +189,10 @@ def test_bf_artifact(tmp_path):
         "lambda_0.75", "lambda_1",
     ]
     # the fused marginal is hs_contour itself (test_behrens_fisher.py), so no
-    # column or header line copies it
+    # column or header line copies it; the slices are exact, so nothing is
+    # drawn and no seed or replication count is recorded
     assert "max_abs_gap" not in meta
+    assert not {"opt_reps", "seed", "seed_source"} & set(meta)
 
 
 def test_dkw_artifact(tmp_path):
@@ -356,6 +358,7 @@ def _exit_code(argv) -> int:
         (["binom", "--grid-points", "1"], "argument --grid-points: expected an integer of at least 2, got '1'"),
         (["fieller", "--grid-points", "0"], "--grid-points: expected an integer of at least 2, got '0'"),
         (["fig1", "--reps", "5"], "unrecognized arguments: --reps 5"),
+        (["bf", "--reps", "5"], "unrecognized arguments: --reps 5"),
         (["uniform", "--reps", "0"], "argument --reps: expected an integer of at least 1, got '0'"),
         (["bf", "--n1", "1"], "argument --n1: expected an integer of at least 2, got '1'"),
         (["bf", "--n2", "0"], "argument --n2: expected an integer of at least 2, got '0'"),
@@ -368,8 +371,8 @@ def _exit_code(argv) -> int:
         (["uniform", "--x1", "0.5", "--x2", "0.25", "--reps", "50"], "--x2 must be at least --x1, got 0.25 < 0.5"),
         (["uniform", "--x1", "0.2", "--x2", "1.5", "--reps", "50"], "--x2 must be at most --x1 + 1, got 1.5 > 0.2 + 1"),
         (["audit", "--alphas", "0", "--reps", "50"], "--alphas: alpha must lie strictly in (0, 1), got 0.0"),
-        (["bf", "--lambda-cols", "2", "--reps", "50"], "--lambda-cols: each lambda must lie in [0, 1], got '2'"),
-        (["bf", "--v1", "-1", "--reps", "50"], "argument --v1: expected a positive finite number, got '-1'"),
+        (["bf", "--lambda-cols", "2"], "--lambda-cols: each lambda must lie in [0, 1], got '2'"),
+        (["bf", "--v1", "-1"], "argument --v1: expected a positive finite number, got '-1'"),
         (["coverage", "--model", "binomial", "--theta", "1.5"], "binomial requires p in [0, 1], got 1.5"),
         (["fieller", "--theta", "1,0", "--reps", "50"], "--theta: theta_2 = 0 has no defined ratio"),
         (["coverage", "--theta", "1,0", "--reps", "50"], "--theta: theta_2 = 0 has no defined ratio"),
@@ -379,8 +382,9 @@ def _exit_code(argv) -> int:
     ids=[
         "dkw_alpha", "coverage_nan_truth", "coverage_negative_variance", "dkw_n", "binom_n", "uniform_n",
         "out_in_missing_directory", "out_is_a_directory", "data_missing", "data_is_a_directory", "data_short_row",
-        "binom_grid_points", "fieller_grid_points_without_curve", "fig1_reps", "uniform_reps", "bf_n1", "bf_n2",
-        "negative_seed", "negative_sample_seed", "uniform_alpha", "fieller_alpha", "coverage_alpha", "binom_x",
+        "binom_grid_points", "fieller_grid_points_without_curve", "fig1_reps", "bf_reps", "uniform_reps",
+        "bf_n1", "bf_n2", "negative_seed", "negative_sample_seed", "uniform_alpha", "fieller_alpha", "coverage_alpha",
+        "binom_x",
         "uniform_x2_below_x1", "uniform_range_above_1", "audit_alphas", "bf_lambda_cols", "bf_v1",
         "coverage_binomial_p", "fieller_theta2_zero", "coverage_fieller_theta2_zero", "fieller_phi_range", "seed_above_64_bits",
     ],
@@ -454,7 +458,7 @@ def test_negative_seed_from_config_or_env_exits_2(where, tmp_path, monkeypatch, 
         (["fieller", "--x1", "inf", "--reps", "50"], None, 2, None, None),
         (["fig1"], "theta = -inf\n", 2, None, None),
         (["fieller", "--curve", "--grid-points", "0", "--reps", "50"], None, 2, None, None),
-        (["bf", "--reps", "100", "--grid-points", "5"], "lambda-cols = 0.5\n", 0, 5, {}),
+        (["bf", "--grid-points", "5"], "lambda-cols = 0.5\n", 0, 5, {}),
     ],
     ids=[
         "abbreviated_flag_beats_config", "abbreviated_seed_flag", "config_int_written_as_float",
@@ -596,12 +600,16 @@ def test_cli_loads_scipy_special_only_when_a_command_evaluates_it(tmp_path):
 
 def test_dkw_exact_law_loads_no_scipy_stats(tmp_path):
     # the dkw contour reads its own K_n law for n > 140, so neither the
-    # commands at their defaults (n = 799) nor the bundle pays the scipy.stats import
+    # commands at their defaults (n = 799) nor the bundle pays the scipy.stats
+    # import; the two-sample slices are Gauss-Legendre tables, so bf and the
+    # behrens_fisher audit load neither scipy.stats nor scipy.integrate, and
+    # importing the cli does not load numpy.polynomial (1.8 MB)
     out = str(tmp_path / "dkw.csv")
     cov = str(tmp_path / "coverage.csv")
     code = "\n".join([
-        "import sys",
+        "import json, sys",
         "from confbel.cli import main",
+        "polynomial_at_import = 'numpy.polynomial' in sys.modules",
         "from confbel.mc import MCConfig",
         "from confbel.models import dkw_bundle",
         f"assert main(['dkw', '--out', {out!r}]) == 0",
@@ -611,10 +619,14 @@ def test_dkw_exact_law_loads_no_scipy_stats(tmp_path):
         "x = b.data_replicates(truth, 1, MCConfig(reps=1, seed=3))[0]",
         "b.plaus_grid(x, b.candidates_for(x))",
         "b.contour_at_truth(b.sampling.sample(truth, MCConfig(reps=200, seed=4)), truth)",
-        "print('scipy.stats' in sys.modules)",
+        "dkw_stats = 'scipy.stats' in sys.modules",
+        f"assert main(['bf', '--out', {out!r}]) == 0",
+        f"assert main(['audit', '--model', 'behrens_fisher', '--out', {cov!r}]) == 0",
+        "heavy = sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules)",
+        "print(json.dumps([dkw_stats, heavy, polynomial_at_import]))",
     ])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confbel.__file__)))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().splitlines()[-1] == "False"
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == [False, [], False]
     assert os.path.exists(out) and os.path.exists(cov)

@@ -46,7 +46,8 @@ def uniform_support(u, alpha, theta):
 def bf_support(n1, n2):
     def member(u, alpha, theta):
         tstar = dist.quantile(1.0 - alpha / 2.0, df=min(n1, n2) - 1)
-        return bf.t_lambda(u, bf.lambda_of(theta, n1, n2)) <= tstar
+        u, lam = np.atleast_2d(np.asarray(u, dtype=float)), bf.lambda_of(theta, n1, n2)
+        return np.abs(u[:, 0]) / np.sqrt(lam * u[:, 1] + (1.0 - lam) * u[:, 2]) <= tstar  # T_lambda <= t*
 
     return member
 

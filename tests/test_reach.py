@@ -96,6 +96,7 @@ LEDGER = {
     "fusion.support_mass": PERFBENCH,
     "fusion.NestednessReport.passed": PERFBENCH,
     "mc.MCConfig.with_reps": PERFBENCH,
+    "models.behrens_fisher.pivotal_draws": PERFBENCH,
     "models.dkw.ks_null_sample": PERFBENCH,
 }
 
