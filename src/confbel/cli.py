@@ -10,28 +10,16 @@ numerical routine fails.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
-import numpy as np
-
+# numpy, the numerics and each model load when a command runs, so --help,
+# --version and usage errors start without them (docs/decisions.md)
 from . import __version__
-from .audit import DEFAULT_ALPHA_GRID, contour_validity_audit, coverage_probability
-from .contours import ConsonanceError, GridSpec, NestednessError, as_alpha
-from .fusion import check_compatibility
-from .mc import MCConfig
-from .models import REGISTRY, behrens_fisher, binomial, dkw, fieller, normal_mean, uniform_loc
-from .reportio import write_rows
+from .models import REGISTRY
 
 SEED_ENV_VAR = "CONFBEL_SEED"
-
-# Boundary checks raise UsageError; a ValueError past them is the numerics'.
-_NUMERICAL_ERRORS = (
-    ConsonanceError,
-    NestednessError,
-    FloatingPointError,
-    ValueError,
-)
 
 
 class UsageError(Exception):
@@ -83,14 +71,16 @@ def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
+        value = math.nan
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
 def _alpha(text: str) -> float:
     """argparse type of every scalar ``--alpha``: a level strictly inside (0, 1)."""
+    from .contours import as_alpha
+
     try:
         return as_alpha(_finite_float(text))
     except ValueError as exc:
@@ -147,6 +137,8 @@ def _csv_floats(option: str, text: str) -> tuple[float, ...]:
 def _check_truth(option: str, sampling, interest, theta) -> None:
     """The model's own domain checks on a truth, run on one replicate before
     any work, so a truth outside the domain exits 2 with the model's message."""
+    from .mc import MCConfig
+
     try:
         sampling.sample(theta, MCConfig(reps=1))
         interest(theta)
@@ -169,6 +161,8 @@ def _metadata(args, **extra) -> dict:
 
 def _emit(args, rows: list[dict], meta: dict, note: str = "") -> None:
     """Write the artifact to ``--out``; a failed write exits 2 naming it."""
+    from .reportio import write_rows
+
     try:
         write_rows(args.out, rows, meta, args.format)
     except OSError as exc:
@@ -181,6 +175,10 @@ def _emit(args, rows: list[dict], meta: dict, note: str = "") -> None:
 
 
 def cmd_fig1(args) -> None:
+    import numpy as np
+
+    from .models import normal_mean
+
     # 5 000 rows, c falling from |theta| + 9 (P{|X| >= c} < 1e-18) to 0, where
     # the gap law - value is largest (docs/decisions.md)
     values, law = normal_mean.cd_abs_law(args.theta, np.linspace(abs(args.theta) + 9.0, 0.0, 5000))
@@ -189,6 +187,10 @@ def cmd_fig1(args) -> None:
 
 
 def cmd_binom(args) -> None:
+    import numpy as np
+
+    from .models import binomial
+
     if not 0 <= args.x <= args.n:
         raise UsageError(f"--x must lie in 0..{args.n}, got {args.x}")
     thetas = binomial.default_grid(args.grid_points).points()
@@ -202,6 +204,8 @@ def cmd_binom(args) -> None:
 
 
 def cmd_bf(args) -> None:
+    from .models import behrens_fisher
+
     lam_cols = _csv_floats("--lambda-cols", args.lambda_cols)
     if not all(0.0 <= lam <= 1.0 for lam in lam_cols):
         raise UsageError(f"--lambda-cols: each lambda must lie in [0, 1], got {args.lambda_cols!r}")
@@ -219,6 +223,8 @@ def cmd_bf(args) -> None:
 
 
 def cmd_dkw(args) -> None:
+    from .models import dkw
+
     if args.data is not None:
         try:
             sample = dkw.EmpiricalSample.from_csv(args.data, column=args.column)
@@ -250,6 +256,11 @@ def cmd_dkw(args) -> None:
 
 
 def cmd_fieller(args) -> None:
+    from .audit import coverage_probability
+    from .contours import GridSpec
+    from .mc import MCConfig
+    from .models import fieller
+
     x = (args.x1, args.x2)
     mc = MCConfig(reps=args.reps, seed=args.seed)
     iv = fieller.fieller_interval(x, args.alpha)
@@ -280,6 +291,11 @@ def cmd_fieller(args) -> None:
 
 
 def cmd_uniform(args) -> None:
+    from .audit import coverage_probability
+    from .fusion import check_compatibility
+    from .mc import MCConfig
+    from .models import uniform_loc
+
     x = (args.x1, args.x2)
     if x[1] < x[0]:
         raise UsageError(f"--x2 must be at least --x1, got {args.x2} < {args.x1}")
@@ -311,12 +327,18 @@ def cmd_uniform(args) -> None:
 
 
 def cmd_audit(args) -> None:
+    from .audit import DEFAULT_ALPHA_GRID, contour_validity_audit
+    from .contours import as_alpha
+    from .mc import MCConfig
+
     bundle = REGISTRY[args.model]()
     mc = MCConfig(reps=args.reps, seed=args.seed)
-    try:
-        alphas = tuple(as_alpha(a) for a in _csv_floats("--alphas", args.alphas))
-    except ValueError as exc:
-        raise UsageError(f"--alphas: {exc}") from exc
+    alphas = DEFAULT_ALPHA_GRID
+    if args.alphas is not None:
+        try:
+            alphas = tuple(as_alpha(a) for a in _csv_floats("--alphas", args.alphas))
+        except ValueError as exc:
+            raise UsageError(f"--alphas: {exc}") from exc
     report = contour_validity_audit(
         bundle.sampling,
         bundle.contour_at_truth,
@@ -333,6 +355,8 @@ def cmd_audit(args) -> None:
 def _truth(model: str, text: str, hints: tuple):
     """The truth ``text`` names: one of the hint CDFs by name (dkw), else
     comma-separated values of the hint truths' length."""
+    import numpy as np
+
     if hasattr(hints[0], "name"):
         named = {h.name: h for h in hints}
         if text not in named:
@@ -346,8 +370,15 @@ def _truth(model: str, text: str, hints: tuple):
 
 
 def cmd_coverage(args) -> None:
+    import numpy as np
+
+    from .audit import coverage_probability
+    from .mc import MCConfig
+
     mc = MCConfig(reps=args.reps, seed=args.seed)
     if args.model == "fieller":
+        from .models import fieller
+
         sampling, family, interest, hints = fieller.sampling(), fieller.family(), fieller.interest, ((1.0, 20.0),)
     else:
         bundle = REGISTRY[args.model]()
@@ -397,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bf", help="two-sample contours: the interval contour (= fused marginal) and lambda slices")
     common(p, "confbel_bf.csv", None)
-    d = behrens_fisher.DEFAULT_DATA
-    p.add_argument("--n1", type=_count_at_least(2), default=d.n1)
-    p.add_argument("--m1", type=_finite_float, default=d.m1)
-    p.add_argument("--v1", type=_positive_float, default=d.v1)
-    p.add_argument("--n2", type=_count_at_least(2), default=d.n2)
-    p.add_argument("--m2", type=_finite_float, default=d.m2)
-    p.add_argument("--v2", type=_positive_float, default=d.v2)
+    # a small two-route commute-time summary with severely unequal variances
+    p.add_argument("--n1", type=_count_at_least(2), default=5)
+    p.add_argument("--m1", type=_finite_float, default=7.580)
+    p.add_argument("--v1", type=_positive_float, default=2.237)
+    p.add_argument("--n2", type=_count_at_least(2), default=11)
+    p.add_argument("--m2", type=_finite_float, default=6.136)
+    p.add_argument("--v2", type=_positive_float, default=0.073)
     p.add_argument("--grid-points", type=_count_at_least(2), default=201)
     p.add_argument("--lambda-cols", default="0,0.25,0.5,0.75,1", help="lambda slices to emit as columns")
     p.set_defaults(func=cmd_bf)
@@ -443,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="contour validity audit for a model bundle")
     common(p, "confbel_audit.csv", 10_000)
     p.add_argument("--model", choices=sorted(REGISTRY), default="binomial")
-    p.add_argument("--alphas", default=",".join(str(a) for a in DEFAULT_ALPHA_GRID))
+    p.add_argument("--alphas", default=None)  # None: the audit's DEFAULT_ALPHA_GRID
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("coverage", help="Monte Carlo coverage of a model's region family")
@@ -490,7 +521,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except Exception as exc:
+        # boundary checks raise UsageError; a ValueError past them is the numerics'
+        from .contours import ConsonanceError, NestednessError
+
+        if not isinstance(exc, (ConsonanceError, NestednessError, FloatingPointError, ValueError)):
+            raise
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

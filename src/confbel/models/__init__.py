@@ -4,7 +4,9 @@ A bundle collects everything the audits and the containment checks need about
 one model: the confidence-region family, the random set behind the fused
 contour, a data generator under a declared truth, and vectorized evaluators
 for the fused contour and region membership over an interest-parameter grid.
-``REGISTRY`` maps bundle names to factories.
+``REGISTRY`` maps bundle names to factories.  Importing this package loads
+neither numpy nor any model: each factory imports its own model module, and
+``from confbel.models import dkw`` imports the submodule.
 """
 
 from __future__ import annotations
@@ -12,30 +14,12 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from ..audit import SamplingModel
-from ..contours import ConfidenceFamily, GridSpec
-from ..fusion import RandomSetFamily
-from . import behrens_fisher, binomial, dkw, fieller, normal_mean, uniform_loc
-
-__all__ = [
-    "ModelBundle",
-    "REGISTRY",
-    "behrens_fisher",
-    "binomial",
-    "dkw",
-    "fieller",
-    "normal_mean",
-    "uniform_loc",
-    "behrens_fisher_bundle",
-    "binomial_bundle",
-    "dkw_bundle",
-    "normal_mean_bundle",
-    "uniform_loc_bundle",
-]
+if TYPE_CHECKING:
+    from ..audit import SamplingModel
+    from ..contours import ConfidenceFamily
+    from ..fusion import RandomSetFamily
 
 
 @dataclass(frozen=True)
@@ -95,6 +79,10 @@ def _bundle(row: Callable = lambda r: r, **fields) -> ModelBundle:
 
 
 def binomial_bundle(n: int = 25) -> ModelBundle:
+    import numpy as np
+
+    from . import binomial
+
     return _bundle(
         row=int,
         name="binomial",
@@ -108,6 +96,8 @@ def binomial_bundle(n: int = 25) -> ModelBundle:
 
 
 def uniform_loc_bundle(n: int = 10) -> ModelBundle:
+    from . import uniform_loc
+
     return _bundle(
         name="uniform_loc",
         family=uniform_loc.family(),
@@ -120,6 +110,9 @@ def uniform_loc_bundle(n: int = 10) -> ModelBundle:
 
 
 def normal_mean_bundle() -> ModelBundle:
+    from ..contours import GridSpec
+    from . import normal_mean
+
     return _bundle(
         name="normal_mean",
         family=normal_mean.family(),
@@ -132,6 +125,8 @@ def normal_mean_bundle() -> ModelBundle:
 
 
 def behrens_fisher_bundle(n1: int = 5, n2: int = 11) -> ModelBundle:
+    from . import behrens_fisher
+
     return _bundle(
         row=lambda r: behrens_fisher.BehrensFisherData(n1, float(r[0]), float(r[2]), n2, float(r[1]), float(r[3])),
         name="behrens_fisher",
@@ -147,6 +142,11 @@ def behrens_fisher_bundle(n1: int = 5, n2: int = 11) -> ModelBundle:
 
 
 def dkw_bundle(n: int = 799) -> ModelBundle:
+    import numpy as np
+
+    from ..contours import GridSpec
+    from . import dkw
+
     shifts = np.array([-1.5, -1.0, -0.6, -0.25, 0.0, 0.25, 0.6, 1.0, 1.5])
 
     def containment_candidates(x):

@@ -84,6 +84,9 @@ def abs_contour(x: float) -> PlausibilityContour:
     return PlausibilityContour(fn, sup_witness=abs(float(x)), unimodal=True)
 
 
+# A difference past the float range rounds to -inf or inf, where ndtr's limit,
+# 0 or 1, is exact: fig1 --theta 1e308 evaluates ndtr(-inf).
+@np.errstate(over="ignore")
 def cd_abs_value(x, phi):
     """Confidence-distribution mass assigned to ``{|theta| <= phi}``.
 
@@ -99,6 +102,7 @@ def cd_abs_value(x, phi):
     return out if out.ndim else float(out)
 
 
+@np.errstate(over="ignore")
 def cd_abs_law(theta, c):
     """The law of ``H_X(|theta|)`` at the truth: ``(v, F)`` with ``v = H_c(|theta|)``
     and ``F = P_theta{H_X(|theta|) <= v}``, for ``c >= 0``.

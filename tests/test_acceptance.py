@@ -111,7 +111,7 @@ def test_criterion_3_binomial_containment_with_visible_gap():
 
 def test_criterion_4_two_sample_marginal_tracks_interval_contour():
     t0 = time.perf_counter()
-    data = behrens_fisher.DEFAULT_DATA
+    data = behrens_fisher.BehrensFisherData(n1=5, m1=7.580, v1=2.237, n2=11, m2=6.136, v2=0.073)  # bf's defaults
     phis = behrens_fisher.default_grid(data, 201).points()
     lam_grid = tuple(np.linspace(0.0, 1.0, 101))
     hs = behrens_fisher.hs_contour(data, phis)

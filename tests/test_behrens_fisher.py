@@ -16,6 +16,10 @@ from confbel.mc import MCConfig
 from confbel.models import REGISTRY
 from confbel.models import behrens_fisher as bf
 
+# the stock data, the bf command's default summaries: a small two-route
+# commute-time summary with severely unequal variances
+DATA = bf.BehrensFisherData(n1=5, m1=7.580, v1=2.237, n2=11, m2=6.136, v2=0.073)
+
 # independently computed from the stock data (arbitrary-precision t CDF)
 DIFF = 1.444
 SE = 0.67382220476648262
@@ -63,7 +67,7 @@ def slice_exact(n1: int, n2: int, lam: float, t: float) -> float:
 
 
 def test_data_summaries():
-    d = bf.DEFAULT_DATA
+    d = DATA
     assert d.diff == pytest.approx(DIFF, abs=1e-15)
     assert d.se == pytest.approx(SE, abs=1e-15)
     assert d.dof == 4
@@ -74,7 +78,7 @@ def test_data_summaries():
 
 
 def test_hs_contour_and_interval():
-    d = bf.DEFAULT_DATA
+    d = DATA
     assert bf.hs_contour(d, d.diff) == pytest.approx(1.0, abs=1e-14)
     assert bf.hs_contour(d, 0.0) == pytest.approx(HS_AT_ZERO, abs=1e-12)
     tstar = special.stdtrit(d.dof, 0.975)
@@ -132,7 +136,7 @@ def test_lambda_of():
 def test_lambda_one_slice_is_exact_t():
     # at lambda = 1 the pivot is a plain |t| with dof = n1 - 1 = dof of the
     # interval family, so the slice must match the closed form
-    d = bf.DEFAULT_DATA
+    d = DATA
     phis = np.linspace(d.diff - 4 * d.se, d.diff + 4 * d.se, 21)
     got = bf.slice_plaus(d.n1, d.n2, d, 1.0, phis)
     want = bf.hs_contour(d, phis)
@@ -156,7 +160,7 @@ def test_slice_plaus_reads_the_exact_slice_at_each_key():
 
 def test_lambda_plaus_validation():
     with pytest.raises(ValueError):
-        bf.slice_plaus(5, 11, bf.DEFAULT_DATA, 1.5, 0.0)
+        bf.slice_plaus(5, 11, DATA, 1.5, 0.0)
 
 
 def test_support_mass_is_the_pivot_law_at_the_interval_level():
@@ -166,7 +170,7 @@ def test_support_mass_is_the_pivot_law_at_the_interval_level():
     # table's 8-entry cache
     rs = bf.random_set(5, 11)
     for lam in np.linspace(0.05, 0.95, 9):
-        bf.slice_plaus(5, 11, bf.DEFAULT_DATA, float(lam), 0.0)
+        bf.slice_plaus(5, 11, DATA, float(lam), 0.0)
     for theta in (HINT_TRUTH, (0.3, 4.0, 1.0), (0.0, 1.0, 1.0), (-2.0, 0.01, 9.0), (1.0, 9.0, 0.01)):
         lam = bf.lambda_of(theta, 5, 11)
         for alpha in (0.01, 0.05, 0.2, 0.5, 0.9):
@@ -238,7 +242,7 @@ def test_marginal_dominates_slices_and_peaks_at_one():
     # the bundle's marginal is the interval contour: every exact slice lies
     # below it, the lambda = 1 slice (all weight on the smaller group, n1 = 5)
     # attains it, and it peaks at 1 at the observed difference
-    d = bf.DEFAULT_DATA
+    d = DATA
     marginal = REGISTRY["behrens_fisher"]().plaus_grid
     phis = np.linspace(d.diff - 3 * d.se, d.diff + 3 * d.se, 41)
     pl = marginal(d, phis)
@@ -255,7 +259,7 @@ def _replicate(seed: int) -> bf.BehrensFisherData:
     return bf.BehrensFisherData(5, m1, v1, 11, m2, v2)
 
 
-@pytest.mark.parametrize("data", [bf.DEFAULT_DATA, _replicate(101), _replicate(202)])
+@pytest.mark.parametrize("data", [DATA, _replicate(101), _replicate(202)])
 def test_marginal_is_max_of_lambda_slices(data):
     # the slices read the exact ones within 1e-10, and the max of the exact
     # slices over lambda is hs_contour; a slice sees the data only through t,
@@ -363,7 +367,7 @@ def test_contour_at_truth_reads_alpha_at_each_exact_alpha_point():
 
 
 def test_default_grid_centered():
-    g = bf.default_grid(bf.DEFAULT_DATA)
+    g = bf.default_grid(DATA)
     pts = g.points()
     assert len(pts) == 201
     assert pts[0] == pytest.approx(DIFF - 6 * SE)

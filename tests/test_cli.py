@@ -4,6 +4,7 @@ resolution, config files, and exit codes."""
 from __future__ import annotations
 
 import argparse
+import ast
 import errno
 import json
 import os
@@ -42,6 +43,19 @@ def test_fig1_artifact(tmp_path):
     values = [float(r["cd_value"]) for r in rows]
     assert values == sorted(values)
     assert float(rows[-1]["uniform_position"]) == 1.0
+
+
+@pytest.mark.parametrize("theta", ["1e308", "-1e308"])
+def test_fig1_at_the_edge_of_the_float_range(tmp_path, theta):
+    # -|theta| - c falls below the float range, and ndtr's limit there, 0, is
+    # exact: the law is the value itself, with no overflow warning (the suite
+    # turns one from confbel into an error)
+    out = tmp_path / "fig1.csv"
+    assert main(["fig1", f"--theta={theta}", "--out", str(out)]) == 0
+    meta, rows = read_csv(out)
+    assert meta["ks_uniform"] == "0.000000"
+    assert (rows[0]["cd_value"], rows[-1]["cd_value"]) == ("0.5", "1")
+    assert all(r["cd_value"] == r["uniform_position"] for r in rows)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -630,3 +644,58 @@ def test_dkw_exact_law_loads_no_scipy_stats(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.strip().splitlines()[-1]) == [False, [], False]
     assert os.path.exists(out) and os.path.exists(cov)
+
+
+def _fresh(code: str, cwd) -> object:
+    """The JSON that ``code`` prints last, run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(confbel.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, cwd=cwd)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_import_help_version_and_usage_errors_load_no_numpy(tmp_path):
+    # one cold process, read after each step
+    steps = [["--help"], ["--version"], ["binom", "--grid-points", "1"], ["fig1", "--out", str(tmp_path / "no" / "o.csv")]]
+    seen = _fresh("\n".join([
+        "import json, sys",
+        "def heavy():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))",
+        "import confbel",
+        "seen = [heavy()]",
+        "import confbel.cli",
+        "seen.append(heavy())",
+        f"for argv in {steps!r}:",
+        "    try:",
+        "        code = confbel.cli.main(argv)",
+        "    except SystemExit as exc:",
+        "        code = exc.code",
+        "    seen.append([code, heavy()])",
+        "print(json.dumps(seen))",
+    ]), tmp_path)
+    assert seen == [[], [], [0, []], [0, []], [2, []], [2, []]]
+
+
+def test_each_command_loads_its_own_model_only(tmp_path):
+    # each benchmark command on a fresh import of confbel, in one process
+    # (numpy stays loaded between them); --reps 50 where the command draws
+    tree = ast.parse(open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "run.py")).read())
+    table = next(n.value for n in tree.body if isinstance(n, ast.Assign) and n.targets[0].id == "CLI_COMMANDS")
+    commands = [argv for argv, _rows, _artifact in ast.literal_eval(table)]
+    assert len(commands) == 17
+    loaded = _fresh("\n".join([
+        "import json, sys",
+        "loaded = []",
+        f"for argv in {commands!r}:",
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'confbel']:",
+        "        del sys.modules[name]",
+        "    import confbel.cli",
+        "    draws = ['--reps', '50'] if argv[0] in ('fieller', 'uniform', 'audit', 'coverage') else []",
+        "    code = confbel.cli.main([*argv, *draws, '--out', 'o.csv'])",
+        "    loaded.append([code, sorted(m for m in sys.modules if m.startswith('confbel.models.'))])",
+        "print(json.dumps(loaded))",
+    ]), tmp_path)
+    own = {"fig1": "normal_mean", "binom": "binomial", "bf": "behrens_fisher", "uniform": "uniform_loc"}
+    for argv, (code, modules) in zip(commands, loaded):
+        model = argv[argv.index("--model") + 1] if "--model" in argv else own.get(argv[0], argv[0])
+        assert (code, modules) == (0, [f"confbel.models.{model}"]), argv
