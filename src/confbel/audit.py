@@ -22,7 +22,7 @@ every estimate is the float a single draw would give.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,20 +56,11 @@ class SamplingModel:
 
 @dataclass(frozen=True)
 class CoverageEstimate:
-    theta: object
+    theta: str  # the truth's label
     alpha: float
     estimate: float
     se: float
     reps: int
-
-    def as_row(self) -> dict:
-        return {
-            "theta": _label(self.theta),
-            "alpha": self.alpha,
-            "estimate": self.estimate,
-            "se": self.se,
-            "reps": self.reps,
-        }
 
 
 @dataclass(frozen=True)
@@ -80,9 +71,6 @@ class AuditRow:
     se: float
     flagged: bool
     reps: int
-
-    def as_row(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -119,7 +107,7 @@ def coverage_probability(
     hits = _per_replicate(sampling, theta, mc, lambda xs: np.asarray(family.member_batch(xs, a, phi), dtype=bool))
     est = float(np.mean(hits))
     se = float(np.sqrt(est * (1.0 - est) / len(hits)))
-    return CoverageEstimate(theta, a, est, se, len(hits))
+    return CoverageEstimate(_label(theta), a, est, se, len(hits))
 
 
 def _per_replicate(sampling: SamplingModel, theta, mc: MCConfig, reduce: Callable) -> np.ndarray:

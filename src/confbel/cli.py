@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
+from dataclasses import asdict
 
 # numpy, the numerics and each model load when a command runs, so --help,
 # --version and usage errors start without them (docs/decisions.md)
@@ -20,6 +22,9 @@ from . import __version__
 from .models import REGISTRY
 
 SEED_ENV_VAR = "CONFBEL_SEED"
+# argparse takes a token for an option unless it matches its negative-number
+# pattern, which has no exponent and no -inf or -nan: this one has both
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*(e[-+]?\d+)?|\.\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 class UsageError(Exception):
@@ -134,18 +139,6 @@ def _csv_floats(option: str, text: str) -> tuple[float, ...]:
         raise UsageError(f"{option}: expected comma-separated finite numbers, got {text!r}") from exc
 
 
-def _check_truth(option: str, sampling, interest, theta) -> None:
-    """The model's own domain checks on a truth, run on one replicate before
-    any work, so a truth outside the domain exits 2 with the model's message."""
-    from .mc import MCConfig
-
-    try:
-        sampling.sample(theta, MCConfig(reps=1))
-        interest(theta)
-    except ValueError as exc:
-        raise UsageError(f"{option}: {exc}") from exc
-
-
 def _metadata(args, **extra) -> dict:
     meta = {"tool": f"confbel {__version__}", "command": args.command}
     if "seed" in vars(args):  # only the commands that draw take a seed
@@ -159,15 +152,46 @@ def _metadata(args, **extra) -> dict:
     return meta
 
 
-def _emit(args, rows: list[dict], meta: dict, note: str = "") -> None:
-    """Write the artifact to ``--out``; a failed write exits 2 naming it."""
+def _columns(**columns) -> list[dict]:
+    """One row per index of the equal-length ``columns``: floats at ``.10g``,
+    bools as Python bools."""
+    import numpy as np
+
+    text = {}
+    for name, column in columns.items():
+        column = np.asarray(column)
+        text[name] = column.tolist() if column.dtype == bool else [f"{v:.10g}" for v in column.tolist()]
+    return [dict(zip(text, row)) for row in zip(*text.values())]
+
+
+def _emit(args, rows: list[dict], note: str = "", **extra) -> None:
+    """Write the artifact to ``--out`` under the header ``_metadata(args,
+    **extra)``; a failed write exits 2 naming it."""
     from .reportio import write_rows
 
     try:
-        write_rows(args.out, rows, meta, args.format)
+        write_rows(args.out, rows, _metadata(args, **extra), args.format)
     except OSError as exc:
         raise UsageError(f"--out {args.out}: {exc.strerror or exc}") from exc
     print(f"wrote {args.out} ({len(rows)} rows{note})")
+
+
+def _coverage(args, sampling, family, theta, interest=None):
+    """The coverage estimate at the truth ``theta`` (``--theta``) under
+    ``--alpha``, ``--reps`` and ``--seed``.  The model's own domain checks run
+    first on one replicate, so a truth outside the domain exits 2 with the
+    model's message."""
+    from .audit import coverage_probability
+    from .mc import MCConfig
+
+    try:
+        sampling.sample(theta, MCConfig(reps=1))
+        if interest is not None:
+            interest(theta)
+    except ValueError as exc:
+        raise UsageError(f"--theta: {exc}") from exc
+    mc = MCConfig(reps=args.reps, seed=args.seed)
+    return coverage_probability(sampling, family, theta, args.alpha, mc, interest)
 
 
 # --------------------------------------------------------------------------
@@ -182,8 +206,7 @@ def cmd_fig1(args) -> None:
     # 5 000 rows, c falling from |theta| + 9 (P{|X| >= c} < 1e-18) to 0, where
     # the gap law - value is largest (docs/decisions.md)
     values, law = normal_mean.cd_abs_law(args.theta, np.linspace(abs(args.theta) + 9.0, 0.0, 5000))
-    rows = [{"cd_value": f"{v:.10g}", "uniform_position": f"{p:.10g}"} for v, p in zip(values, law)]
-    _emit(args, rows, _metadata(args, ks_uniform=f"{np.max(law - values):.6f}"))
+    _emit(args, _columns(cd_value=values, uniform_position=law), ks_uniform=f"{np.max(law - values):.6f}")
 
 
 def cmd_binom(args) -> None:
@@ -196,11 +219,7 @@ def cmd_binom(args) -> None:
     thetas = binomial.default_grid(args.grid_points).points()
     cp = binomial.cp_contour(args.n, args.x, thetas)
     im = binomial.im_contour(args.n, args.x, thetas)
-    rows = [
-        {"theta": f"{t:.10g}", "cp_contour": f"{c:.10g}", "im_contour": f"{i:.10g}"}
-        for t, c, i in zip(thetas, cp, im)
-    ]
-    _emit(args, rows, _metadata(args, max_gap=f"{np.max(cp - im):.6f}"))
+    _emit(args, _columns(theta=thetas, cp_contour=cp, im_contour=im), max_gap=f"{np.max(cp - im):.6f}")
 
 
 def cmd_bf(args) -> None:
@@ -211,15 +230,8 @@ def cmd_bf(args) -> None:
         raise UsageError(f"--lambda-cols: each lambda must lie in [0, 1], got {args.lambda_cols!r}")
     data = behrens_fisher.BehrensFisherData(args.n1, args.m1, args.v1, args.n2, args.m2, args.v2)
     phis = behrens_fisher.default_grid(data, args.grid_points).points()
-    hs = behrens_fisher.hs_contour(data, phis)
-    col_values = {lam: behrens_fisher.slice_plaus(data.n1, data.n2, data, lam, phis) for lam in lam_cols}
-    rows = []
-    for i, phi in enumerate(phis):
-        row = {"phi": f"{phi:.10g}", "hs_contour": f"{hs[i]:.10g}"}
-        for lam in lam_cols:
-            row[f"lambda_{lam:g}"] = f"{col_values[lam][i]:.10g}"
-        rows.append(row)
-    _emit(args, rows, _metadata(args))
+    slices = {f"lambda_{lam:g}": behrens_fisher.slice_plaus(data.n1, data.n2, data, lam, phis) for lam in lam_cols}
+    _emit(args, _columns(phi=phis, hs_contour=behrens_fisher.hs_contour(data, phis), **slices))
 
 
 def cmd_dkw(args) -> None:
@@ -235,34 +247,22 @@ def cmd_dkw(args) -> None:
     delta, lower, upper = dkw.dkw_band(sample, args.alpha)
     idx, plaus = dkw.dkw_contour(sample, lower)
     ehat = sample.ecdf()
-    rows = [
-        {
-            "x": f"{x:.10g}",
-            "ecdf": f"{e:.10g}",
-            "lower": f"{lo:.10g}",
-            "upper": f"{hi:.10g}",
-        }
-        for x, e, lo, hi in zip(ehat.xs, ehat.ys, lower.ys, upper.ys)
-    ]
-    meta = _metadata(
+    _emit(
         args,
+        _columns(x=ehat.xs, ecdf=ehat.ys, lower=lower.ys, upper=upper.ys),
         n=sample.n,
         delta=f"{delta:.8f}",
         lower_band_alpha_index=f"{idx:.6f}",
         lower_band_plaus=f"{plaus:.6f}",
         lower_band_plaus_law="exact K_n law (Simard-L'Ecuyer)",
     )
-    _emit(args, rows, meta)
 
 
 def cmd_fieller(args) -> None:
-    from .audit import coverage_probability
     from .contours import GridSpec
-    from .mc import MCConfig
     from .models import fieller
 
     x = (args.x1, args.x2)
-    mc = MCConfig(reps=args.reps, seed=args.seed)
     iv = fieller.fieller_interval(x, args.alpha)
     if args.curve and not args.phi_lo < args.phi_hi:
         raise UsageError(f"--phi-hi must exceed --phi-lo, got {args.phi_hi} <= {args.phi_lo}")
@@ -270,28 +270,19 @@ def cmd_fieller(args) -> None:
     theta = _csv_floats("--theta", args.theta)
     if len(theta) != 2:
         raise UsageError(f"--theta takes two components, got {args.theta!r}")
-    _check_truth("--theta", fieller.sampling(), fieller.interest, theta)
-    est = coverage_probability(
-        fieller.sampling(), fieller.family(), theta, args.alpha, mc, interest=fieller.interest
-    )
-    if args.curve:
-        gs = fieller.fieller_cdf_batch(x, phis)
-        rows = [{"phi": f"{p:.10g}", "g": f"{g:.10g}"} for p, g in zip(phis, gs)]
-    else:
-        rows = [est.as_row()]
-    meta = _metadata(
+    est = _coverage(args, fieller.sampling(), fieller.family(), theta, fieller.interest)
+    _emit(
         args,
+        _columns(phi=phis, g=fieller.fieller_cdf_batch(x, phis)) if args.curve else [asdict(est)],
         interval_lower=f"{iv.lower:.8g}",
         interval_upper=f"{iv.upper:.8g}",
         mass_at_infinity=f"{fieller.mass_at_infinity(x):.3e}",
         coverage_estimate=f"{est.estimate:.6f}",
         coverage_se=f"{est.se:.6f}",
     )
-    _emit(args, rows, meta)
 
 
 def cmd_uniform(args) -> None:
-    from .audit import coverage_probability
     from .fusion import check_compatibility
     from .mc import MCConfig
     from .models import uniform_loc
@@ -301,29 +292,26 @@ def cmd_uniform(args) -> None:
         raise UsageError(f"--x2 must be at least --x1, got {args.x2} < {args.x1}")
     if x[1] - x[0] > 1.0:  # Unif(theta, theta + 1) data lie within 1 of each other
         raise UsageError(f"--x2 must be at most --x1 + 1, got {args.x2} > {args.x1} + 1")
-    mc = MCConfig(reps=args.reps, seed=args.seed)
-    grid = uniform_loc.default_grid(x, args.grid_points)
-    thetas = grid.points()
-    contour = uniform_loc.alpha_index_exact(x, thetas)
+    thetas = uniform_loc.default_grid(x, args.grid_points).points()
     iv = uniform_loc.interval(x, args.alpha)
-    in_region = uniform_loc.member(x, args.alpha, thetas)
-    rows = [
-        {"theta": f"{t:.10g}", "contour": f"{c:.10g}", "in_region": bool(m)}
-        for t, c, m in zip(thetas, contour, in_region)
-    ]
+    mc = MCConfig(reps=args.reps, seed=args.seed)
     compat = check_compatibility(
         uniform_loc.association(), uniform_loc.random_set(args.n), x, uniform_loc.theta_hat(x), args.alpha, mc
     )
-    est = coverage_probability(uniform_loc.sampling(args.n), uniform_loc.family(), args.theta, args.alpha, mc)
-    meta = _metadata(
+    est = _coverage(args, uniform_loc.sampling(args.n), uniform_loc.family(), args.theta)
+    _emit(
         args,
+        _columns(
+            theta=thetas,
+            contour=uniform_loc.alpha_index_exact(x, thetas),
+            in_region=uniform_loc.member(x, args.alpha, thetas),
+        ),
         interval_lower=f"{iv.lower:.8g}",
         interval_upper=f"{iv.upper:.8g}",
         compatibility=compat.status,
         coverage_estimate=f"{est.estimate:.6f}",
         coverage_se=f"{est.se:.6f}",
     )
-    _emit(args, rows, meta)
 
 
 def cmd_audit(args) -> None:
@@ -333,12 +321,12 @@ def cmd_audit(args) -> None:
 
     bundle = REGISTRY[args.model]()
     mc = MCConfig(reps=args.reps, seed=args.seed)
-    alphas = DEFAULT_ALPHA_GRID
-    if args.alphas is not None:
-        try:
-            alphas = tuple(as_alpha(a) for a in _csv_floats("--alphas", args.alphas))
-        except ValueError as exc:
-            raise UsageError(f"--alphas: {exc}") from exc
+    if args.alphas is None:  # the audit's default grid, recorded as if given
+        args.alphas = ",".join(map(str, DEFAULT_ALPHA_GRID))
+    try:
+        alphas = tuple(as_alpha(a) for a in _csv_floats("--alphas", args.alphas))
+    except ValueError as exc:
+        raise UsageError(f"--alphas: {exc}") from exc
     report = contour_validity_audit(
         bundle.sampling,
         bundle.contour_at_truth,
@@ -347,7 +335,7 @@ def cmd_audit(args) -> None:
         mc=mc,
     )
     flagged = report.flagged()
-    _emit(args, [r.as_row() for r in report.rows], dict(report.metadata), f", {len(flagged)} flagged")
+    _emit(args, [asdict(r) for r in report.rows], f", {len(flagged)} flagged", **report.metadata)
     for row in flagged:
         print(f"  flagged: theta={row.label} alpha={row.alpha} exceedance={row.exceedance:.4f}")
 
@@ -372,10 +360,6 @@ def _truth(model: str, text: str, hints: tuple):
 def cmd_coverage(args) -> None:
     import numpy as np
 
-    from .audit import coverage_probability
-    from .mc import MCConfig
-
-    mc = MCConfig(reps=args.reps, seed=args.seed)
     if args.model == "fieller":
         from .models import fieller
 
@@ -386,10 +370,8 @@ def cmd_coverage(args) -> None:
     if args.theta is None:  # the model's first hint truth, recorded as if given
         first = hints[0]
         args.theta = first.name if hasattr(first, "name") else ",".join(f"{float(v):.10g}" for v in np.ravel(first))
-    t = _truth(args.model, str(args.theta), hints)
-    _check_truth("--theta", sampling, interest, t)
-    est = coverage_probability(sampling, family, t, args.alpha, mc, interest=interest)
-    _emit(args, [est.as_row()], _metadata(args))
+    est = _coverage(args, sampling, family, _truth(args.model, str(args.theta), hints), interest)
+    _emit(args, [asdict(est)])
 
 
 # --------------------------------------------------------------------------
@@ -405,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, default_out: str, reps: int | None):
+        p._negative_number_matcher = _NEGATIVE_NUMBER  # `--theta -1e-3` passes -1e-3 as a value
         p.add_argument("--out", default=default_out, help="output path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if reps is not None:  # None: the subcommand draws nothing

@@ -156,18 +156,8 @@ def dkw_bundle(n: int = 799) -> ModelBundle:
         rows = np.clip(e + (shifts * dkw.dkw_delta(x.n, 0.05))[:, None], 0.0, 1.0)
         shifted = [dkw.StepFn(ehat.xs, r[1:], y_pre=r[0]) for r in rows]
         scale = float(np.mean(x.values))
-        smooth = dkw.ParametricCDF(
-            cdf=lambda t: -np.expm1(-np.maximum(np.asarray(t, dtype=float), 0.0) / scale),
-            quantile=lambda u: -scale * np.log1p(-u),
-            name=f"Exp(mean={scale:.6g})",
-        )
-        return shifted + [smooth]
+        return shifted + [dkw.exponential(scale, f"Exp(mean={scale:.6g})")]
 
-    unit_exp = dkw.ParametricCDF(
-        cdf=lambda t: -np.expm1(-np.maximum(np.asarray(t, dtype=float), 0.0)),
-        quantile=lambda u: -np.log1p(-u),
-        name="Exp(1)",
-    )
     return _bundle(
         row=dkw.EmpiricalSample,
         name="dkw",
@@ -177,7 +167,7 @@ def dkw_bundle(n: int = 799) -> ModelBundle:
         contour_at_truth=lambda xs, truth: dkw.plaus_of_distance(n, dkw.distance(xs, truth)),
         plaus_grid=lambda x, candidates: dkw.plaus_of_distance(x.n, dkw.distances(x, candidates)),
         default_grid=lambda x: GridSpec(0.0, 1.0, 2),  # unused; candidates are CDFs
-        theta_grid_hint=(unit_exp,),
+        theta_grid_hint=(dkw.exponential(1.0, "Exp(1)"),),
         containment_candidates=containment_candidates,
     )
 

@@ -140,6 +140,15 @@ class ParametricCDF:
         return self.cdf(t)
 
 
+def exponential(mean: float, name: str) -> ParametricCDF:
+    """The exponential law of ``mean``, labelled ``name``."""
+    return ParametricCDF(
+        cdf=lambda t: -np.expm1(np.maximum(np.asarray(t, dtype=float), 0.0) / -mean),
+        quantile=lambda u: -mean * np.log1p(-u),
+        name=name,
+    )
+
+
 def dkw_delta(n: int, alpha):
     """Band half-width ``sqrt(log(2/alpha) / (2n))``; broadcasts over alpha."""
     if n < 1:
@@ -449,4 +458,4 @@ def sampling(n: int) -> SamplingModel:
 def synthetic_sample(n: int = 799, seed: int = 1404) -> EmpiricalSample:
     """Fixed seeded stand-in data: exponential waiting times of mean 0.22."""
     u = MCConfig(reps=n, seed=seed).uniforms()
-    return EmpiricalSample(-0.22 * np.log1p(-u))
+    return EmpiricalSample(exponential(0.22, "Exp(mean=0.22)").quantile(u))

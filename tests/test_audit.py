@@ -148,7 +148,7 @@ def test_audit_report_round_trip(tmp_path):
         mc=MCConfig(reps=1000, seed=6),
     )
     path = tmp_path / "audit.csv"
-    write_rows(path, [r.as_row() for r in report.rows], dict(report.metadata), "csv")  # as the CLI writes it
+    write_rows(path, [dataclasses.asdict(r) for r in report.rows], dict(report.metadata), "csv")  # as the CLI writes it
     meta, rows = read_csv(path)
     assert meta["report"] == "contour-validity"
     assert meta["model"] == "normal_mean"

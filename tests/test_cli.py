@@ -4,8 +4,10 @@ resolution, config files, and exit codes."""
 from __future__ import annotations
 
 import argparse
-import ast
+import contextlib
+import csv
 import errno
+import io
 import json
 import os
 import subprocess
@@ -19,6 +21,8 @@ import confbel
 from confbel.cli import SEED_ENV_VAR, build_parser, main
 from confbel.models import binomial, dkw
 from confbel.reportio import read_csv
+
+from benchtable import cli_commands
 
 FIELLER_LOWER = -0.048111552939992403
 FIELLER_UPPER = 0.14908123008219377
@@ -679,9 +683,7 @@ def test_import_help_version_and_usage_errors_load_no_numpy(tmp_path):
 def test_each_command_loads_its_own_model_only(tmp_path):
     # each benchmark command on a fresh import of confbel, in one process
     # (numpy stays loaded between them); --reps 50 where the command draws
-    tree = ast.parse(open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "run.py")).read())
-    table = next(n.value for n in tree.body if isinstance(n, ast.Assign) and n.targets[0].id == "CLI_COMMANDS")
-    commands = [argv for argv, _rows, _artifact in ast.literal_eval(table)]
+    commands = [argv for argv, _rows, _artifact in cli_commands()]
     assert len(commands) == 17
     loaded = _fresh("\n".join([
         "import json, sys",
@@ -699,3 +701,58 @@ def test_each_command_loads_its_own_model_only(tmp_path):
     for argv, (code, modules) in zip(commands, loaded):
         model = argv[argv.index("--model") + 1] if "--model" in argv else own.get(argv[0], argv[0])
         assert (code, modules) == (0, [f"confbel.models.{model}"]), argv
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["fig1", "--theta", "-1e-3"], 0, ""),
+        (["fig1", "--theta", "-1E+2"], 0, ""),
+        (["uniform", "--x1", "-1e-3", "--reps", "50"], 0, ""),
+        (["bf", "--m2", "-1e308"], 3, "grid upper bound must exceed lower bound"),
+        (["fig1", "--theta", "-inf"], 2, "expected a finite number"),
+    ],
+)
+def test_negative_number_value_reads_as_its_equals_form(argv, code, message, tmp_path, capsys):
+    # `--theta -1e-3` passes the value -1e-3, exactly as `--theta=-1e-3` does
+    joined = [argv[0], f"{argv[1]}={argv[2]}", *argv[3:]]
+    seen = []
+    for k, form in enumerate((argv, joined)):
+        out = tmp_path / f"{k}.csv"
+        code_k = _exit_code([*form, "--out", str(out)])
+        seen.append((code_k, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == code and message in seen[0][1]
+    assert (seen[0][2] is not None) == (code == 0)
+
+
+def _subcommands() -> dict:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_every_header_records_tool_command_options_and_seed(command, tmp_path):
+    # the header names the tool, the command and each option but the output
+    # ones; the seed and its source exactly when the command draws
+    parser = _subcommands()[command]
+    draws = "--reps" in parser._option_string_actions
+    out = tmp_path / "o.csv"
+    assert main([command, *(["--reps", "50"] if draws else []), "--out", str(out)]) == 0
+    meta, _rows = read_csv(out)
+    dests = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+    options = {f"opt_{d}" for d in dests - {"out", "format", "config", "seed"}}
+    assert meta["tool"] == f"confbel {confbel.__version__}" and meta["command"] == command
+    assert {k for k in meta if k.startswith("opt_")} == options
+    assert {k for k in meta if k in ("seed", "seed_source")} == ({"seed", "seed_source"} if draws else set())
+
+
+@pytest.mark.parametrize("argv, rows, artifact", cli_commands(), ids=[" ".join(argv) for argv, _r, _a in cli_commands()])
+def test_each_benchmark_command_writes_its_row_count(argv, rows, artifact, tmp_path, monkeypatch):
+    # the benchmark counts the CSV rows after the `#` lines of the default artifact
+    monkeypatch.chdir(tmp_path)
+    draws = ["--reps", "50"] if "--reps" in _subcommands()[argv[0]]._option_string_actions else []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, *draws]) == 0
+    with open(artifact, encoding="utf-8") as fh:
+        body = [line for line in fh if not line.startswith("#") and line.strip()]
+    assert len(list(csv.DictReader(body))) == rows

@@ -22,6 +22,8 @@ import io
 import pathlib
 import sys
 
+from benchtable import cli_commands
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "confbel"
 
@@ -101,15 +103,6 @@ LEDGER = {
 }
 
 
-def _cli_commands() -> list[list[str]]:
-    """``perfbench/run.py``'s ``CLI_COMMANDS`` argv lists, read as literals."""
-    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "CLI_COMMANDS" for t in node.targets):
-            return [list(argv) for argv, _rows, _artifact in ast.literal_eval(node.value)]
-    raise AssertionError("perfbench/run.py defines no CLI_COMMANDS")
-
-
 def _functions() -> dict[tuple[pathlib.Path, int], tuple[str, int]]:
     """``(file, first line) -> (qualified name, lines)`` for every function
     under ``src/confbel``, nested ones included.  A decorated function's
@@ -154,7 +147,7 @@ def _reached(tmp_path) -> set[tuple[pathlib.Path, int]]:
         cli = importlib.import_module("confbel.cli")
         parser = cli.build_parser()
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-        for k, argv in enumerate([*_cli_commands(), ["audit", "--model", "dkw"]]):
+        for k, argv in enumerate([*(argv for argv, _rows, _artifact in cli_commands()), ["audit", "--model", "dkw"]]):
             draws = ["--reps", "500"] if "--reps" in commands[argv[0]]._option_string_actions else []
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main([*argv, *draws, "--out", str(tmp_path / f"{k}.csv")])

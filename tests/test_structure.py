@@ -2,12 +2,20 @@
 name from another package module.  A private name is its module's own
 business; a caller that needs it needs a public result instead.  The
 ``_special`` module, the lazy ``scipy.special`` loader every model reads, is
-exempt, and so are dunder names such as ``__version__``."""
+exempt, and so are dunder names such as ``__version__``.  And every array a
+cache hands out is read-only, since a write would reach later callers."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+
+import numpy as np
+import pytest
+
+from confbel import distributions, fusion
+from confbel.mc import MCConfig
+from confbel.models import behrens_fisher, binomial, dkw, uniform_loc
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "confbel"
 
@@ -66,3 +74,29 @@ def test_cli_and_model_registry_load_no_numpy_scipy_or_model():
             if parts[0] in ("numpy", "scipy") or (parts[:2] == ["confbel", "models"] and parts[2] in MODELS):
                 found.append(f"{path.relative_to(PACKAGE)}:{line} imports {name}")
     assert found == []
+
+
+def _empirical_sample_arrays():
+    sample = dkw.EmpiricalSample([3.0, 1.0, 2.0])
+    return sample.values, sample.ecdf().xs, sample.ecdf().ys
+
+
+CACHED_TABLES = {
+    "distributions._binom_guide": lambda: distributions._binom_guide(10, 0.3),
+    "binomial._outcome_table": lambda: (binomial._outcome_table(binomial.cp_contour, 10, 0.3),),
+    "dkw._birnbaum_tingey_terms": lambda: dkw._birnbaum_tingey_terms(7),
+    "behrens_fisher._legendre_rule": behrens_fisher._legendre_rule,
+    "behrens_fisher._slice_table": lambda: (behrens_fisher._slice_table(5, 11, 0.5),),
+    "behrens_fisher.pivotal_draws": lambda: (behrens_fisher.pivotal_draws(5, 11, MCConfig(reps=20)),),
+    "dkw.ks_null_sample": lambda: (dkw.ks_null_sample(7, MCConfig(reps=20)),),
+    "fusion._cached_draws": lambda: (fusion._cached_draws(uniform_loc.random_set(10), MCConfig(reps=20)),),
+    "dkw.EmpiricalSample": _empirical_sample_arrays,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_TABLES))
+def test_every_cached_table_is_read_only(name):
+    for table in CACHED_TABLES[name]():
+        assert isinstance(table, np.ndarray) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0
