@@ -164,7 +164,7 @@ def _validity_audit(
         "seed": mc.seed,
         "stream_id": mc.stream_id,
         "flag_sigma": flag_sigma,
-        "alpha_grid": ",".join(f"{as_alpha(a):g}" for a in alpha_grid),
+        "alpha_grid": ",".join(repr(as_alpha(a)) for a in alpha_grid),  # each level as its rows read it
     }
     return AuditReport(kind, tuple(rows), meta)
 

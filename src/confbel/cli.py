@@ -32,13 +32,14 @@ class UsageError(Exception):
 
 
 def _read_config_file(path: str) -> dict:
-    """The file's ``key = value`` lines, each value the raw text a flag takes."""
+    """The file's ``key = value`` lines, each value the raw text a flag takes;
+    a ``#`` at the start of a line or after whitespace starts a comment."""
     if not os.path.isfile(path):
         raise UsageError(f"--config {path}: no such file")
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -90,6 +90,8 @@ class GridSpec:
             raise ValueError("grid bounds must be finite")
         if self.upper <= self.lower:
             raise ValueError("grid upper bound must exceed lower bound")
+        if not np.isfinite(self.upper - self.lower):
+            raise ValueError(f"grid span must be finite, got {self.lower!r} to {self.upper!r}")
         if self.n < 2:
             raise ValueError("grid needs at least 2 points")
 

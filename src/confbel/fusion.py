@@ -82,7 +82,7 @@ class Association:
     ``focal(x, u)`` is the focal set ``{theta : x = forward(theta, u)}``:
     an interval for a real parameter, :data:`EMPTY_REGION` when no parameter
     fits, and otherwise one parameter point of the set (behrens_fisher's
-    ``(phi, s1, s2)``, one CDF for dkw), which ``forward`` maps back to
+    ``(mu1, mu2, s1, s2)``, one CDF for dkw), which ``forward`` maps back to
     ``x``.  The compatibility check only asks whether it is empty.
     ``compat_witness``, when present, maps ``x`` to the auxiliary point most
     capable of explaining it regardless of ``theta`` (used by the

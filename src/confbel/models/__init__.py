@@ -136,7 +136,7 @@ def behrens_fisher_bundle(n1: int = 5, n2: int = 11) -> ModelBundle:
         contour_at_truth=behrens_fisher.contour_at_truth(n1, n2),
         plaus_grid=behrens_fisher.hs_contour,
         default_grid=behrens_fisher.default_grid,
-        interest=lambda theta: float(theta[0] - theta[1]) if len(theta) == 4 else float(theta[0]),
+        interest=lambda theta: float(theta[0] - theta[1]),
         theta_grid_hint=((0.0, 0.0, 4.0, 1.0),),
     )
 

@@ -6,22 +6,26 @@ sizes.  The conservative interval family is
     C_alpha = d -+ t*_{alpha, dof} f,   d = m1 - m2,
     f = sqrt(v1/n1 + v2/n2),            dof = min(n1, n2) - 1,
 
-with contour ``2(1 - F_dof(|t|))`` at ``t = (d - phi)/f``.  Fusing through the
-association on ``theta = (phi, s1, s2)``,
+with contour ``2(1 - F_dof(|t|))`` at ``t = (d - phi)/f``, ``phi = mu1 - mu2``.
+The association on the truth's own parameter ``theta = (mu1, mu2, s1, s2)``
+draws each summary from its exact law,
 
-    d = phi + f(sigma) U1,   v_k = s_k U_{2k},   f(sigma) = sqrt(s1/n1 + s2/n2),
+    m_k = mu_k + sqrt(s_k/n_k) z_k,   v_k = s_k c_k / k_k,   k_k = n_k - 1,
 
-(U1 standard normal, U_{2k} scaled chi-square means; the scale is the true
-variances' ``f(sigma)``, not the observed ``f``) turns the family into supports
+from ``u = (z1, z2, c1, c2)``: two standard normals and each group's
+``chi2_{k_k}``.  Then ``d - phi = sqrt(s1/n1) z1 - sqrt(s2/n2) z2`` is
+``f(sigma) = sqrt(s1/n1 + s2/n2)`` times one standard normal, and ``f`` is
+``f(sigma)`` times the root of a mix of the two scaled chi-squares, so the
+family turns into supports
 
     S_alpha(theta) = {u : T_lambda(u) <= t*_alpha},
-    T_lambda = |u1| / sqrt(lambda u21 + (1 - lambda) u22),
+    T_lambda = |sqrt(lambda) z1 - sqrt(1 - lambda) z2|
+               / sqrt(lambda c1/k1 + (1 - lambda) c2/k2),
 
 where ``lambda = (s1/n1) / (s1/n1 + s2/n2)`` depends only on the variance part
-of ``theta``.  The auxiliary point that maps theta to the data,
-``u = ((d - phi) / f(sigma), v1/s1, v2/s2)``, has ``T_lambda = |d - phi| / f
-= |t|`` for every theta with the same phi, so the theta-specific plausibility
-is
+of ``theta``.  The auxiliary point that maps theta to the data has
+``T_lambda = |d - phi| / f = |t|`` for every theta with the same phi, so the
+theta-specific plausibility is
 
     pl = 1 - P{T_lambda <= t*_{alpha*(phi)}} = P{T_lambda > |t|},
 
@@ -47,7 +51,7 @@ from .. import _special as special
 from .. import distributions as dist
 from ..audit import SamplingModel
 from ..contours import ConfidenceFamily, GridSpec
-from ..fusion import Association, RandomSetFamily, support_of
+from ..fusion import Association, RandomSetFamily, sampling_of, support_of
 from ..mc import MCConfig
 
 
@@ -122,18 +126,28 @@ def family(n1: int, n2: int) -> ConfidenceFamily:
 # Pivotal machinery
 
 
-@functools.lru_cache(maxsize=8)
 def pivotal_draws(n1: int, n2: int, mc: MCConfig) -> np.ndarray:
-    """(reps, 3) table of (U1, U21, U22) draws, cached per configuration and
-    read-only.  The uniform draw becomes the normals and then their squares
-    in its own buffer, so the build holds one ``reps x (n1 + n2 - 1)`` array,
-    not two (docs/decisions.md, "The pivot table is built in one buffer")."""
-    z = mc.generator().random((mc.reps, 1 + (n1 - 1) + (n2 - 1)))
-    special.ndtri(z, out=z)
-    np.square(z[:, 1:], out=z[:, 1:])
-    table = np.column_stack([z[:, 0], np.mean(z[:, 1:n1], axis=1), np.mean(z[:, n1:], axis=1)])
-    table.flags.writeable = False
-    return table
+    """(reps, 4) auxiliary rows ``u = (z1, z2, c1, c2)``: two standard normals
+    and each group's ``chi2_k``, ``k = n - 1``, drawn as twice a sum of
+    ``k // 2`` unit exponentials ``-log1p(-U)``, plus one squared normal when
+    ``k`` is odd (docs/decisions.md, "Samplers draw each summary from its
+    exact law").  A row reads ``2 + n1 // 2 + n2 // 2`` uniforms, in order:
+    the two means' normals, the odd groups' squared normals, then group 1's
+    and group 2's exponentials.  The draw is freed once its exponentials'
+    uniforms are copied out, so the build holds one copy of them
+    (docs/decisions.md, "behrens_fisher draws its data through its
+    association")."""
+    k1, k2 = n1 - 1, n2 - 1
+    normals, h1 = 2 + k1 % 2 + k2 % 2, k1 // 2
+    u = mc.generator().random((mc.reps, normals + h1 + k2 // 2))
+    z = special.ndtri(u[:, :normals])
+    e = np.negative(u[:, normals:])
+    del u
+    np.log1p(e, out=e)  # minus the unit exponentials
+    sq = z[:, 2:] * z[:, 2:]
+    c1 = np.sum(sq[:, : k1 % 2], axis=1) - 2.0 * np.sum(e[:, :h1], axis=1)
+    c2 = np.sum(sq[:, k1 % 2 :], axis=1) - 2.0 * np.sum(e[:, h1:], axis=1)
+    return np.column_stack([z[:, 0], z[:, 1], c1, c2])
 
 
 def lambda_of(theta, n1: int, n2: int) -> float:
@@ -206,35 +220,38 @@ def slice_plaus(n1: int, n2: int, x, lam: float, phi) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Association and random set on theta = (phi, s1, s2)
+# Association and random set on theta = (mu1, mu2, s1, s2)
 
 
 def association(n1: int, n2: int) -> Association:
-    """``m1 - m2 = phi + f(sigma) u1``, ``v_k = s_k u_{2k}``, with
-    ``f(sigma) = sqrt(s1/n1 + s2/n2)``; the data are (m1, m2, v1, v2) rows
-    with ``m2 = 0``, and the family reads ``phi = theta[0]``."""
+    """``m_k = mu_k + sqrt(s_k/n_k) z_k``, ``v_k = s_k c_k / (n_k - 1)``; the
+    data are (m1, m2, v1, v2) rows, and the family reads ``phi = mu1 - mu2``."""
+    k1, k2 = n1 - 1, n2 - 1
 
     def forward(theta, u):
-        phi, s1, s2 = float(theta[0]), float(theta[-2]), float(theta[-1])
+        mu1, mu2, s1, s2 = (float(v) for v in theta)
+        if not (s1 > 0.0 and s2 > 0.0):
+            raise ValueError(f"behrens_fisher requires variances s1, s2 > 0, got {s1!r}, {s2!r}")
         u = np.asarray(u, dtype=float)
-        d = phi + np.sqrt(s1 / n1 + s2 / n2) * u[..., 0]
-        return np.stack([d, np.zeros_like(d), s1 * u[..., 1], s2 * u[..., 2]], axis=-1)
+        m1 = mu1 + np.sqrt(s1 / n1) * u[..., 0]
+        m2 = mu2 + np.sqrt(s2 / n2) * u[..., 1]
+        return np.stack([m1, m2, s1 * u[..., 2] / k1, s2 * u[..., 3] / k2], axis=-1)
 
     def focal(x, u):  # the one parameter point that maps u to x
         m1, m2, v1, v2 = _summary(x)
-        u = np.ravel(np.asarray(u, dtype=float))
-        s1, s2 = v1 / u[1], v2 / u[2]
-        return (m1 - m2 - np.sqrt(s1 / n1 + s2 / n2) * u[0], s1, s2)
+        z1, z2, c1, c2 = np.ravel(np.asarray(u, dtype=float))
+        s1, s2 = v1 * k1 / c1, v2 * k2 / c2
+        return (m1 - np.sqrt(s1 / n1) * z1, m2 - np.sqrt(s2 / n2) * z2, s1, s2)
 
     phi_family = family(n1, n2)
     return Association(
         forward=forward,
         family=ConfidenceFamily(
-            member=lambda x, alpha, theta: phi_family.member(x, alpha, theta[0]),
-            center=lambda x: (x.diff, x.v1, x.v2),
+            member=lambda x, alpha, theta: phi_family.member(x, alpha, theta[0] - theta[1]),
+            center=lambda x: (x.m1, x.m2, x.v1, x.v2),
         ),
         focal=focal,
-        compat_witness=lambda x: np.asarray([0.0, 1.0, 1.0]),
+        compat_witness=lambda x: np.asarray([0.0, 0.0, k1, k2]),
     )
 
 
@@ -252,36 +269,9 @@ def random_set(n1: int, n2: int) -> RandomSetFamily:
 
 
 def sampling(n1: int, n2: int) -> SamplingModel:
-    """Full-summary generator under theta = (mu1, mu2, s1, s2); not drawn
-    through :func:`association`, whose rows keep only ``m1 - m2``.
-
-    Each summary is drawn from its exact law, not reduced from a sample: a
-    group's mean is ``mu + sqrt(s/n) z`` and its variance ``s chi2_k / k``
-    with ``k = n - 1``, independent of the mean, where ``chi2_k`` is twice a
-    sum of ``k // 2`` unit exponentials ``-log1p(-U)``, plus one squared
-    normal when ``k`` is odd (docs/decisions.md, "Samplers draw each summary
-    from its exact law").  A row reads, in order, the two means' uniforms,
-    the odd groups' squared-normal uniforms, then group 1's and group 2's
-    exponentials."""
-    k1, k2 = n1 - 1, n2 - 1
-    normals, h1 = 2 + k1 % 2 + k2 % 2, k1 // 2
-    draws = normals + h1 + k2 // 2
-
-    def sample(theta, mc: MCConfig):
-        mu1, mu2, s1, s2 = (float(v) for v in theta)
-        if not (s1 > 0.0 and s2 > 0.0):
-            raise ValueError(f"behrens_fisher requires variances s1, s2 > 0, got {s1!r}, {s2!r}")
-        u = mc.generator().random((mc.reps, draws))
-        z = special.ndtri(u[:, :normals])
-        e = np.log1p(-u[:, normals:])  # minus the unit exponentials
-        sq = z[:, 2:] * z[:, 2:]
-        chi1 = np.sum(sq[:, : k1 % 2], axis=1) - 2.0 * np.sum(e[:, :h1], axis=1)
-        chi2 = np.sum(sq[:, k1 % 2 :], axis=1) - 2.0 * np.sum(e[:, h1:], axis=1)
-        m1 = mu1 + np.sqrt(s1 / n1) * z[:, 0]
-        m2 = mu2 + np.sqrt(s2 / n2) * z[:, 1]
-        return np.column_stack([m1, m2, s1 * chi1 / k1, s2 * chi2 / k2])
-
-    return SamplingModel(name=f"behrens_fisher(n1={n1},n2={n2})", sample=sample, draws_per_rep=draws)
+    """Summaries drawn through :func:`association`, each from its exact law."""
+    name = f"behrens_fisher(n1={n1},n2={n2})"
+    return sampling_of(name, association(n1, n2), random_set(n1, n2), 2 + n1 // 2 + n2 // 2)
 
 
 def contour_at_truth(n1: int, n2: int):
@@ -290,8 +280,7 @@ def contour_at_truth(n1: int, n2: int):
 
     def fn(xs, theta):
         theta = np.asarray(theta, dtype=float)
-        phi = theta[0] - theta[1] if len(theta) == 4 else theta[0]
-        return slice_plaus(n1, n2, xs, lambda_of(theta, n1, n2), phi)
+        return slice_plaus(n1, n2, xs, lambda_of(theta, n1, n2), theta[0] - theta[1])
 
     return fn
 

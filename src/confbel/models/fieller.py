@@ -44,7 +44,8 @@ def fieller_cdf_batch(xs, phi) -> np.ndarray:
     one), broadcast against a scalar or 1-d ``phi``."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     phis = np.asarray(phi, dtype=float)
-    return special.ndtr((phis * xs[:, 1] - xs[:, 0]) / np.hypot(1.0, phis))
+    h = np.hypot(1.0, phis)
+    return special.ndtr(phis / h * xs[:, 1] - xs[:, 0] / h)  # divided first: phi x2 overflows near 1e308
 
 
 def mass_at_infinity(x) -> float:

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, optimize, special, stats
 
+from confbel import fusion
+from confbel import mc as mc_module
 from confbel.audit import DEFAULT_ALPHA_GRID, coverage_probability
 from confbel.fusion import support_mass
 from confbel.mc import MCConfig
-from confbel.models import REGISTRY
+from confbel.models import REGISTRY, behrens_fisher_bundle
 from confbel.models import behrens_fisher as bf
 
 # the stock data, the bf command's default summaries: a small two-route
@@ -90,40 +92,67 @@ def test_hs_contour_and_interval():
 
 
 def test_pivotal_draws_cached_and_shaped():
-    a = bf.pivotal_draws(5, 11, MC)
-    b = bf.pivotal_draws(5, 11, MC)
-    assert a is b
-    assert a.shape == (MC.reps, 3)
-    # u21 ~ mean of 4 squared normals: mean 1, var 1/2
-    assert a[:, 1].mean() == pytest.approx(1.0, abs=0.02)
-    assert a[:, 2].mean() == pytest.approx(1.0, abs=0.02)
+    # the data path draws afresh; the structural checks read the draws through
+    # fusion's one cache
+    rs = bf.random_set(5, 11)
+    a = fusion._cached_draws(rs, MC)
+    assert a is fusion._cached_draws(rs, MC) and np.array_equal(a, bf.pivotal_draws(5, 11, MC))
+    assert a.shape == (MC.reps, 4)
+    # c_k ~ chi2_{n_k - 1}: mean n_k - 1, variance 2 (n_k - 1)
+    assert a[:, 2].mean() == pytest.approx(4.0, abs=0.08)
+    assert a[:, 3].mean() == pytest.approx(10.0, abs=0.2)
 
-
-def _two_buffer_pivot_table(n1: int, n2: int, mc: MCConfig) -> np.ndarray:
-    """The pivot table with the normals and each group's squares in arrays
-    of their own beside the uniform draw: the oracle of the in-place build."""
-    z = special.ndtri(mc.generator().random((mc.reps, 1 + (n1 - 1) + (n2 - 1))))
-    return np.column_stack([z[:, 0], np.mean(z[:, 1:n1] ** 2, axis=1), np.mean(z[:, n1:] ** 2, axis=1)])
-
-
-def test_pivotal_draws_equal_the_two_buffer_build():
-    # bit for bit: the same ufuncs on the same elements, summed along the same
-    # axis in the same order; groups of 8 or more normals take numpy's
-    # pairwise sum
-    assert np.array_equal(bf.pivotal_draws(5, 11, MC), _two_buffer_pivot_table(5, 11, MC))
-    for n1, n2 in ((2, 2), (9, 9), (12, 40), (2, 300)):
-        for reps in (1, 7, 20_000):
-            mc = MCConfig(reps=reps, seed=23)
-            assert np.array_equal(bf.pivotal_draws(n1, n2, mc), _two_buffer_pivot_table(n1, n2, mc)), (n1, n2, reps)
 
 
 def test_cached_pivot_table_is_read_only():
-    # random_set's aux_sampler hands out the cached table itself; a write
-    # would move every later draw of the structural checks
-    u = bf.random_set(5, 11).aux_sampler(MC)
-    assert u is bf.pivotal_draws(5, 11, MC)
+    # the structural checks read bf's pivotal draws from fusion's cache; a
+    # write would move every later draw of those checks
+    u = fusion._cached_draws(bf.random_set(5, 11), MC)
+    assert np.array_equal(u, bf.random_set(5, 11).aux_sampler(MC))
     with pytest.raises(ValueError):
         u[:, 0] *= 2.0
+
+# The sizes of the two groups: both parities of n - 1, n - 1 = 1, and a group
+# of 300, whose 149 exponentials numpy sums pairwise.
+SAMPLER_N1, SAMPLER_N2 = (2, 3, 4, 5, 11, 12, 40), (2, 3, 5, 11, 300)
+
+
+def _hand_written_sample(n1: int, n2: int, theta, mc: MCConfig) -> np.ndarray:
+    """The sampler as it was written beside the association: the oracle of
+    the draws through it."""
+    k1, k2 = n1 - 1, n2 - 1
+    normals, h1 = 2 + k1 % 2 + k2 % 2, k1 // 2
+    mu1, mu2, s1, s2 = (float(v) for v in theta)
+    u = mc.generator().random((mc.reps, normals + h1 + k2 // 2))
+    z = special.ndtri(u[:, :normals])
+    e = np.log1p(-u[:, normals:])  # minus the unit exponentials
+    sq = z[:, 2:] * z[:, 2:]
+    chi1 = np.sum(sq[:, : k1 % 2], axis=1) - 2.0 * np.sum(e[:, :h1], axis=1)
+    chi2 = np.sum(sq[:, k1 % 2 :], axis=1) - 2.0 * np.sum(e[:, h1:], axis=1)
+    m1 = mu1 + np.sqrt(s1 / n1) * z[:, 0]
+    m2 = mu2 + np.sqrt(s2 / n2) * z[:, 1]
+    return np.column_stack([m1, m2, s1 * chi1 / k1, s2 * chi2 / k2])
+
+
+def test_sampler_draws_are_the_hand_written_ones(monkeypatch):
+    # bit for bit: the same uniforms through the same ufuncs, whole and in
+    # row blocks, and the bundle's datasets hold those rows
+    monkeypatch.setattr(mc_module, "BLOCK_DRAWS", 1 << 14)  # 20 000 reps take 20 to 211 blocks
+    for n1 in SAMPLER_N1:
+        for n2 in SAMPLER_N2:
+            bundle = behrens_fisher_bundle(n1, n2)
+            for truth in (HINT_TRUTH, (1.5, -2.0, 0.3, 9.0)):
+                for reps in (1, 7, 20_000):
+                    mc = MCConfig(reps=reps, seed=23, stream_id=2)
+                    want = _hand_written_sample(n1, n2, truth, mc)
+                    assert np.array_equal(bundle.sampling.sample(truth, mc), want), (n1, n2, truth, reps)
+                    blocks = [bundle.sampling.sample(truth, b) for b in mc.blocks(bundle.sampling.draws_per_rep)]
+                    assert len(blocks) > 1 or reps < 20_000
+                    assert np.array_equal(np.concatenate(blocks), want), (n1, n2, truth, reps)
+                    if reps < 20_000:
+                        rows = bundle.data_replicates(truth, reps, mc)
+                        assert [(r.n1, r.n2) for r in rows] == [(n1, n2)] * reps
+                        assert np.array_equal([(r.m1, r.m2, r.v1, r.v2) for r in rows], want)
 
 
 def test_lambda_of():
@@ -331,7 +360,7 @@ def test_sampler_draws_the_exact_summary_laws(n1, n2):
 def test_association_round_trip():
     assoc = bf.association(5, 11)
     u = bf.pivotal_draws(5, 11, MCConfig(reps=50, seed=9))
-    for theta in ((1.2, 4.0, 1.0), (-0.5, 0.3, 7.0)):  # (phi, s1, s2)
+    for theta in ((1.2, 0.0, 4.0, 1.0), (1.5, 2.0, 0.3, 7.0)):  # (mu1, mu2, s1, s2)
         xs = assoc.forward(theta, u)
         assert xs.shape == (50, 4)
         for x, row in zip(xs, u):

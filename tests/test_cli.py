@@ -13,9 +13,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 import confbel
 from confbel.cli import SEED_ENV_VAR, build_parser, main
@@ -60,6 +62,18 @@ def test_fig1_at_the_edge_of_the_float_range(tmp_path, theta):
     assert meta["ks_uniform"] == "0.000000"
     assert (rows[0]["cd_value"], rows[-1]["cd_value"]) == ("0.5", "1")
     assert all(r["cd_value"] == r["uniform_position"] for r in rows)
+
+
+def test_fieller_curve_at_the_edge_of_the_float_range(tmp_path):
+    # phi x2 overflows at phi = 1e308 unless divided by hypot(1, phi) first;
+    # the curve then rises to G = Phi(x2) there, with no warning
+    out = tmp_path / "fieller.csv"
+    argv = ["fieller", "--curve", "--x2", "2", "--phi-lo", "0", "--phi-hi", "1e308", "--reps", "50", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    _, rows = read_csv(out)
+    assert {r["g"] for r in rows[-10:]} == {f"{special.ndtr(2.0):.10g}"}
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -108,6 +122,16 @@ def test_config_supplies_defaults_and_flags_win(tmp_path):
     assert meta2["seed"] == "3"
     assert meta2["seed_source"] == "flag"
     assert meta2["opt_reps"] == "50"
+
+
+def test_config_hash_inside_a_value_is_kept(tmp_path):
+    # a # starts a comment only at the start of a line or after whitespace
+    (tmp_path / "a#b").mkdir()
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "a#b" / "x.csv"
+    cfg.write_text(f"# a comment line\nout = {out}  # the artifact\nreps = 50\n")
+    assert main(["uniform", "--config", str(cfg)]) == 0
+    assert out.exists() and not (tmp_path / "a").exists()
 
 
 def test_config_file_errors(tmp_path):
@@ -296,6 +320,15 @@ def test_audit_artifact(tmp_path):
     assert main(argv) == 0
     _, rows = read_csv(out)
     assert len(rows) == 2 * 7  # two truth points, seven alpha levels
+
+
+def test_audit_alpha_grid_reads_back_as_the_rows_levels(tmp_path):
+    out = tmp_path / "audit.csv"
+    assert main(["audit", "--model", "normal_mean", "--alphas", "0.0123456789,0.5", "--reps", "50", "--out", str(out)]) == 0
+    meta, rows = read_csv(out)
+    grid = [float(a) for a in meta["alpha_grid"].split(",")]
+    assert grid == [0.0123456789, 0.5]
+    assert [float(r["alpha"]) for r in rows] == grid * 2  # two truths
 
 
 def _model_choices(command: str, dest: str = "model") -> list[str]:
@@ -711,6 +744,7 @@ def test_each_command_loads_its_own_model_only(tmp_path):
         (["uniform", "--x1", "-1e-3", "--reps", "50"], 0, ""),
         (["bf", "--m2", "-1e308"], 3, "grid upper bound must exceed lower bound"),
         (["fig1", "--theta", "-inf"], 2, "expected a finite number"),
+        (["fieller", "--phi-lo", "-1e308", "--phi-hi", "1e308", "--curve", "--reps", "50"], 3, "grid span must be finite"),
     ],
 )
 def test_negative_number_value_reads_as_its_equals_form(argv, code, message, tmp_path, capsys):

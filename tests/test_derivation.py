@@ -47,7 +47,8 @@ def bf_support(n1, n2):
     def member(u, alpha, theta):
         tstar = dist.quantile(1.0 - alpha / 2.0, df=min(n1, n2) - 1)
         u, lam = np.atleast_2d(np.asarray(u, dtype=float)), bf.lambda_of(theta, n1, n2)
-        return np.abs(u[:, 0]) / np.sqrt(lam * u[:, 1] + (1.0 - lam) * u[:, 2]) <= tstar  # T_lambda <= t*
+        z = np.sqrt(lam) * u[:, 0] - np.sqrt(1.0 - lam) * u[:, 1]
+        return np.abs(z) <= tstar * np.sqrt(lam * u[:, 2] / (n1 - 1) + (1.0 - lam) * u[:, 3] / (n2 - 1))
 
     return member
 
@@ -84,7 +85,7 @@ def test_normal_and_uniform_supports_are_the_hand_written_ones():
 def test_behrens_fisher_support_is_the_hand_written_one():
     rs = bf.random_set(5, 11)
     draws = rs.aux_sampler(MCConfig(reps=50_000, seed=73))
-    thetas = [(1.2, 4.0, 1.0), (-0.3, 0.2, 3.0), (0.0, 1.0, 1.0), (7.0, 50.0, 0.01)]
+    thetas = [(1.2, 0.0, 4.0, 1.0), (-0.3, 0.0, 0.2, 3.0), (0.0, 0.0, 1.0, 1.0), (8.5, 1.5, 50.0, 0.01)]
     assert _mismatches(rs.support_member, bf_support(5, 11), draws, thetas) == 0
 
 
@@ -130,13 +131,13 @@ def test_uniform_index_is_the_exact_index(a, b, s):
 @given(
     m=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
     v=st.tuples(st.floats(0.01, 9.0), st.floats(0.01, 9.0)),
-    theta=st.tuples(st.floats(-6.0, 6.0), st.floats(0.01, 9.0), st.floats(0.01, 9.0)),
+    theta=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(0.01, 9.0), st.floats(0.01, 9.0)),
 )
 def test_behrens_fisher_index_is_the_interval_contour(m, v, theta):
     # the association scales by f(sigma), so the index reads the observed t
     data = bf.BehrensFisherData(5, m[0], v[0], 11, m[1], v[1])
     got = alpha_index(bf.association(5, 11), data, theta)
-    assert abs(got - bf.hs_contour(data, theta[0])) <= 2 * ALPHA_BISECT_TOL
+    assert abs(got - bf.hs_contour(data, theta[0] - theta[1])) <= 2 * ALPHA_BISECT_TOL
 
 
 def test_binomial_deep_tail_reads_its_contour():

@@ -78,7 +78,6 @@ LEDGER = {
     "fusion.CompatibilityReport.compatible": ORACLE,
     "models.ModelBundle.candidates_for": ORACLE,
     "models.dkw_bundle.containment_candidates": ORACLE,
-    "models.behrens_fisher.association.forward": ORACLE,
     "models.behrens_fisher.association.focal": ORACLE,
     "models.behrens_fisher.random_set.mass": ORACLE,
     "models.binomial.family.center": ORACLE,
@@ -98,7 +97,6 @@ LEDGER = {
     "fusion.support_mass": PERFBENCH,
     "fusion.NestednessReport.passed": PERFBENCH,
     "mc.MCConfig.with_reps": PERFBENCH,
-    "models.behrens_fisher.pivotal_draws": PERFBENCH,
     "models.dkw.ks_null_sample": PERFBENCH,
 }
 

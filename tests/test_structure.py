@@ -87,9 +87,13 @@ CACHED_TABLES = {
     "dkw._birnbaum_tingey_terms": lambda: dkw._birnbaum_tingey_terms(7),
     "behrens_fisher._legendre_rule": behrens_fisher._legendre_rule,
     "behrens_fisher._slice_table": lambda: (behrens_fisher._slice_table(5, 11, 0.5),),
-    "behrens_fisher.pivotal_draws": lambda: (behrens_fisher.pivotal_draws(5, 11, MCConfig(reps=20)),),
     "dkw.ks_null_sample": lambda: (dkw.ks_null_sample(7, MCConfig(reps=20)),),
     "fusion._cached_draws": lambda: (fusion._cached_draws(uniform_loc.random_set(10), MCConfig(reps=20)),),
+    # behrens_fisher's pivotal draws, as fusion's cache holds them for the
+    # structural checks
+    "behrens_fisher.pivotal_draws": lambda: (
+        fusion._cached_draws(behrens_fisher.random_set(5, 11), MCConfig(reps=20)),
+    ),
     "dkw.EmpiricalSample": _empirical_sample_arrays,
 }
 
